@@ -25,7 +25,7 @@ from . import modp
 from .cyclotomic import Cyclo, coeff_to_complex
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
-from .groups import GroupElement, Subgroup, as_subgroup, conjugate
+from .groups import GroupElement, GroupHandle, Subgroup, _conjugacy_orbit, as_subgroup
 
 DEFAULT_MAX_ORDER = 5000
 MAX_EXACT_EXPONENT = 64
@@ -53,53 +53,41 @@ class ClassData:
     def order(self) -> int:
         return self.subgroup.order
 
-    @property
-    def representatives(self) -> list[GroupElement]:
-        return [c.representative for c in self.classes]
-
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     """Partition a finite subgroup into conjugacy classes and count a_ijk."""
+    if isinstance(subject, GroupHandle) and subject.is_finite:
+        _check_order(f"subgroup of {subject.describe()}, order {subject.order}",
+                     subject.order, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order
-    if n > max_order:
-        raise RequiresFiniteError(f"{H.describe()} exceeds the configured maximum {max_order}")
-    alphabet = H.conjugation_alphabet()
+    _check_order(H.describe(), n, max_order)
+    handle, fam = H.handle, H.handle._family
+    gens = H.generators if H.generators is not None else H.elements
+    letters = fam.alphabet_block([g.form for g in gens])
     class_of: dict = {}
     classes: list[ConjugacyClass] = []
     for g in H.elements:
         if g.form in class_of:
             continue
-        idx = len(classes)
-        orbit = [g]
-        seen = {g.form}
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for t in alphabet:
-                    v = conjugate(u, t)
-                    if v.form not in seen:
-                        seen.add(v.form)
-                        orbit.append(v)
-                        nxt.append(v)
-            frontier = nxt
-        for e in orbit:
-            class_of[e.form] = idx
-        classes.append(ConjugacyClass(g, tuple(orbit), budget=n))
+        orbit = _conjugacy_orbit(fam, g.form, letters)
+        for f in orbit:
+            class_of[f] = len(classes)
+        classes.append(ConjugacyClass(g, tuple(GroupElement(handle, f) for f in orbit), budget=n))
     r = len(classes)
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")
 
-    fam = H.handle._family
+    # a[i, j, k] counts x in C_i with x^-1 z in C_j, for z the representative of C_k
+    forms = [x.form for x in H.elements]
+    x_class = np.array([class_of[f] for f in forms], dtype=np.int64)
+    x_inv = [fam.inv(f) for f in forms]
     a = np.zeros((r, r, r), dtype=np.int64)
-    for k in range(r):
-        z = classes[k].representative.form
-        for x in H.elements:
-            i = class_of[x.form]
-            j = class_of[fam.mul(fam.inv(x.form), z)]
-            a[i, j, k] += 1
+    for k, c in enumerate(classes):
+        z = c.representative.form
+        j = np.array([class_of[fam.mul(xi, z)] for xi in x_inv], dtype=np.int64)
+        a[:, :, k] = np.bincount(x_class * r + j, minlength=r * r).reshape(r, r)
     sz = np.array(sizes, dtype=np.int64)
     if not np.array_equal(a[0], np.eye(r, dtype=np.int64)):
         raise ConsistencyError("identity-class structure constants are not delta_jk")
@@ -111,6 +99,11 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     for c in classes:
         exponent = lcm(exponent, _element_order(H, c.representative))
     return ClassData(H, classes, class_of, sizes, a, inverse_class, exponent)
+
+
+def _check_order(what: str, order: int, max_order: int):
+    if order > max_order:
+        raise RequiresFiniteError(f"{what} exceeds the configured maximum {max_order}")
 
 
 def _element_order(H: Subgroup, g: GroupElement) -> int:
@@ -146,16 +139,11 @@ class CharacterTable:
     provenance: str
     tolerance: float
     dixon_prime: int
+    orthogonality: Optional["OrthogonalityReport"] = None  # set once validated
 
     @property
     def degrees(self) -> list[int]:
         return [row.degree for row in self.rows]
-
-    def row_by_label(self, label: str) -> CharacterRow:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
 
     def to_json(self) -> dict:
         return {
@@ -185,12 +173,17 @@ def dixon_prime(order: int, exponent: int) -> int:
         p += 1
 
 
-def _common_eigenvectors(mats: list[np.ndarray], p: int, r: int) -> list[np.ndarray]:
-    """Joint one-dimensional eigenspaces of a commuting family over F_p."""
+def _common_eigenvectors(a: np.ndarray, p: int) -> list[np.ndarray]:
+    """Joint one-dimensional eigenspaces of the class matrices a[1:] over F_p.
+
+    Each matrix is reduced mod p only when the refinement reaches it.
+    """
+    r = a.shape[0]
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    for m in mats:
+    for i in range(1, r):
         if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
+        m = a[i] % p
         refined = []
         for basis, pivots in spaces:
             d = basis.shape[0]
@@ -228,9 +221,7 @@ def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
     n = cd.order
     m = cd.exponent
     p = dixon_prime(n, m)
-    a = cd.structure_constants
-    mats = [a[i] % p for i in range(1, r)]
-    vectors = _common_eigenvectors(mats, p, r)
+    vectors = _common_eigenvectors(cd.structure_constants, p)
 
     sizes = np.array(cd.sizes, dtype=np.int64)
     inv_sizes = np.array([modp.inv_mod(int(s), p) for s in cd.sizes], dtype=np.int64)
@@ -314,6 +305,7 @@ def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
             f"orthogonality validation failed: {report.failed_relation} "
             f"(row residual {report.max_row_residual:.3e}, column residual {report.max_col_residual:.3e})"
         )
+    table.orthogonality = report
     return table
 
 

@@ -29,11 +29,10 @@ from .groups import (
     GroupElement,
     GroupHandle,
     commutator,
-    conjugate,
     construct_group,
     generate_closure,
 )
-from .vn_spectrum import GrowthResult, exact_fraction, factor_spectrum
+from .vn_spectrum import MAX_GROWTH_K, GrowthResult, evaluate_growth, exact_fraction
 
 DEFAULT_STREAM_BUDGET = 50_000
 
@@ -89,14 +88,18 @@ def kernel_membership(g: GroupElement, kernel_set: Iterable[GroupElement]) -> bo
     PreconditionError.
     """
     ks = list(kernel_set)
-    for b in ks:
-        if conjugate(b, g) != b:
-            forms = {x.form for x in ks}
-            for c in ks:
-                if conjugate(c, g).form not in forms:
+    g.group._check(g, *ks)
+    fam = g.group._family
+    ginv = fam.inv(g.form)
+    forms = [b.form for b in ks]
+    for b in forms:
+        if fam.mul(fam.mul(g.form, b), ginv) != b:
+            members = set(forms)
+            for c in forms:
+                if fam.mul(fam.mul(g.form, c), ginv) not in members:
                     raise PreconditionError(
                         f"K is not stable under conjugation by {g.describe()}: "
-                        f"image of {c.describe()} escapes"
+                        f"image of {fam.describe(c)} escapes"
                     )
             return False
     return True
@@ -163,10 +166,19 @@ class CommutingWitness:
 
 def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> WitnessChecks:
     """Exhaustive verification of the commuting-witness invariants."""
+    fam = handle._family
+    gen_forms = []
+    for lv in levels:
+        handle._check(lv.g, lv.h, *lv.generator_set())
+        gen_forms.append([e.form for e in lv.generator_set()])
+
+    def commute(a, b) -> bool:
+        return fam.mul(a, b) == fam.mul(b, a)
+
     failures: list[str] = []
     noncomm = True
     for lv in levels:
-        if commutator(lv.g, lv.h).is_identity:
+        if commute(lv.g.form, lv.h.form):
             noncomm = False
             failures.append(f"level {lv.index}: g and h commute")
 
@@ -177,13 +189,15 @@ def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> Wi
             if cls.representative.form not in members:
                 stable = False
                 failures.append(f"level {lv.index}: representative missing from its class")
-            for c in cls.elements:
-                for t in handle.conjugating_elements(cls.representative):
-                    if conjugate(c, t).form not in members:
+            letters = fam.alphabet_block(fam.conjugating_forms(cls.representative.form))
+            conjugators = [(t, fam.inv(t)) for t in letters]
+            for c in (e.form for e in cls.elements):
+                for t, tinv in conjugators:
+                    if fam.mul(fam.mul(t, c), tinv) not in members:
                         stable = False
                         failures.append(
                             f"level {lv.index}: class of {cls.representative.describe()} "
-                            f"is not stable under {t.describe()}"
+                            f"is not stable under {fam.describe(t)}"
                         )
                         break
 
@@ -191,16 +205,14 @@ def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> Wi
     matrix = [[0] * k for _ in range(k)]
     commuting = True
     for i, j in itertools.combinations(range(k), 2):
-        checked = 0
-        for a in levels[i].generator_set():
-            for b in levels[j].generator_set():
-                checked += 1
-                if not commutator(a, b).is_identity:
+        for a in gen_forms[i]:
+            for b in gen_forms[j]:
+                if not commute(a, b):
                     commuting = False
                     failures.append(
-                        f"levels {i} and {j}: [{a.describe()}, {b.describe()}] != e"
+                        f"levels {i} and {j}: [{fam.describe(a)}, {fam.describe(b)}] != e"
                     )
-        matrix[i][j] = matrix[j][i] = checked
+        matrix[i][j] = matrix[j][i] = len(gen_forms[i]) * len(gen_forms[j])
     return WitnessChecks(noncomm, stable, commuting, matrix, failures)
 
 
@@ -323,8 +335,8 @@ class ClassifyOptions:
         self.epsilon = exact_fraction(self.epsilon)
         if not 0 < self.epsilon < 1:
             raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
-        if self.k < 1:
-            raise ParameterError("k must be >= 1")
+        if not 1 <= self.k <= MAX_GROWTH_K:
+            raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
 
     def to_json(self) -> dict:
         return {
@@ -453,30 +465,21 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
     builder = _Lemma10Builder(handle, stream_budget=opts.stream_budget,
                               class_budget=opts.class_budget,
                               fc_gate=meta.fc_all is not True)
-    dim_threshold = 2 ** (2 ** (opts.k - 1))
-    measure_threshold = max(Fraction(1, 2) - opts.epsilon, Fraction(0))
-    history = []
+
+    def closures():
+        # one more witness level per closure, so the first level that clears is kept
+        while len(builder.levels) < opts.max_levels and builder.add_level() is not None:
+            gens = [e for lv in builder.levels for e in lv.generator_set()]
+            yield len(builder.levels), generate_closure(gens, opts.closure_budget)
+
     growth: Optional[GrowthResult] = None
-    while len(builder.levels) < opts.max_levels:
-        level = builder.add_level()
-        if level is None:
-            break
-        gens = [e for lv in builder.levels for e in lv.generator_set()]
-        try:
-            closure = generate_closure(gens, opts.closure_budget)
-            measure = factor_spectrum(closure, opts.max_order).measure_dim_at_least(dim_threshold)
-        except (BudgetExceededError, RequiresFiniteError, ConsistencyError) as e:
-            builder.diagnostics.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
-            break
-        history.append((len(builder.levels), closure.order, measure))
-        if measure > measure_threshold:
-            growth = GrowthResult(True, len(builder.levels), measure, dim_threshold,
-                                  measure_threshold, opts.k, opts.epsilon, history,
-                                  opts.max_levels)
-            break
+    try:
+        growth = evaluate_growth(closures(), opts.k, opts.epsilon, opts.max_levels, opts.max_order)
+    except (BudgetExceededError, RequiresFiniteError, ConsistencyError) as e:
+        builder.diagnostics.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
     diagnostics.extend(builder.diagnostics)
 
-    if growth is None:
+    if growth is None or not growth.found:
         diagnostics.append(
             f"no growth witness within {opts.max_levels} levels; hypothesis may fail "
             f"or budgets are too small"
@@ -521,7 +524,11 @@ class ReplayReport:
 
 
 def replay_certificate(cert: dict) -> ReplayReport:
-    """Re-run every check a certificate claims, from its serialized form alone."""
+    """Re-run every check a certificate claims, from its serialized form alone.
+
+    Growth thresholds are recomputed from the certificate's options, never
+    read from its growth report.
+    """
     if cert.get("format") != "groupvna-certificate/1":
         raise ParameterError("not a recognized certificate document")
     verdict = cert["verdict"]
@@ -533,6 +540,9 @@ def replay_certificate(cert: dict) -> ReplayReport:
         checks.append((name, ok))
         if not ok:
             failures.append(detail or name)
+
+    record("spec_digest_matches", cert.get("spec_digest") == jsonutil.spec_digest(handle.spec),
+           "spec_digest does not match the embedded group spec")
 
     if verdict == "type_I":
         w = cert["type_i_witness"]
@@ -576,15 +586,27 @@ def replay_certificate(cert: dict) -> ReplayReport:
 
         g = cert["growth"]
         n_req = g["levels_required"]
-        gens = [e for lv in levels[:n_req] for e in lv.generator_set()]
-        closure = generate_closure(gens)
-        measure = factor_spectrum(closure).measure_dim_at_least(g["dim_threshold"])
-        claimed = jsonutil.fraction_from_json(g["achieved_measure"])
-        record("growth_measure_matches", measure == claimed,
-               f"recomputed measure {measure} != claimed {claimed}")
-        threshold = jsonutil.fraction_from_json(g["measure_threshold"])
-        record("growth_measure_clears_threshold", measure > threshold,
-               f"measure {measure} does not exceed {threshold}")
+        in_range = isinstance(n_req, int) and 1 <= n_req <= len(levels)
+        record("levels_required_in_range", in_range,
+               f"levels_required {n_req} is not between 1 and {len(levels)}")
+        if in_range:
+            o = cert["options"]
+            opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]))
+            gens = [e for lv in levels[:n_req] for e in lv.generator_set()]
+            growth = evaluate_growth([(n_req, generate_closure(gens))], opts.k, opts.epsilon, n_req)
+            claims = (g["k"], g["dim_threshold"], jsonutil.fraction_from_json(g["epsilon"]),
+                      jsonutil.fraction_from_json(g["measure_threshold"]))
+            derived = (opts.k, growth.dim_threshold, opts.epsilon, growth.measure_threshold)
+            record("growth_thresholds_match_options", claims == derived,
+                   "growth report (k, dim, epsilon, measure) thresholds "
+                   f"({', '.join(map(str, claims))}) differ from "
+                   f"({', '.join(map(str, derived))}) derived from the options")
+            measure = growth.history[0][2]
+            claimed = jsonutil.fraction_from_json(g["achieved_measure"])
+            record("growth_measure_matches", measure == claimed,
+                   f"recomputed measure {measure} != claimed {claimed}")
+            record("growth_measure_clears_threshold", growth.found,
+                   f"measure {measure} does not exceed {growth.measure_threshold}")
     else:
         record("inconclusive_makes_no_claims", True)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParameterError
-from .groups import GroupElement, GroupHandle, conjugate
+from .errors import BudgetExceededError, ParameterError
+from .groups import GroupElement, GroupHandle, _conjugacy_orbit
 
 DEFAULT_CLASS_BUDGET = 10**4
 
@@ -67,23 +67,13 @@ def conjugacy_class(g: GroupElement, handle: Optional[GroupHandle] = None,
     handle._check(g)
     if budget < 1:
         raise ParameterError("class budget must be >= 1")
-    alphabet = handle.conjugating_elements(g)
-    seen = {g.form}
-    out = [g]
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for t in alphabet:
-                v = conjugate(u, t)
-                if v.form not in seen:
-                    if len(seen) >= budget:
-                        return ConjugacyClass(g, None, budget, partial_count=len(seen))
-                    seen.add(v.form)
-                    out.append(v)
-                    nxt.append(v)
-        frontier = nxt
-    return ConjugacyClass(g, tuple(out), budget)
+    fam = handle._family
+    letters = fam.alphabet_block(fam.conjugating_forms(g.form))
+    try:
+        forms = _conjugacy_orbit(fam, g.form, letters, budget)
+    except BudgetExceededError as e:
+        return ConjugacyClass(g, None, budget, partial_count=e.partial_count)
+    return ConjugacyClass(g, tuple(GroupElement(handle, f) for f in forms), budget)
 
 
 def fc_filter(handle: GroupHandle, n: int,

@@ -458,28 +458,15 @@ class _Cayley(_Family):
         return self._inv[a]
 
     def generator_forms(self):
-        # deterministic generating set: greedily add elements until closure is everything
+        # deterministic generating set: greedily add the first element not yet generated
         gens: list[int] = []
         reached = {self.identity}
         for x in range(self.n):
-            if x in reached:
-                continue
-            gens.append(x)
-            reached.add(x)
-            queue = [x]
-            while queue:
-                u = queue.pop()
-                for v in list(reached):
-                    for w in (self.mul(u, v), self.mul(v, u)):
-                        if w not in reached:
-                            reached.add(w)
-                            queue.append(w)
-                wi = self.inv(u)
-                if wi not in reached:
-                    reached.add(wi)
-                    queue.append(wi)
             if len(reached) == self.n:
                 break
+            if x not in reached:
+                gens.append(x)
+                reached = set(_bfs([self.identity], self.alphabet_block(gens), self.mul))
         return gens
 
     def describe(self, form):
@@ -722,8 +709,8 @@ def _product_metadata(factors: list[_Family], order: Optional[int]) -> FamilyMet
 def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
     if factor.order is None:
         return FamilyMetadata(fc_center_note=None, fc_all=None)
-    abelian = _factor_is_abelian(factor)
-    if abelian:
+    gens = factor.generator_forms()
+    if all(factor.mul(a, b) == factor.mul(b, a) for a in gens for b in gens):
         return FamilyMetadata(
             fc_center_note="all of G (abelian)",
             fc_all=True,
@@ -738,32 +725,50 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
     )
 
 
-def _factor_is_abelian(factor: _Family) -> bool:
-    elements = _enumerate_family(factor, factor.order)
-    for i, a in enumerate(elements):
-        for b in elements[i + 1 :]:
-            if factor.mul(a, b) != factor.mul(b, a):
-                return False
-    return True
+# ---------------------------------------------------------------------------
+# breadth-first search on canonical forms
 
 
-def _enumerate_family(family: _Family, limit: int) -> list:
-    """Standalone BFS enumeration of a finite family (no handle involved)."""
-    block = family.alphabet_block(family.generator_forms())
-    seen = {family.identity}
-    out = [family.identity]
-    frontier = [family.identity]
-    while frontier and len(out) < limit:
-        nxt = []
-        for u in frontier:
-            for a in block:
-                w = family.mul(u, a)
-                if w not in seen:
-                    seen.add(w)
-                    out.append(w)
-                    nxt.append(w)
-        frontier = nxt
+def _expand(frontier: list, alphabet: list, step: Callable, seen: set,
+            budget: Optional[int] = None) -> list:
+    """One BFS layer: the unseen forms step(u, a), u over the frontier, a over the alphabet.
+
+    New forms are added to `seen`.  Raises BudgetExceededError with the
+    partial count instead of letting `seen` grow past `budget`.
+    """
+    layer = []
+    for u in frontier:
+        for a in alphabet:
+            w = step(u, a)
+            if w not in seen:
+                if budget is not None and len(seen) >= budget:
+                    raise BudgetExceededError(
+                        f"subgroup closure exceeded budget {budget}",
+                        budget=budget, partial_count=len(seen),
+                    )
+                seen.add(w)
+                layer.append(w)
+    return layer
+
+
+def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = None) -> list:
+    """Every form reachable from `seeds` by repeated `step(form, letter)`.
+
+    Insertion order is the seeds, then each BFS layer in turn (see `_expand`).
+    """
+    out = list(seeds)
+    seen = set(out)
+    frontier = out
+    while frontier:
+        frontier = _expand(frontier, alphabet, step, seen, budget)
+        out.extend(frontier)
     return out
+
+
+def _conjugacy_orbit(fam: _Family, form, letters: list, budget: Optional[int] = None) -> list:
+    """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first."""
+    pairs = [(t, fam.inv(t)) for t in letters]
+    return _bfs([form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +789,7 @@ class GroupHandle:
         self.metadata = family.metadata
         self.identity = GroupElement(self, family.identity)
         self.generators = [GroupElement(self, f) for f in family.generator_forms()]
-        self._enum: list[GroupElement] = [self.identity]
+        self._enum: list = [family.identity]  # canonical forms in enumeration order
         self._enum_seen = {family.identity}
         self._enum_blocks: list[list] = []
         self._enum_block_iter: Optional[Iterator] = family.alphabet_blocks()
@@ -831,12 +836,6 @@ class GroupHandle:
         self._check(a)
         return GroupElement(self, self._family.inv(a.form))
 
-    def conjugating_elements(self, g: GroupElement) -> list[GroupElement]:
-        self._check(g)
-        fam = self._family
-        block = fam.alphabet_block(fam.conjugating_forms(g.form))
-        return [GroupElement(self, f) for f in block]
-
     # -- fair enumeration ------------------------------------------------------
 
     def _extend_enumeration(self) -> bool:
@@ -856,27 +855,15 @@ class GroupHandle:
         window = [a for blk in self._enum_blocks for a in blk]
         start = self._enum_frontier
         snapshot = len(self._enum)
-        added = False
-
-        def push(form):
-            nonlocal added
-            if form not in self._enum_seen:
-                self._enum_seen.add(form)
-                self._enum.append(GroupElement(self, form))
-                added = True
-
-        if new_letters:
-            for u in self._enum[:start]:
-                for a in new_letters:
-                    push(fam.mul(u.form, a))
-        for i in range(start, snapshot):
-            u = self._enum[i]
-            for a in window:
-                push(fam.mul(u.form, a))
+        # earlier stages already multiplied everything before the frontier by
+        # the old letters; it meets only the new ones
+        added = _expand(self._enum[:start], new_letters, fam.mul, self._enum_seen)
+        added += _expand(self._enum[start:snapshot], window, fam.mul, self._enum_seen)
+        self._enum.extend(added)
         self._enum_frontier = snapshot
         if not added and self._enum_block_iter is None:
             self._enum_exhausted = True
-        return not self._enum_exhausted or added
+        return not self._enum_exhausted or bool(added)
 
     def iter_elements(self, limit: Optional[int] = None) -> Iterator[GroupElement]:
         """Prefix-stable fair enumeration; stops at `limit` or group exhaustion."""
@@ -885,7 +872,7 @@ class GroupHandle:
             while i >= len(self._enum):
                 if not self._extend_enumeration() and i >= len(self._enum):
                     return
-            yield self._enum[i]
+            yield GroupElement(self, self._enum[i])
             i += 1
 
     def all_elements(self) -> list[GroupElement]:
@@ -957,15 +944,6 @@ class Subgroup:
         form = g.form if isinstance(g, GroupElement) else g
         return form in self._index
 
-    def index_of(self, g: GroupElement) -> int:
-        return self._index[g.form]
-
-    def conjugation_alphabet(self) -> list[GroupElement]:
-        gens = self.generators if self.generators is not None else self.elements
-        fam = self.handle._family
-        block = fam.alphabet_block([g.form for g in gens])
-        return [GroupElement(self.handle, f) for f in block]
-
     @staticmethod
     def whole_group(handle: GroupHandle) -> "Subgroup":
         return Subgroup(handle, handle.all_elements(), list(handle.generators), _trusted=True)
@@ -1011,27 +989,10 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     handle = gens[0].group
     handle._check(*gens)
     fam = handle._family
-    alphabet = fam.alphabet_block([g.form for g in gens])
-    seen = {fam.identity}
-    out = [handle.identity]
-    frontier = [fam.identity]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for a in alphabet:
-                w = fam.mul(u, a)
-                if w not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(
-                            f"subgroup closure exceeded budget {budget}",
-                            budget=budget, partial_count=len(seen),
-                        )
-                    seen.add(w)
-                    out.append(GroupElement(handle, w))
-                    nxt.append(w)
-        frontier = nxt
+    forms = _bfs([fam.identity], fam.alphabet_block([g.form for g in gens]), fam.mul, budget)
     kept = [g for g in gens if not g.is_identity]
-    return Subgroup(handle, out, kept or [handle.identity], _trusted=True)
+    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity],
+                    _trusted=True)
 
 
 def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
@@ -1048,7 +1009,7 @@ def coordinate_subgroup(handle: GroupHandle, coord: int,
     if not isinstance(fam, _RestrictedSum):
         raise ParameterError("coordinate subgroups exist only for restricted_sum handles")
     gens = [GroupElement(handle, ((coord, g),)) for g in fam.factor.generator_forms()]
-    return generate_closure(gens, budget)
+    return generate_closure(gens or [handle.identity], budget)
 
 
 def factor_subgroup(handle: GroupHandle, i: int,
@@ -1060,7 +1021,7 @@ def factor_subgroup(handle: GroupHandle, i: int,
     if not 0 <= i < len(fam.factors):
         raise ParameterError(f"product has no factor {i}")
     gens = [GroupElement(handle, fam._embed(i, g)) for g in fam.factors[i].generator_forms()]
-    return generate_closure(gens, budget)
+    return generate_closure(gens or [handle.identity], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p
-
-
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     r = np.array(a, dtype=np.int64) % p

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .groups import (
 )
 
 ORACLE_MAX_ORDER = 200
+# the growth dimension threshold 2^(2^(k-1)) is built as an exact integer; at
+# k = 16 it already dwarfs the dimension of any closure that can be enumerated
+MAX_GROWTH_K = 16
 
 Coefficient = Union[Cyclo, complex]
 
@@ -256,13 +259,11 @@ class FactorSpectrum:
         }
 
 
-def factor_spectrum(subject, max_order: int = 5000,
-                    table: Optional[CharacterTable] = None) -> FactorSpectrum:
+def factor_spectrum(subject, max_order: int = 5000) -> FactorSpectrum:
     """One atom (label, chi(1), chi(1)^2/|H|) per irreducible character of H."""
-    H = as_subgroup(subject)
-    if table is None:
-        table = character_table(class_data(H, max_order))
-    n = H.order
+    # class_data refuses a group above max_order before enumerating it
+    table = character_table(class_data(subject, max_order))
+    n = table.class_data.order
     atoms = [SpectrumAtom(row.label, row.degree, Fraction(row.degree**2, n)) for row in table.rows]
     total = sum((a.measure for a in atoms), Fraction(0))
     if total != 1:
@@ -305,46 +306,25 @@ def central_projection(H, chi: CharacterRow) -> AlgebraElement:
 class RegularRep:
     """Right regular representation of a finite subgroup on its coordinate space.
 
-    rho(g) delta_x = delta_{x g^-1}, a permutation matrix; the left-handed
-    mirror lambda(g) delta_x = delta_{g x} is provided for tests.
+    rho(g) delta_x = delta_{x g^-1}, a permutation matrix, stored per g as
+    the index array x -> x g^-1.
     """
 
     def __init__(self, subgroup: Subgroup):
         self.subgroup = as_subgroup(subgroup)
         self.dimension = self.subgroup.order
         fam = self.subgroup.handle._family
-        idx = self.subgroup.index_of
+        index = self.subgroup._index
+        forms = [x.form for x in self.subgroup.elements]
         self._right = {}
-        self._left = {}
-        for g in self.subgroup.elements:
-            ginv = fam.inv(g.form)
-            right = np.empty(self.dimension, dtype=np.int64)
-            left = np.empty(self.dimension, dtype=np.int64)
-            for i, x in enumerate(self.subgroup.elements):
-                right[i] = idx(self.subgroup.handle.element(fam.mul(x.form, ginv)))
-                left[i] = idx(self.subgroup.handle.element(fam.mul(g.form, x.form)))
-            self._right[g.form] = right
-            self._left[g.form] = left
-
-    def right_permutation(self, g: GroupElement) -> np.ndarray:
-        return self._right[g.form]
+        for g in forms:
+            ginv = fam.inv(g)
+            self._right[g] = np.array([index[fam.mul(x, ginv)] for x in forms], dtype=np.int64)
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension))
         m[self._right[g.form], np.arange(self.dimension)] = 1.0
         return m
-
-    def left_matrix(self, g: GroupElement) -> np.ndarray:
-        m = np.zeros((self.dimension, self.dimension))
-        m[self._left[g.form], np.arange(self.dimension)] = 1.0
-        return m
-
-    def matrix_of(self, a: AlgebraElement) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        cols = np.arange(self.dimension)
-        for g, c in a.terms.items():
-            out[self._right[g.form], cols] += coeff_to_complex(c)
-        return out
 
     def _accumulate(self, coeffs: dict) -> np.ndarray:
         out = np.zeros((self.dimension, self.dimension), dtype=complex)
@@ -456,12 +436,10 @@ def numerical_decomposition(subject, seed: int = 0, *, gap_tolerance: float = 1e
     gens = H.generators if H.generators is not None else H.elements
     gen_forms = fam.alphabet_block([g.form for g in gens]) or [fam.identity]
     rows = []
-    index_of = H.index_of
-    elems = H.elements
     for gform in gen_forms:
         ginv = fam.inv(gform)
-        for i, h in enumerate(elems):
-            j = index_of(H.handle.element(fam.mul(fam.mul(gform, h.form), ginv)))
+        for i, h in enumerate(H.elements):
+            j = H._index[fam.mul(fam.mul(gform, h.form), ginv)]
             if i != j:
                 row = np.zeros(n)
                 row[i] = 1.0
@@ -817,6 +795,28 @@ class GrowthResult:
         }
 
 
+def evaluate_growth(levels: Iterable[tuple[int, Subgroup]], k: int, epsilon: Fraction,
+                    cap: int, max_order: int = 5000) -> GrowthResult:
+    """Measure{dim >= 2^(2^(k-1))} of each (level count, closure) until one exceeds
+    max(1/2 - epsilon, 0).
+
+    The one place the growth thresholds are derived from k and epsilon:
+    `growth_search`, `classify` and certificate replay all evaluate here.
+    `levels` is consumed lazily and no further once a closure clears.
+    """
+    dim_threshold = 2 ** (2 ** (k - 1))
+    measure_threshold = max(Fraction(1, 2) - epsilon, Fraction(0))
+    history: list[tuple[int, int, Fraction]] = []
+    for n_levels, closure in levels:
+        measure = factor_spectrum(closure, max_order).measure_dim_at_least(dim_threshold)
+        history.append((n_levels, closure.order, measure))
+        if measure > measure_threshold:
+            return GrowthResult(True, n_levels, measure, dim_threshold, measure_threshold,
+                                k, epsilon, history, cap)
+    return GrowthResult(False, None, None, dim_threshold, measure_threshold,
+                        k, epsilon, history, cap)
+
+
 def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), *,
                   closure_budget: int = DEFAULT_CLOSURE_BUDGET,
                   max_order: int = 5000) -> GrowthResult:
@@ -829,8 +829,8 @@ def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), 
     epsilon = exact_fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    if not 1 <= k <= MAX_GROWTH_K:
+        raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
     subs = [as_subgroup(t) for t in tower]
     if not subs:
         raise ParameterError("tower is empty")
@@ -846,18 +846,8 @@ def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), 
                             f"({a.describe()}, {b.describe()})"
                         )
 
-    dim_threshold = 2 ** (2 ** (k - 1))
-    measure_threshold = max(Fraction(1, 2) - epsilon, Fraction(0))
-    history: list[tuple[int, int, Fraction]] = []
-    for n_levels in range(1, len(subs) + 1):
-        closure = closure_of_union(subs[:n_levels], closure_budget)
-        measure = factor_spectrum(closure, max_order).measure_dim_at_least(dim_threshold)
-        history.append((n_levels, closure.order, measure))
-        if measure > measure_threshold:
-            return GrowthResult(True, n_levels, measure, dim_threshold, measure_threshold,
-                                k, epsilon, history, len(subs))
-    return GrowthResult(False, None, None, dim_threshold, measure_threshold,
-                        k, epsilon, history, len(subs))
+    closures = ((n, closure_of_union(subs[:n], closure_budget)) for n in range(1, len(subs) + 1))
+    return evaluate_growth(closures, k, epsilon, len(subs), max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from corpus import SPEC_S3SUM, central_product_q8, spec_product, spec_symmetric
+from groupvna import characters, cli
 from groupvna.cli import run
 
 
@@ -21,6 +22,8 @@ def specs(tmp_path):
         "s3xs3": spec_product(spec_symmetric(3), spec_symmetric(3)),
         "dinf": {"family": "dihedral_infinite"},
         "free2": {"family": "free", "rank": 2},
+        "s3xc1": spec_product(spec_symmetric(3), {"family": "cyclic", "n": 1}),
+        "s12": spec_symmetric(12),
     }
     for name, doc in docs.items():
         p = tmp_path / f"{name}.json"
@@ -81,6 +84,34 @@ def test_chartab_command(specs, capsys):
     table = report["results"]["table"]
     assert [r["degree"] for r in table["rows"]] == [1, 1, 2]
     assert report["results"]["orthogonality"]["max_row_residual"] == 0.0
+
+
+def test_chartab_validates_once(specs, capsys, monkeypatch):
+    calls = []
+    original = characters.validate_orthogonality
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # counted under every name a caller could look it up by
+    for module in (characters, cli):
+        monkeypatch.setattr(module, "validate_orthogonality", counted)
+    code, report = _run_json(capsys, ["chartab", "--spec", specs["s3"]])
+    assert code == 0 and report["results"]["orthogonality"]["exact"]
+    assert len(calls) == 1
+
+
+def test_spectrum_refuses_large_order_before_enumerating(specs, capsys):
+    # S12 has 4.8e8 elements; the order is compared with the limit first
+    assert run(["spectrum", "--spec", specs["s12"]]) == 2
+    assert "exceeds the configured maximum" in capsys.readouterr().err
+
+
+def test_trivial_factor_gets_a_verdict(specs, capsys):
+    assert run(["spectrum", "--spec", specs["s3xc1"]]) == 0
+    assert run(["lemma7", "--spec", specs["s3xc1"]]) == 0
+    assert run(["growth", "--spec", specs["s3xc1"]]) == 3
 
 
 def test_lemma6_command(specs, capsys):

@@ -1,5 +1,6 @@
 """Commuting-subgroup recursion, classification, and certificate replay."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -268,6 +269,20 @@ def test_classify_deterministic_bytes():
     assert a == b
 
 
+@pytest.mark.parametrize("spec,k,digest", [
+    (SPEC_S3SUM, 1, "601610ac4bfaab63630403021a8a52972a266c298ffba3a5652d67f60004e7b2"),
+    (SPEC_S3SUM, 2, "65fcd03dd68b0875ddd5afe1e8ece55d1823be04695e100af45a63e3af5b3b40"),
+    (SPEC_Q8SUM, 1, "8b5d0a5313b5ae193a9c3b7fe6deda55aa511954bb6d4170693fc697d1259648"),
+    (SPEC_Q8SUM, 2, "22591fad54ead2c35f78fe4937a52bda59ba2e09670e1e5f87622ce4bd3e4817"),
+    ({"family": "dihedral_infinite"}, None,
+     "2ff7c51ea235d8dedab061b8f32a98a68062143b70521f52288361d1b098680b"),
+])
+def test_certificate_bytes_pinned(spec, k, digest):
+    # a reordered BFS anywhere (closures, orbits, enumeration) changes these bytes
+    opts = ClassifyOptions() if k is None else ClassifyOptions(k=k)
+    assert hashlib.sha256(classify(spec, opts).to_bytes()).hexdigest() == digest
+
+
 def test_certificate_replay_from_json_alone():
     cert = classify(SPEC_S3SUM)
     doc = json.loads(cert.to_bytes())
@@ -292,6 +307,32 @@ def test_replay_detects_tampered_class():
     doc["commuting_witness"]["levels"][0]["g_class"].pop()
     report = replay_certificate(doc)
     assert not report.passed
+
+
+def _forge_k(doc):
+    doc["options"]["k"] = 5
+
+
+def _forge_measure_threshold(doc):
+    doc["growth"]["measure_threshold"] = {"num": 0, "den": 1}
+
+
+def _forge_digest(doc):
+    doc["spec_digest"] = "0" * 64
+
+
+def _forge_levels_required(doc):
+    doc["growth"]["levels_required"] = 9
+
+
+@pytest.mark.parametrize("forge", [_forge_k, _forge_measure_threshold, _forge_digest,
+                                   _forge_levels_required])
+def test_replay_rejects_forged_claims(forge):
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
+    assert len(doc["commuting_witness"]["levels"]) == 3
+    assert replay_certificate(doc).passed
+    forge(doc)
+    assert not replay_certificate(doc).passed
 
 
 def test_replay_type_i_certificates():

@@ -226,13 +226,19 @@ def test_regular_rep_is_permutation_homomorphism(s3):
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
         tr = np.trace(m) / rep.dimension
         assert tr == (1.0 if g.is_identity else 0.0)
+    def left_matrix(g):
+        # lambda(g) delta_x = delta_{g x}, in the same coordinates as rep
+        m = np.zeros((rep.dimension, rep.dimension))
+        for i, x in enumerate(rep.subgroup.elements):
+            m[rep.subgroup.elements.index(g * x), i] = 1.0
+        return m
+
     rng = random.Random(1)
     for _ in range(50):
         g, h = rng.choice(els), rng.choice(els)
         assert np.allclose(rep.matrix(g) @ rep.matrix(h), rep.matrix(g * h))
         # the left-handed mirror commutes with the right action
-        assert np.allclose(rep.left_matrix(g) @ rep.matrix(h),
-                           rep.matrix(h) @ rep.left_matrix(g))
+        assert np.allclose(left_matrix(g) @ rep.matrix(h), rep.matrix(h) @ left_matrix(g))
 
 
 # ---------------------------------------------------------------------------
