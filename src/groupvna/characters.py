@@ -6,30 +6,27 @@ exponent(H) and p > 2 sqrt(|H|), are exactly the central-character vectors
 w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  Degrees are recovered from
 the second orthogonality relation, character values from root-of-unity
 multiplicities (a mod-p discrete Fourier transform over the power map), and
-the result is lifted to exact cyclotomic values whenever the group exponent is
-at most 64 (complex floats with a tolerance otherwise).  Both orthogonality
-relations are validated before any table is returned.
+every value is lifted to an exact element of Z[zeta_m], m the exponent.  Both
+orthogonality relations are checked exactly, at the Galois conjugates of
+zeta_m, before any table is returned.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 import numpy as np
 
 from . import modp
-from .cyclotomic import Cyclo, coeff_to_complex
+from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
 from .groups import GroupElement, GroupHandle, Subgroup, _conjugacy_orbit, as_subgroup
 
 DEFAULT_MAX_ORDER = 5000
-MAX_EXACT_EXPONENT = 64
-_EXACT_VALIDATION_MAX_CLASSES = 40
 
 
 @dataclass
@@ -120,24 +117,18 @@ def _element_order(H: Subgroup, g: GroupElement) -> int:
 
 @dataclass
 class CharacterRow:
-    """One irreducible character: degree plus a value per conjugacy class."""
+    """One irreducible character: degree plus a value in Z[zeta_m] per conjugacy class."""
 
     label: str
     degree: int
-    values: tuple
-    provenance: str  # "exact-cyclotomic" | "float"
+    values: tuple  # of Cyclo
     class_data: "ClassData"
-
-    def value_complex(self, j: int) -> complex:
-        return coeff_to_complex(self.values[j])
 
 
 @dataclass
 class CharacterTable:
     class_data: ClassData
     rows: list[CharacterRow]
-    provenance: str
-    tolerance: float
     dixon_prime: int
     orthogonality: Optional["OrthogonalityReport"] = None  # set once validated
 
@@ -146,20 +137,19 @@ class CharacterTable:
         return [row.degree for row in self.rows]
 
     def to_json(self) -> dict:
+        m = self.class_data.exponent
+        index, coords, _ = _coordinates(self.rows, m)
+        values = _evaluate(coords, m, 1)[index]
         return {
             "order": self.class_data.order,
             "class_sizes": list(self.class_data.sizes),
-            "provenance": self.provenance,
             "rows": [
                 {
                     "label": row.label,
                     "degree": row.degree,
-                    "provenance": row.provenance,
-                    "tolerance": None if row.provenance == "exact-cyclotomic" else self.tolerance,
-                    "values": [[c.real, c.imag] for c in
-                               (row.value_complex(j) for j in range(len(row.values)))],
+                    "values": [[c.real, c.imag] for c in values[i].tolist()],
                 }
-                for row in self.rows
+                for i, row in enumerate(self.rows)
             ],
         }
 
@@ -210,7 +200,7 @@ def _common_eigenvectors(a: np.ndarray, p: int) -> list[np.ndarray]:
     return [basis[0] % p for basis, _ in spaces]
 
 
-def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
+def character_table(cd: ClassData) -> CharacterTable:
     """All irreducible characters of the subgroup behind `cd`.
 
     Raises ConsistencyError (never returns silently) if any of the validation
@@ -223,7 +213,6 @@ def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
     p = dixon_prime(n, m)
     vectors = _common_eigenvectors(cd.structure_constants, p)
 
-    sizes = np.array(cd.sizes, dtype=np.int64)
     inv_sizes = np.array([modp.inv_mod(int(s), p) for s in cd.sizes], dtype=np.int64)
     rows_mod_p = []
     degrees = []
@@ -266,40 +255,30 @@ def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
             zneg[t, s] = zexp[(-t * s) % m]
     inv_m = modp.inv_mod(m, p)
 
-    exact = m <= MAX_EXACT_EXPONENT
-    provenance = "exact-cyclotomic" if exact else "float"
-    unit_circle = None if exact else [cmath.exp(2j * cmath.pi * s / m) for s in range(m)]
-
+    # row s of `powers` holds x^s mod Phi_m, so the power-basis coordinates of
+    # sum_s mu_s zeta^s are mu @ powers
+    powers = np.array(_reduction(m)[1][:m], dtype=np.int64)
+    distinct: dict = {}  # coordinates -> Cyclo; tables repeat few values many times
     built = []
     for d, chi in zip(degrees, rows_mod_p):
         vals_t = chi[pm]  # (r, m): chi(rep_j^t) mod p
         mults = (vals_t @ zneg) % p * inv_m % p
+        if (mults.sum(axis=1) != d).any():
+            raise ConsistencyError("root-of-unity multiplicities do not sum to the degree")
+        coords = mults @ powers
+        key = [(round(c.real, 10), round(c.imag, 10)) for c in _evaluate(coords, m, 1).tolist()]
         values = []
-        for j in range(r):
-            mu = [int(x) for x in mults[j]]
-            if sum(mu) != d:
-                raise ConsistencyError("root-of-unity multiplicities do not sum to the degree")
-            if exact:
-                values.append(Cyclo.from_multiplicities(m, mu))
-            else:
-                values.append(sum(mu[s] * unit_circle[s] for s in range(m) if mu[s]))
-        built.append((d, tuple(values)))
+        for c in map(tuple, coords.tolist()):
+            v = distinct.get(c)
+            if v is None:
+                v = distinct[c] = Cyclo(m, c)
+            values.append(v)
+        built.append(((d, key), d, tuple(values)))
 
-    def sort_key(item):
-        d, values = item
-        key = []
-        for j in range(len(values)):
-            c = coeff_to_complex(values[j])
-            key.append((round(c.real, 10), round(c.imag, 10)))
-        return (d, key)
-
-    built.sort(key=sort_key)
-    cdata_rows = [
-        CharacterRow(f"chi{i}", d, values, provenance, cd)
-        for i, (d, values) in enumerate(built)
-    ]
-    table = CharacterTable(cd, cdata_rows, provenance, tolerance, p)
-    report = validate_orthogonality(table, cd, tolerance)
+    built.sort(key=lambda item: item[0])
+    cdata_rows = [CharacterRow(f"chi{i}", d, values, cd) for i, (_, d, values) in enumerate(built)]
+    table = CharacterTable(cd, cdata_rows, p)
+    report = validate_orthogonality(table, cd)
     if not report.passed:
         raise ConsistencyError(
             f"orthogonality validation failed: {report.failed_relation} "
@@ -313,58 +292,77 @@ def character_table(cd: ClassData, tolerance: float = 1e-9) -> CharacterTable:
 class OrthogonalityReport:
     max_row_residual: float
     max_col_residual: float
-    tolerance: float
-    scale: int
     passed: bool
     exact: bool
     failed_relation: Optional[str] = None
 
 
-def validate_orthogonality(table: CharacterTable, cd: ClassData,
-                           tolerance: float = 1e-9) -> OrthogonalityReport:
-    """Maximum absolute residual of both orthogonality relations.
+def _coordinates(rows: list[CharacterRow], m: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The rows' values as (index, coords, integral): value j of row i is the
+    distinct value index[i, j], whose power-basis coordinates in Q(zeta_m) form
+    row index[i, j] of coords; integral tells whether every coordinate is an integer.
+    """
+    index = np.empty((len(rows), len(rows[0].values)), dtype=np.intp)
+    position: dict = {}  # id of a value -> its row in coords
+    distinct = []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row.values):
+            k = position.get(id(v))
+            if k is None:
+                k = position[id(v)] = len(distinct)
+                distinct.append(v)
+            index[i, j] = k
+    try:
+        flat = [x for v in distinct for x in v.lift(m).c]
+    except ValueError as e:
+        raise ConsistencyError(f"a character value lies outside Q(zeta_{m})") from e
+    coords = np.array(flat)  # int64 unless some coordinate is a Fraction or huge
+    integral = coords.dtype.kind == "i" or all(Fraction(x).denominator == 1 for x in flat)
+    return index, coords.astype(np.float64).reshape(len(distinct), -1), integral
 
-    Exact tables with few classes are checked with exact cyclotomic arithmetic
-    (residual exactly 0.0 for a valid table); otherwise residuals are complex
-    and compared against tolerance * |H|.
+
+def _evaluate(coords: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The values with the given coordinates, under zeta_m -> exp(2 pi i k / m)."""
+    return coords @ np.exp(2j * np.pi * k * np.arange(coords.shape[1]) / m)
+
+
+def validate_orthogonality(table: CharacterTable, cd: ClassData) -> OrthogonalityReport:
+    """Exact check of both orthogonality relations.
+
+    With integer coordinates every residual, sum_j |C_j| chi_i(C_j) conj(chi_i2(C_j))
+    - |H| delta and |C_j| sum_i chi_i(C_j) conj(chi_i(C_j2)) - |H| delta, lies in
+    Z[zeta_m].  Its Galois conjugates come from zeta -> zeta^k for k coprime to m
+    (k and m - k give complex-conjugate values, so k <= m/2 suffices).  If every
+    conjugate measures below 1/2 in floating point, whose rounding error is far
+    smaller, every true conjugate has modulus < 1; the norm, their product, is
+    then an integer of modulus < 1, hence 0, and so is the residual.  A passing
+    report therefore carries residuals of exactly 0.0; a failing one the largest
+    residual measured.  A non-integer coordinate fails the check outright.
     """
     rows = table.rows
     r = len(rows)
     n = cd.order
+    m = cd.exponent
     if any(len(row.values) != r for row in rows) or len(cd.sizes) != r:
         raise ConsistencyError("table and class data dimensions disagree")
-    exact = table.provenance == "exact-cyclotomic" and r <= _EXACT_VALIDATION_MAX_CLASSES
-
+    ks = [k for k in range(1, m // 2 + 1) if gcd(k, m) == 1] or [1]
+    index, coords, integral = _coordinates(rows, m)
+    sizes = np.array(cd.sizes, dtype=np.float64)
+    target = n * np.eye(r)
     max_row = 0.0
     max_col = 0.0
-    if exact:
-        for i in range(r):
-            for i2 in range(i, r):
-                acc = Cyclo.zero()
-                for j in range(r):
-                    acc = acc + cd.sizes[j] * rows[i].values[j] * rows[i2].values[j].conj()
-                target = n if i == i2 else 0
-                max_row = max(max_row, abs((acc - target).to_complex()))
-        for j in range(r):
-            for j2 in range(j, r):
-                acc = Cyclo.zero()
-                for i in range(r):
-                    acc = acc + rows[i].values[j] * rows[i].values[j2].conj()
-                target = Fraction(n, cd.sizes[j]) if j == j2 else 0
-                max_col = max(max_col, abs((acc - target).to_complex()))
-    else:
-        vals = np.array([[row.value_complex(j) for j in range(r)] for row in rows])
-        sizes = np.array(cd.sizes, dtype=np.float64)
-        gram_rows = (vals * sizes) @ vals.conj().T
-        max_row = float(np.abs(gram_rows - n * np.eye(r)).max())
-        gram_cols = vals.conj().T @ vals
-        target = np.diag([n / s for s in cd.sizes])
-        max_col = float(np.abs(gram_cols - target).max())
+    for k in ks:  # one Galois conjugate at a time
+        v = _evaluate(coords, m, k)[index]
+        max_row = max(max_row, float(np.abs((v * sizes) @ v.conj().T - target).max()))
+        max_col = max(max_col, float(np.abs(sizes[:, None] * (v.T @ v.conj()) - target).max()))
 
-    bound = tolerance * max(1, n)
     failed = None
-    if max_row > bound:
+    if not integral:
+        failed = "integrality"
+    elif max_row >= 0.5:
         failed = "row orthogonality"
-    elif max_col > bound:
+    elif max_col >= 0.5:
         failed = "column orthogonality"
-    return OrthogonalityReport(max_row, max_col, tolerance, n, failed is None, exact, failed)
+    if failed is None:
+        max_row = max_col = 0.0  # proven zero above
+    return OrthogonalityReport(max_row, max_col, failed is None, True, failed)

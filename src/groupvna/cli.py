@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=2,
                        help="growth level (dimension threshold 2^(2^(k-1))) or pair count")
         p.add_argument("--seed", type=int, default=0, help="oracle RNG seed (default 0)")
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="float comparison tolerance (default 1e-9)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
@@ -174,7 +172,6 @@ def _report_skeleton(command: str, handle: GroupHandle, args, results: dict,
             "epsilon": jsonutil.fraction_json(args.epsilon),
             "k": args.k,
             "seed": args.seed,
-            "tolerance": args.tolerance,
         },
         "results": results,
         "pass": passed,
@@ -212,7 +209,6 @@ def _cmd_classify(args, handle: GroupHandle):
         k=args.k, epsilon=args.epsilon, seed=args.seed,
         closure_budget=args.budget, class_budget=args.class_budget,
         stream_budget=args.stream_budget, max_levels=args.max_levels,
-        tolerance=args.tolerance,
     )
     cert = classify(handle.spec, opts)
     replay = replay_certificate(cert.to_json())
@@ -231,7 +227,7 @@ def _cmd_spectrum(args, handle: GroupHandle):
 
 
 def _cmd_chartab(args, handle: GroupHandle):
-    table = character_table(class_data(handle), tolerance=args.tolerance)
+    table = character_table(class_data(handle))
     report = table.orthogonality  # character_table raises rather than return a failed report
     results = {
         "table": table.to_json(),
@@ -242,7 +238,7 @@ def _cmd_chartab(args, handle: GroupHandle):
         },
     }
     return results, EXIT_PASS, (
-        f"{len(table.rows)} irreducible characters ({table.provenance}); "
+        f"{len(table.rows)} irreducible characters in Q(zeta_{table.class_data.exponent}); "
         f"orthogonality residuals {report.max_row_residual:.3e}/{report.max_col_residual:.3e}")
 
 
@@ -273,7 +269,7 @@ def _cmd_lemma7(args, handle: GroupHandle):
                         "two-factor product")
     report = product_projection_spectrum(
         h0, h1, args.n0, args.n1, seed=args.seed,
-        closure_budget=args.budget, tolerance=args.tolerance,
+        closure_budget=args.budget,
     )
     code = EXIT_PASS if report.passed else EXIT_FAIL
     dims = sorted({d for _, d, _ in report.supported_atoms})

@@ -250,9 +250,3 @@ class Cyclo:
         terms = [f"{c}*z{self.m}^{s}" for s, c in enumerate(self.c) if c]
         return "Cyclo(" + " + ".join(terms) + ")"
 
-
-def coeff_to_complex(x) -> complex:
-    """Complex value of a coefficient that may be a Cyclo, Fraction, int, or complex."""
-    if isinstance(x, Cyclo):
-        return x.to_complex()
-    return complex(x)

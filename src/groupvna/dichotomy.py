@@ -327,6 +327,7 @@ class ClassifyOptions:
     stream_budget: int = DEFAULT_STREAM_BUDGET
     max_levels: int = 8
     max_order: int = 5000
+    # recorded in certificate bytes only; no comparison reads it
     tolerance: float = 1e-9
 
     def __post_init__(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterator, Optional
 
 from .errors import (
@@ -426,6 +427,7 @@ class _Cayley(_Family):
         self.order = n
         self.spec_doc = {"family": "cayley", "table": [list(map(int, row)) for row in table]}
         self.metadata = _finite_metadata(n)
+        self._generators = self._greedy_generators()
 
     @staticmethod
     def _validate(table):
@@ -435,11 +437,14 @@ class _Cayley(_Family):
         for i, row in enumerate(table):
             if not isinstance(row, list) or len(row) != n:
                 raise SpecError(f'field "table": row {i} is not length {n}')
-            vals = sorted(int(v) for v in row)
+            for v in row:
+                if not isinstance(v, Integral) or isinstance(v, bool):
+                    raise SpecError(f'field "table": row {i} has a non-integer entry {v!r}')
+            vals = sorted(row)
             if vals != list(range(n)):
                 raise SpecError(f'field "table": row {i} is not a permutation of 0..{n - 1}')
         for j in range(n):
-            col = sorted(int(table[i][j]) for i in range(n))
+            col = sorted(table[i][j] for i in range(n))
             if col != list(range(n)):
                 raise SpecError(f'field "table": column {j} is not a permutation of 0..{n - 1}')
 
@@ -457,7 +462,7 @@ class _Cayley(_Family):
     def inv(self, a):
         return self._inv[a]
 
-    def generator_forms(self):
+    def _greedy_generators(self) -> tuple:
         # deterministic generating set: greedily add the first element not yet generated
         gens: list[int] = []
         reached = {self.identity}
@@ -467,7 +472,10 @@ class _Cayley(_Family):
             if x not in reached:
                 gens.append(x)
                 reached = set(_bfs([self.identity], self.alphabet_block(gens), self.mul))
-        return gens
+        return tuple(gens)
+
+    def generator_forms(self):
+        return self._generators
 
     def describe(self, form):
         return f"g{form}"

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Optional, Union
+from numbers import Number
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .characters import CharacterRow, CharacterTable, class_data, character_table
-from .cyclotomic import Cyclo, coeff_to_complex
+from .cyclotomic import Cyclo
 from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
@@ -44,8 +45,6 @@ ORACLE_MAX_ORDER = 200
 # k = 16 it already dwarfs the dimension of any closure that can be enumerated
 MAX_GROWTH_K = 16
 
-Coefficient = Union[Cyclo, complex]
-
 
 def exact_fraction(x) -> Fraction:
     """Exact rational from int/Fraction/str; floats read as decimal literals."""
@@ -54,33 +53,23 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _as_coeff(x) -> Coefficient:
+def _as_coeff(x) -> Cyclo:
     if isinstance(x, Cyclo):
         return x
     if isinstance(x, (int, Fraction)):
         return Cyclo.rational(x)
-    if isinstance(x, (float, complex)):
-        return complex(x)
-    raise ParameterError(f"unsupported coefficient type {type(x).__name__}")
-
-
-def _coeff_is_zero(x: Coefficient) -> bool:
-    return x.is_zero() if isinstance(x, Cyclo) else x == 0
+    raise ParameterError(f"coefficient {x!r} is not exact: use an int, a Fraction or a Cyclo")
 
 
 class AlgebraElement:
-    """A finite sum of unitaries u_g with exact or complex coefficients."""
+    """A finite sum of unitaries u_g with exact cyclotomic coefficients."""
 
-    __slots__ = ("group", "terms", "exact")
+    __slots__ = ("group", "terms")
 
     def __init__(self, group: GroupHandle, terms: dict):
         coeffs = {g: _as_coeff(c) for g, c in terms.items()}
-        exact = all(isinstance(c, Cyclo) for c in coeffs.values())
-        if not exact:
-            coeffs = {g: coeff_to_complex(c) for g, c in coeffs.items()}
         self.group = group
-        self.terms = {g: c for g, c in coeffs.items() if not _coeff_is_zero(c)}
-        self.exact = exact
+        self.terms = {g: c for g, c in coeffs.items() if not c.is_zero()}
 
     # -- construction helpers ------------------------------------------------
 
@@ -98,14 +87,9 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_peer(other)
-        if self.exact and other.exact:
-            acc = dict(self.terms)
-            for g, c in other.terms.items():
-                acc[g] = acc.get(g, Cyclo.zero()) + c
-        else:
-            acc = {g: coeff_to_complex(c) for g, c in self.terms.items()}
-            for g, c in other.terms.items():
-                acc[g] = acc.get(g, 0j) + coeff_to_complex(c)
+        acc = dict(self.terms)
+        for g, c in other.terms.items():
+            acc[g] = acc[g] + c if g in acc else c
         return AlgebraElement(self.group, acc)
 
     def __sub__(self, other):
@@ -121,36 +105,30 @@ class AlgebraElement:
         return AlgebraElement(self.group, {g: c * s for g, c in self.terms.items()})
 
     def __rmul__(self, s):
-        if isinstance(s, (int, Fraction, float, complex, Cyclo)):
+        if isinstance(s, (Number, Cyclo)):
             return self.scaled(s)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, Cyclo)):
+        if isinstance(other, (Number, Cyclo)):
             return self.scaled(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_peer(other)
         fam = self.group._family
-        exact = self.exact and other.exact
         acc: dict = {}
         for g, a in self.terms.items():
             for h, b in other.terms.items():
                 key = self.group.element(fam.mul(g.form, h.form))
-                prod = a * b if exact else coeff_to_complex(a) * coeff_to_complex(b)
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
+                prod = a * b
+                acc[key] = acc[key] + prod if key in acc else prod
         return AlgebraElement(self.group, acc)
 
     def star(self) -> "AlgebraElement":
         """(sum a_g u_g)* = sum conj(a_g) u_{g^-1}."""
         fam = self.group._family
-        out = {}
-        for g, c in self.terms.items():
-            out[self.group.element(fam.inv(g.form))] = c.conj() if isinstance(c, Cyclo) else c.conjugate()
-        return AlgebraElement(self.group, out)
+        return AlgebraElement(self.group, {self.group.element(fam.inv(g.form)): c.conj()
+                                           for g, c in self.terms.items()})
 
     # -- predicates ------------------------------------------------------------
 
@@ -167,11 +145,11 @@ class AlgebraElement:
     __hash__ = None
 
     def max_coeff_deviation(self, other: "AlgebraElement") -> float:
-        """max_g |a_g - b_g| as a float; 0.0 exactly for equal exact elements."""
+        """max_g |a_g - b_g| as a float; 0.0 exactly for equal elements."""
         diff = self - other
         if not diff.terms:
             return 0.0
-        return max(abs(coeff_to_complex(c)) for c in diff.terms.values())
+        return max(abs(c.to_complex()) for c in diff.terms.values())
 
     def support(self) -> list[GroupElement]:
         return list(self.terms.keys())
@@ -187,40 +165,33 @@ def unitary(g: GroupElement) -> AlgebraElement:
     return AlgebraElement(g.group, {g: 1})
 
 
-def trace(a: AlgebraElement) -> Coefficient:
+def trace(a: AlgebraElement) -> Cyclo:
     """tau(sum a_g u_g) = a_e: linear, tracial, faithful."""
     for g, c in a.terms.items():
         if g.is_identity:
             return c
-    return Cyclo.zero() if a.exact else 0j
+    return Cyclo.zero()
 
 
-def trace_of_product(a: AlgebraElement, b: AlgebraElement) -> Coefficient:
+def trace_of_product(a: AlgebraElement, b: AlgebraElement) -> Cyclo:
     """tau(a b) without materializing the product."""
     a._check_peer(b)
     fam = a.group._family
-    if a.exact and b.exact:
-        acc = Cyclo.zero()
-        for g, c in a.terms.items():
-            other = b.terms.get(a.group.element(fam.inv(g.form)))
-            if other is not None:
-                acc = acc + c * other
-        return acc
-    acc = 0j
+    acc = Cyclo.zero()
     for g, c in a.terms.items():
         other = b.terms.get(a.group.element(fam.inv(g.form)))
         if other is not None:
-            acc += coeff_to_complex(c) * coeff_to_complex(other)
+            acc = acc + c * other
     return acc
 
 
-def tau_inner_product(a: AlgebraElement, b: AlgebraElement) -> Coefficient:
+def tau_inner_product(a: AlgebraElement, b: AlgebraElement) -> Cyclo:
     """<a, b> = tau(a b*): sesquilinear, positive definite."""
     a._check_peer(b)
     return trace_of_product(a, b.star())
 
 
-def norm_squared(a: AlgebraElement) -> Coefficient:
+def norm_squared(a: AlgebraElement) -> Cyclo:
     return tau_inner_product(a, a)
 
 
@@ -283,18 +254,9 @@ def central_projection(H, chi: CharacterRow) -> AlgebraElement:
     if cd.subgroup is not H and {e.form for e in cd.subgroup.elements} != {e.form for e in H.elements}:
         raise ParameterError("character row does not belong to this subgroup")
     scale = Fraction(chi.degree, H.order)
-    terms = {}
-    for h in H.elements:
-        v = chi.values[cd.class_of[h.form]]
-        conj_v = v.conj() if isinstance(v, Cyclo) else v.conjugate()
-        terms[h] = conj_v * scale if isinstance(conj_v, Cyclo) else conj_v * float(scale)
+    terms = {h: chi.values[cd.class_of[h.form]].conj() * scale for h in H.elements}
     p = AlgebraElement(H.handle, terms)
-    tr = trace(p)
-    expected = Fraction(chi.degree**2, H.order)
-    if p.exact:
-        if tr != expected:
-            raise ConsistencyError("central projection has the wrong trace")
-    elif abs(coeff_to_complex(tr) - float(expected)) > 1e-9:
+    if trace(p) != Fraction(chi.degree**2, H.order):
         raise ConsistencyError("central projection has the wrong trace")
     return p
 
@@ -665,8 +627,7 @@ def _threshold_projection(H: Subgroup, table: CharacterTable, threshold: int) ->
 def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int = 0,
                                 closure_budget: int = DEFAULT_CLOSURE_BUDGET,
                                 max_order: int = 5000,
-                                with_matrix_units: bool = True,
-                                tolerance: float = 1e-9) -> Lemma7Report:
+                                with_matrix_units: bool = True) -> Lemma7Report:
     """Verify that p_0 p_1 is a central projection of S(H_0 H_1) supported on
     atoms of dimension at least n0 * n1.
 
@@ -696,35 +657,24 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
 
     p_sq = p * p
     p_star = p.star()
-    if p.exact:
-        is_projection = p_sq == p and p_star == p
-        projection_residual = 0.0 if is_projection else max(
-            p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
-    else:
-        projection_residual = max(p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
-        is_projection = projection_residual <= tolerance
+    is_projection = p_sq == p and p_star == p
+    projection_residual = 0.0 if is_projection else max(
+        p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
 
     H = closure_of_union([H0, H1], closure_budget)
     table = character_table(class_data(H, max_order))
-    tr = trace(p)
-    tr_frac = tr.as_fraction() if isinstance(tr, Cyclo) else Fraction(tr.real).limit_denominator(10**12)
+    tr_frac = trace(p).as_fraction()
 
     supported: list[tuple[str, int, Fraction]] = []
     consistent = True
     all_big = True
     for row in table.rows:
-        p_psi = central_projection(H, row)
-        weight = trace_of_product(p, p_psi)
-        if isinstance(weight, Cyclo):
-            if weight.is_zero():
-                continue
-            if not weight.is_rational():
-                raise ConsistencyError("tau(p p_psi) is not rational")
-            w = weight.as_fraction()
-        else:
-            if abs(weight) <= tolerance:
-                continue
-            w = Fraction(weight.real).limit_denominator(10**12)
+        weight = trace_of_product(p, central_projection(H, row))
+        if weight.is_zero():
+            continue
+        if not weight.is_rational():
+            raise ConsistencyError("tau(p p_psi) is not rational")
+        w = weight.as_fraction()
         supported.append((row.label, row.degree, w))
         if row.degree < n0 * n1:
             all_big = False

@@ -1,5 +1,7 @@
 """Character tables via class-sum eigenvectors over a prime field."""
 
+from fractions import Fraction
+
 import pytest
 
 from corpus import TRACE_FAMILY_SPECS, central_product_q8
@@ -130,16 +132,32 @@ def test_linear_character_count_is_abelianization_order(name, spec):
     assert linear == handle.order // derived.order
 
 
-def test_mutated_table_fails_validation():
-    t = _table({"family": "symmetric", "n": 3})
+@pytest.mark.parametrize("spec", [
+    {"family": "symmetric", "n": 3},
+    {"family": "heisenberg", "p": 7},  # 55 classes
+    {"family": "dihedral", "n": 33},  # exponent 66
+], ids=["S3", "Heis7", "D33"])
+def test_mutated_table_fails_validation(spec):
+    t = _table(spec)
     cd = t.class_data
-    bad_row = t.rows[2]
+    bad_row = t.rows[-1]
+    j = next(j for j, v in enumerate(bad_row.values) if not v.is_zero() and j > 0)
     bad_values = list(bad_row.values)
-    bad_values[2] = -bad_values[2]  # one flipped sign
+    bad_values[j] = -bad_values[j]  # one flipped sign
     bad_row.values = tuple(bad_values)
     report = validate_orthogonality(t, cd)
     assert not report.passed
+    # a nonzero residual in Z[zeta_m] has a Galois conjugate of modulus >= 1
     assert max(report.max_row_residual, report.max_col_residual) >= 1.0
+
+
+def test_non_integer_value_fails_validation():
+    t = _table({"family": "symmetric", "n": 3})
+    bad_row = t.rows[2]
+    bad_row.values = bad_row.values[:2] + (Cyclo.rational(Fraction(1, 2)),)
+    report = validate_orthogonality(t, t.class_data)
+    assert not report.passed
+    assert report.failed_relation == "integrality"
 
 
 def test_q8_exact_value_rows():
@@ -206,15 +224,27 @@ def test_trivial_group_orthogonality_residual_zero():
     assert report.max_row_residual == 0.0 and report.max_col_residual == 0.0
 
 
-def test_float_route_for_large_exponent():
-    # dihedral(33) has exponent 66 > 64, forcing the float lift
+def test_large_exponent_table_is_exact():
+    # dihedral(33) has exponent 66; its values live in Z[zeta_66] like any other
     t = _table({"family": "dihedral", "n": 33})
-    assert t.provenance == "float"
     assert t.degrees == [1, 1] + [2] * 16
+    assert all(v.m == 66 for row in t.rows for v in row.values)
     report = validate_orthogonality(t, t.class_data)
-    assert report.passed
-    assert not report.exact
-    assert report.max_row_residual < 1e-9 * 66
+    assert report.passed and report.exact
+    assert report.max_row_residual == 0.0 and report.max_col_residual == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cyclic", "n": 72},  # exponent 72
+    {"family": "heisenberg", "p": 7},  # 55 classes
+    {"family": "product", "factors": [{"family": "cyclic", "n": 10},
+                                      {"family": "cyclic", "n": 12}]},  # 120 classes
+], ids=["C72", "Heis7", "C10xC12"])
+def test_validation_is_exact_beyond_the_old_cutoffs(spec):
+    t = _table(spec)
+    report = t.orthogonality
+    assert report.passed and report.exact
+    assert report.max_row_residual == 0.0 and report.max_col_residual == 0.0
 
 
 def test_subgroup_class_data():

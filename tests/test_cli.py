@@ -200,6 +200,17 @@ def test_malformed_spec_is_usage_error(tmp_path, capsys):
     assert '"n"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["x", 1.5, True], ids=["string", "float", "bool"])
+def test_non_integer_cayley_entry_is_usage_error(tmp_path, capsys, entry):
+    # the entry stands where 1 belongs: 1.5 and True used to be read as 1 and
+    # accepted, "x" ended in a traceback
+    table = [[0, 1], [entry, 0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "cayley", "table": table}))
+    assert run(["chartab", "--spec", str(bad)]) == 2
+    assert '"table"' in capsys.readouterr().err
+
+
 def test_json_report_round_trips(specs, capsys):
     code, report = _run_json(capsys, ["lemma6", "--spec", specs["q8"]])
     assert code == 0

@@ -82,6 +82,25 @@ def test_cayley_accepts_group_table():
     assert all((a * a).is_identity for a in els)
 
 
+def test_cayley_generating_set_is_computed_once(monkeypatch):
+    from corpus import central_product_q8
+    from groupvna.fc_center import fc_filter
+    from groupvna.groups import _Cayley
+
+    calls = []
+    greedy = _Cayley._greedy_generators
+
+    def counted(self):
+        calls.append(1)
+        return greedy(self)
+
+    monkeypatch.setattr(_Cayley, "_greedy_generators", counted)
+    handle = construct_group(central_product_q8()[0])
+    verdicts = fc_filter(handle, 32)
+    assert len(verdicts) == 32 and all(v.is_fc for v in verdicts)
+    assert len(calls) == 1
+
+
 def test_spec_accepts_json_string():
     s3 = construct_group('{"family": "symmetric", "n": 3}')
     assert s3.order == 6

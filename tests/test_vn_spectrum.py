@@ -149,16 +149,22 @@ def test_degree2_projection_trace(s3):
         assert p * unitary(h) == unitary(h) * p
 
 
-def test_float_provenance_projection_is_nearly_idempotent():
-    # exponent 66 forces float character values; residuals stay under 1e-9
+def test_large_exponent_projection_is_exactly_idempotent():
+    # exponent 66: the projection's coefficients live in Q(zeta_66), exactly
     d33 = construct_group({"family": "dihedral", "n": 33})
     H = as_subgroup(d33)
     table = character_table(class_data(H))
     row = next(r for r in table.rows if r.degree == 2)
     p = central_projection(H, row)
-    assert not p.exact
-    assert (p * p).max_coeff_deviation(p) <= 1e-9
-    assert p.star().max_coeff_deviation(p) <= 1e-9
+    assert p * p == p
+    assert p.star() == p
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 1j])
+def test_inexact_coefficients_are_refused(s3, coefficient):
+    g = next(iter(enumerate_elements(s3, 2)))
+    with pytest.raises(ParameterError):
+        AlgebraElement(s3, {g: coefficient})
 
 
 @pytest.mark.parametrize("spec", [
