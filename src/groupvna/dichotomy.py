@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_CLOSURE_BUDGET,
     GroupElement,
     GroupHandle,
+    Subgroup,
     commutator,
     construct_group,
     generate_closure,
@@ -336,8 +337,12 @@ class ClassifyOptions:
         self.epsilon = exact_fraction(self.epsilon)
         if not 0 < self.epsilon < 1:
             raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
-        if not 1 <= self.k <= MAX_GROWTH_K:
+        if type(self.k) is not int or not 1 <= self.k <= MAX_GROWTH_K:
             raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
+        for name in ("closure_budget", "max_order"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
     def to_json(self) -> dict:
         return {
@@ -379,6 +384,21 @@ class DichotomyCertificate:
 
     def to_bytes(self) -> bytes:
         return jsonutil.canonical_dumps(self.to_json()).encode("utf-8")
+
+
+def _growth_closure(gens: list, opts: ClassifyOptions,
+                    n_levels: int) -> tuple[Optional[Subgroup], str]:
+    """The closure of the first `n_levels` witness levels, or why it was refused.
+
+    `class_data` refuses any order above `max_order`, so the closure stops at
+    `min(closure_budget, max_order)` elements.
+    """
+    limit, name = ((opts.max_order, "max_order") if opts.max_order <= opts.closure_budget
+                   else (opts.closure_budget, "closure_budget"))
+    try:
+        return generate_closure(gens, limit), ""
+    except BudgetExceededError:
+        return None, f"the closure of {n_levels} levels has more than {name} = {limit} elements"
 
 
 def _metadata_witness_consistent(handle: GroupHandle, probe: int,
@@ -471,7 +491,11 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
         # one more witness level per closure, so the first level that clears is kept
         while len(builder.levels) < opts.max_levels and builder.add_level() is not None:
             gens = [e for lv in builder.levels for e in lv.generator_set()]
-            yield len(builder.levels), generate_closure(gens, opts.closure_budget)
+            closure, refusal = _growth_closure(gens, opts, len(builder.levels))
+            if closure is None:
+                builder.diagnostics.append(f"growth evaluation stopped: {refusal}")
+                return
+            yield len(builder.levels), closure
 
     growth: Optional[GrowthResult] = None
     try:
@@ -527,8 +551,8 @@ class ReplayReport:
 def replay_certificate(cert: dict) -> ReplayReport:
     """Re-run every check a certificate claims, from its serialized form alone.
 
-    Growth thresholds are recomputed from the certificate's options, never
-    read from its growth report.
+    Growth thresholds and size limits are taken from the certificate's
+    options, never read from its growth report.
     """
     if cert.get("format") != "groupvna-certificate/1":
         raise ParameterError("not a recognized certificate document")
@@ -590,11 +614,22 @@ def replay_certificate(cert: dict) -> ReplayReport:
         in_range = isinstance(n_req, int) and 1 <= n_req <= len(levels)
         record("levels_required_in_range", in_range,
                f"levels_required {n_req} is not between 1 and {len(levels)}")
-        if in_range:
-            o = cert["options"]
-            opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]))
+        o = cert["options"]
+        try:
+            opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]),
+                                   closure_budget=o.get("closure_budget"),
+                                   max_order=o.get("max_order"))
+            record("options_valid", True)
+        except ParameterError as e:
+            opts = None
+            record("options_valid", False, f"certificate options: {e}")
+        closure = None
+        if in_range and opts is not None:
             gens = [e for lv in levels[:n_req] for e in lv.generator_set()]
-            growth = evaluate_growth([(n_req, generate_closure(gens))], opts.k, opts.epsilon, n_req)
+            closure, refusal = _growth_closure(gens, opts, n_req)
+            record("growth_closure_within_limits", closure is not None, refusal)
+        if closure is not None:
+            growth = evaluate_growth([(n_req, closure)], opts.k, opts.epsilon, n_req, opts.max_order)
             claims = (g["k"], g["dim_threshold"], jsonutil.fraction_from_json(g["epsilon"]),
                       jsonutil.fraction_from_json(g["measure_threshold"]))
             derived = (opts.k, growth.dim_threshold, opts.epsilon, growth.measure_threshold)

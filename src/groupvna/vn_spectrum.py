@@ -517,8 +517,7 @@ def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
         for j in range(d):
             for k in range(d):
                 comp[j, k] = isoms[j] @ isoms[k].conj().T
-        # expand e = V comp V^dagger for every unit at once
-        units = np.einsum("ia,jkab,cb->jkic", v, comp, v.conj())
+        units = v @ comp @ v.conj().T  # e_jk = V comp_jk V^dagger, broadcast over (j, k)
         system = MatrixUnitSystem(d, units)
         _certify_units(system, comp)
         return system
@@ -556,19 +555,17 @@ def _certify_units(system: MatrixUnitSystem, comp: np.ndarray):
 
 def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock],
                          gen_forms: list) -> float:
+    # rho(g) has its ones at (perm[c], c): p rho = p[:, perm], rho p = p[perm^-1, :]
     n = rep.dimension
     residual = 0.0
     total = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
     for b in blocks:
         p = b.projection
         total += p
         residual = max(residual, float(np.abs(p @ p - p).max()))
         for gform in gen_forms:
             perm = rep._right[gform]
-            rho = np.zeros((n, n))
-            rho[perm, cols] = 1.0
-            residual = max(residual, float(np.abs(p @ rho - rho @ p).max()))
+            residual = max(residual, float(np.abs(p[:, perm] - p[np.argsort(perm), :]).max()))
     residual = max(residual, float(np.abs(total - np.eye(n)).max()))
     return residual
 

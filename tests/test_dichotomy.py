@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import SPEC_Q8SUM, SPEC_S3SUM, spec_symmetric
+from groupvna import dichotomy
 from groupvna.dichotomy import (
     AbelianEvidence,
     ClassifyOptions,
@@ -325,14 +326,63 @@ def _forge_levels_required(doc):
     doc["growth"]["levels_required"] = 9
 
 
+def _forge_k_type(doc):
+    doc["options"]["k"] = "2"
+
+
 @pytest.mark.parametrize("forge", [_forge_k, _forge_measure_threshold, _forge_digest,
-                                   _forge_levels_required])
+                                   _forge_levels_required, _forge_k_type])
 def test_replay_rejects_forged_claims(forge):
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
     assert len(doc["commuting_witness"]["levels"]) == 3
     assert replay_certificate(doc).passed
     forge(doc)
     assert not replay_certificate(doc).passed
+
+
+@pytest.mark.parametrize("limits,failed", [
+    ({"max_order": 100, "closure_budget": 100}, "growth_closure_within_limits"),
+    ({"max_order": 100}, "growth_closure_within_limits"),
+    ({"closure_budget": 100}, "growth_closure_within_limits"),
+    ({"max_order": 0}, "options_valid"),
+    ({"closure_budget": "216"}, "options_valid"),
+    ({"max_order": True}, "options_valid"),
+])
+def test_replay_honours_certificate_size_limits(limits, failed):
+    # the witness needs the 216-element closure of three levels
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
+    doc["options"].update(limits)
+    report = replay_certificate(doc)
+    assert not report.passed
+    assert (failed, False) in report.checks
+
+
+def _record_closure_budgets(monkeypatch) -> list:
+    budgets = []
+
+    def recording(gens, budget=dichotomy.DEFAULT_CLOSURE_BUDGET):
+        budgets.append(budget)
+        return generate_closure(gens, budget)
+    monkeypatch.setattr(dichotomy, "generate_closure", recording)
+    return budgets
+
+
+def test_classify_never_closes_past_max_order(monkeypatch):
+    budgets = _record_closure_budgets(monkeypatch)
+    cert = classify(SPEC_S3SUM, ClassifyOptions(k=3, max_order=300))
+    assert cert.verdict == "inconclusive"
+    assert any("max_order = 300" in d for d in cert.diagnostics)
+    assert budgets and max(budgets) <= 300
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2, max_order=300)).to_bytes())
+    assert replay_certificate(doc).passed
+    assert max(budgets) <= 300
+
+
+def test_closure_of_exactly_max_order_certifies():
+    cert = classify(SPEC_S3SUM, ClassifyOptions(k=2, max_order=216))
+    assert cert.verdict == "not_type_I"
+    assert cert.growth.history[-1][1] == 216
+    assert replay_certificate(json.loads(cert.to_bytes())).passed
 
 
 def test_replay_type_i_certificates():

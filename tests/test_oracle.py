@@ -1,5 +1,6 @@
 """Numerical regular-representation oracle vs the exact character route."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,13 @@ import pytest
 
 from corpus import SPEC_Q8, central_product_q8, spec_product, spec_symmetric
 from groupvna.errors import ParameterError
-from groupvna.groups import construct_group
-from groupvna.vn_spectrum import factor_spectrum, numerical_decomposition
+from groupvna.groups import as_subgroup, construct_group
+from groupvna.vn_spectrum import (
+    RegularRep,
+    _projection_residual,
+    factor_spectrum,
+    numerical_decomposition,
+)
 
 
 def test_oracle_s3_blocks():
@@ -52,8 +58,9 @@ def test_oracle_central_product():
     assert nd.dim_measure_multiset() == factor_spectrum(handle).dim_measure_multiset()
 
 
-def test_oracle_matrix_unit_invariants():
-    handle = construct_group(spec_symmetric(3))
+@pytest.mark.parametrize("n", [3, 5])  # S5 has blocks of dimension 4, 5 and 6
+def test_oracle_matrix_unit_invariants(n):
+    handle = construct_group(spec_symmetric(n))
     nd = numerical_decomposition(handle, seed=0)
     for block in nd.blocks:
         units = block.units
@@ -70,6 +77,33 @@ def test_oracle_matrix_unit_invariants():
                     assert np.linalg.norm(u @ units.units[l, 0] - expect) < 1e-8
         total = sum(units.units[j, j] for j in range(d))
         assert np.linalg.norm(total - block.projection) < 1e-8
+
+
+def test_indexed_commutator_matches_dense_permutation_product():
+    H = as_subgroup(construct_group(spec_symmetric(3)))
+    rep = RegularRep(H)
+    rng = np.random.default_rng(0)
+    p = rng.random((6, 6)) + 1j * rng.random((6, 6))  # not central
+    assert any(np.abs(p @ rep.matrix(g) - rep.matrix(g) @ p).max() > 1e-6 for g in H.elements)
+    for g in H.elements:
+        perm = rep._right[g.form]
+        rho = rep.matrix(g)
+        np.testing.assert_allclose(p[:, perm] - p[np.argsort(perm), :], p @ rho - rho @ p,
+                                   rtol=0, atol=1e-12)
+
+
+def test_projection_residual_sees_a_noncentral_projection():
+    H = as_subgroup(construct_group(spec_symmetric(3)))
+    nd = numerical_decomposition(H, seed=0)
+    rep = RegularRep(H)
+    block = next(b for b in nd.blocks if b.dimension == 2)
+    e = block.units.units[0, 0]  # a minimal projection: idempotent, not central
+    blocks = [dataclasses.replace(block, projection=e),
+              dataclasses.replace(block, projection=np.eye(6) - e)]
+    dense = max(float(np.abs(e @ rep.matrix(g) - rep.matrix(g) @ e).max()) for g in H.elements)
+    got = _projection_residual(rep, blocks, [g.form for g in H.elements])
+    assert got > 1e-6
+    assert abs(got - dense) < 1e-12
 
 
 def test_oracle_murray_von_neumann_residual():
