@@ -3,8 +3,9 @@
 The class-multiplication matrices A_i with (A_i)[j, k] = a_ijk commute, and
 their joint eigenvectors, computed over a prime field F_p with p = 1 mod
 exponent(H) and p > 2 sqrt(|H|), are exactly the central-character vectors
-w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  Degrees are recovered from
-the second orthogonality relation, character values from root-of-unity
+w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  Each A_i is built only
+when the splitting reaches it, so no r x r x r tensor is held.  Degrees come
+from the second orthogonality relation, character values from root-of-unity
 multiplicities (a mod-p discrete Fourier transform over the power map), and
 every value is lifted to an exact element of Z[zeta_m], m the exponent.  Both
 orthogonality relations are checked exactly, at the Galois conjugates of
@@ -31,18 +32,17 @@ DEFAULT_MAX_ORDER = 5000
 
 @dataclass
 class ClassData:
-    """Conjugacy classes of a finite subgroup plus exact structure constants.
+    """Conjugacy classes of a finite subgroup, the identity's class first.
 
-    structure_constants[i, j, k] counts pairs (x, y) in C_i x C_j with x*y = z
-    for one fixed z in C_k (the count is independent of the choice of z).
-    The identity's class comes first.
+    The structure constant a_ijk counts pairs (x, y) in C_i x C_j with x*y = z
+    for one fixed z in C_k (the count is independent of the choice of z);
+    `class_matrix(i)` builds the r x r slice A_i on demand.
     """
 
     subgroup: Subgroup
     classes: list[ConjugacyClass]
     class_of: dict  # canonical form -> class index
     sizes: list[int]
-    structure_constants: np.ndarray
     inverse_class: list[int]
     exponent: int
 
@@ -50,9 +50,23 @@ class ClassData:
     def order(self) -> int:
         return self.subgroup.order
 
+    def class_matrix(self, i: int) -> np.ndarray:
+        """A_i, (A_i)[j, k] = a_ijk = #{x in C_i : x^-1 z_k in C_j} for z_k the
+        representative of C_k: |C_i| * r products and r^2 memory."""
+        fam, r = self.subgroup.handle._family, len(self.classes)
+        reps = [c.representative.form for c in self.classes]
+        cells = [self.class_of[fam.mul(xi, z)] * r + k
+                 for xi in (fam.inv(x.form) for x in self.classes[i].elements)
+                 for k, z in enumerate(reps)]
+        a = np.bincount(cells, minlength=r * r).reshape(r, r)
+        sz = np.array(self.sizes, dtype=np.int64)
+        if not np.array_equal(a @ sz, sz[i] * sz):
+            raise ConsistencyError(f"class matrix {i} violates sum_k a_ijk |C_k| = |C_i||C_j|")
+        return a
+
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
-    """Partition a finite subgroup into conjugacy classes and count a_ijk."""
+    """Partition a finite subgroup into conjugacy classes."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_order(f"subgroup of {subject.describe()}, order {subject.order}",
                      subject.order, max_order)  # before enumerating anything
@@ -71,31 +85,19 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
         for f in orbit:
             class_of[f] = len(classes)
         classes.append(ConjugacyClass(g, tuple(GroupElement(handle, f) for f in orbit), budget=n))
-    r = len(classes)
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")
-
-    # a[i, j, k] counts x in C_i with x^-1 z in C_j, for z the representative of C_k
-    forms = [x.form for x in H.elements]
-    x_class = np.array([class_of[f] for f in forms], dtype=np.int64)
-    x_inv = [fam.inv(f) for f in forms]
-    a = np.zeros((r, r, r), dtype=np.int64)
-    for k, c in enumerate(classes):
-        z = c.representative.form
-        j = np.array([class_of[fam.mul(xi, z)] for xi in x_inv], dtype=np.int64)
-        a[:, :, k] = np.bincount(x_class * r + j, minlength=r * r).reshape(r, r)
-    sz = np.array(sizes, dtype=np.int64)
-    if not np.array_equal(a[0], np.eye(r, dtype=np.int64)):
-        raise ConsistencyError("identity-class structure constants are not delta_jk")
-    if not np.array_equal(a @ sz, np.outer(sz, sz)):
-        raise ConsistencyError("structure constants violate sum_k a_ijk |C_k| = |C_i||C_j|")
+    # A_0 = I exactly when C_0 = {e} and every representative lies in its own class
+    if ([x.form for x in classes[0].elements] != [fam.identity]
+            or any(class_of[c.representative.form] != k for k, c in enumerate(classes))):
+        raise ConsistencyError("the identity's class is not the singleton class 0")
 
     inverse_class = [class_of[fam.inv(c.representative.form)] for c in classes]
     exponent = 1
     for c in classes:
         exponent = lcm(exponent, _element_order(H, c.representative))
-    return ClassData(H, classes, class_of, sizes, a, inverse_class, exponent)
+    return ClassData(H, classes, class_of, sizes, inverse_class, exponent)
 
 
 def _check_order(what: str, order: int, max_order: int):
@@ -163,17 +165,17 @@ def dixon_prime(order: int, exponent: int) -> int:
         p += 1
 
 
-def _common_eigenvectors(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Joint one-dimensional eigenspaces of the class matrices a[1:] over F_p.
+def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
+    """Joint one-dimensional eigenspaces of the class matrices A_1, A_2, ... over F_p.
 
-    Each matrix is reduced mod p only when the refinement reaches it.
+    Each matrix is built, and reduced mod p, only when the refinement reaches it.
     """
-    r = a.shape[0]
+    r = len(cd.classes)
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     for i in range(1, r):
         if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
-        m = a[i] % p
+        m = cd.class_matrix(i) % p
         refined = []
         for basis, pivots in spaces:
             d = basis.shape[0]
@@ -211,7 +213,7 @@ def character_table(cd: ClassData) -> CharacterTable:
     n = cd.order
     m = cd.exponent
     p = dixon_prime(n, m)
-    vectors = _common_eigenvectors(cd.structure_constants, p)
+    vectors = _common_eigenvectors(cd, p)
 
     inv_sizes = np.array([modp.inv_mod(int(s), p) for s in cd.sizes], dtype=np.int64)
     rows_mod_p = []

@@ -328,8 +328,6 @@ class ClassifyOptions:
     stream_budget: int = DEFAULT_STREAM_BUDGET
     max_levels: int = 8
     max_order: int = 5000
-    # recorded in certificate bytes only; no comparison reads it
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         # thresholds must never hinge on float rounding; a float epsilon is
@@ -354,7 +352,7 @@ class ClassifyOptions:
             "stream_budget": self.stream_budget,
             "max_levels": self.max_levels,
             "max_order": self.max_order,
-            "tolerance": self.tolerance,
+            "tolerance": 1e-9,  # a fixed field of the certificate bytes
         }
 
 
@@ -620,7 +618,7 @@ def replay_certificate(cert: dict) -> ReplayReport:
                                    closure_budget=o.get("closure_budget"),
                                    max_order=o.get("max_order"))
             record("options_valid", True)
-        except ParameterError as e:
+        except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError) as e:
             opts = None
             record("options_valid", False, f"certificate options: {e}")
         closure = None

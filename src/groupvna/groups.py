@@ -1106,6 +1106,8 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
             raise SpecError(f'field "metadata.fc_center": expected "all" or "trivial", got {fc!r}')
     abf = meta_spec.get("abelian_by_finite")
     if abf is not None:
+        if m.not_abelian_by_finite:
+            raise SpecError('field "metadata.abelian_by_finite": the family is not abelian-by-finite')
         gens = abf.get("generators")
         index = abf.get("index")
         if not isinstance(gens, list):

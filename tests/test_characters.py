@@ -42,9 +42,23 @@ def test_structure_constants_identity_row():
     import numpy as np
     cd = class_data(construct_group({"family": "symmetric", "n": 4}))
     r = len(cd.classes)
-    assert np.array_equal(cd.structure_constants[0], np.eye(r, dtype=np.int64))
+    assert np.array_equal(cd.class_matrix(0), np.eye(r, dtype=np.int64))
     sizes = np.array(cd.sizes)
-    assert np.array_equal(cd.structure_constants @ sizes, np.outer(sizes, sizes))
+    for i in range(r):
+        assert np.array_equal(cd.class_matrix(i) @ sizes, sizes[i] * sizes)
+
+
+def test_class_data_allocates_no_structure_constant_tensor():
+    # C300 has 300 classes; a dense int64 r x r x r tensor would take 206 MiB
+    import tracemalloc
+    handle = construct_group({"family": "cyclic", "n": 300})
+    tracemalloc.start()
+    try:
+        class_data(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_requires_finite():

@@ -200,6 +200,15 @@ def test_malformed_spec_is_usage_error(tmp_path, capsys):
     assert '"n"' in capsys.readouterr().err
 
 
+def test_contradictory_metadata_is_usage_error(tmp_path, capsys):
+    # an index-1 abelian subgroup, declared against the family, would make the S3 sum type_I
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SPEC_S3SUM, "metadata": {
+        "abelian_by_finite": {"index": 1, "generators": []}}}))
+    assert run(["classify", "--spec", str(bad)]) == 2
+    assert '"metadata.abelian_by_finite"' in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["x", 1.5, True], ids=["string", "float", "bool"])
 def test_non_integer_cayley_entry_is_usage_error(tmp_path, capsys, entry):
     # the entry stands where 1 belongs: 1.5 and True used to be read as 1 and

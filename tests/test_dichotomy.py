@@ -347,6 +347,8 @@ def test_replay_rejects_forged_claims(forge):
     ({"max_order": 0}, "options_valid"),
     ({"closure_budget": "216"}, "options_valid"),
     ({"max_order": True}, "options_valid"),
+    ({"epsilon": "x"}, "options_valid"),
+    ({"epsilon": {"num": 1, "den": 0}}, "options_valid"),
 ])
 def test_replay_honours_certificate_size_limits(limits, failed):
     # the witness needs the 216-element closure of three levels

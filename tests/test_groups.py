@@ -126,6 +126,10 @@ def test_user_metadata_validation():
     with pytest.raises(SpecError, match="index"):
         construct_group({"family": "free", "rank": 2,
                          "metadata": {"abelian_by_finite": {"generators": [], "index": 0}}})
+    # the restricted sum of S3 copies is not abelian-by-finite, whatever the spec declares
+    with pytest.raises(SpecError, match="metadata.abelian_by_finite"):
+        construct_group({**SPEC_S3SUM,
+                         "metadata": {"abelian_by_finite": {"generators": [], "index": 1}}})
 
 
 # ---------------------------------------------------------------------------
