@@ -28,12 +28,17 @@ from .groups import (
     DEFAULT_CLOSURE_BUDGET,
     GroupElement,
     GroupHandle,
-    Subgroup,
     commutator,
     construct_group,
     generate_closure,
 )
-from .vn_spectrum import MAX_GROWTH_K, GrowthResult, evaluate_growth, exact_fraction
+from .vn_spectrum import (
+    MAX_GROWTH_K,
+    GrowthResult,
+    evaluate_growth,
+    exact_fraction,
+    tower_spectra,
+)
 
 DEFAULT_STREAM_BUDGET = 50_000
 
@@ -384,19 +389,23 @@ class DichotomyCertificate:
         return jsonutil.canonical_dumps(self.to_json()).encode("utf-8")
 
 
-def _growth_closure(gens: list, opts: ClassifyOptions,
-                    n_levels: int) -> tuple[Optional[Subgroup], str]:
-    """The closure of the first `n_levels` witness levels, or why it was refused.
-
-    `class_data` refuses any order above `max_order`, so the closure stops at
-    `min(closure_budget, max_order)` elements.
-    """
+def _growth_refusal(opts: ClassifyOptions, n_levels: int) -> str:
     limit, name = ((opts.max_order, "max_order") if opts.max_order <= opts.closure_budget
                    else (opts.closure_budget, "closure_budget"))
-    try:
-        return generate_closure(gens, limit), ""
-    except BudgetExceededError:
-        return None, f"the closure of {n_levels} levels has more than {name} = {limit} elements"
+    return f"the closure of {n_levels} levels has more than {name} = {limit} elements"
+
+
+def _growth_spectra(levels: Iterable[WitnessLevel], opts: ClassifyOptions):
+    """`tower_spectra` over each witness level's own closure.
+
+    `class_data` refuses any order above `max_order`, so a level closure
+    stops at `min(closure_budget, max_order)` elements; every refusal, of a
+    level or of a product of levels, is a BudgetExceededError or a
+    RequiresFiniteError (`_growth_refusal` words it).
+    """
+    limit = min(opts.closure_budget, opts.max_order)
+    subgroups = (generate_closure(lv.generator_set(), limit) for lv in levels)
+    return tower_spectra(subgroups, opts.closure_budget, opts.max_order)
 
 
 def _metadata_witness_consistent(handle: GroupHandle, probe: int,
@@ -485,20 +494,19 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
                               class_budget=opts.class_budget,
                               fc_gate=meta.fc_all is not True)
 
-    def closures():
-        # one more witness level per closure, so the first level that clears is kept
+    def witness_levels():
+        # one more witness level per prefix, so the first prefix that clears is kept
         while len(builder.levels) < opts.max_levels and builder.add_level() is not None:
-            gens = [e for lv in builder.levels for e in lv.generator_set()]
-            closure, refusal = _growth_closure(gens, opts, len(builder.levels))
-            if closure is None:
-                builder.diagnostics.append(f"growth evaluation stopped: {refusal}")
-                return
-            yield len(builder.levels), closure
+            yield builder.levels[-1]
 
     growth: Optional[GrowthResult] = None
     try:
-        growth = evaluate_growth(closures(), opts.k, opts.epsilon, opts.max_levels, opts.max_order)
-    except (BudgetExceededError, RequiresFiniteError, ConsistencyError) as e:
+        growth = evaluate_growth(_growth_spectra(witness_levels(), opts), opts.k, opts.epsilon,
+                                 opts.max_levels)
+    except (BudgetExceededError, RequiresFiniteError):
+        builder.diagnostics.append(
+            f"growth evaluation stopped: {_growth_refusal(opts, len(builder.levels))}")
+    except (ConsistencyError, PreconditionError) as e:
         builder.diagnostics.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
     diagnostics.extend(builder.diagnostics)
 
@@ -621,13 +629,18 @@ def replay_certificate(cert: dict) -> ReplayReport:
         except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError) as e:
             opts = None
             record("options_valid", False, f"certificate options: {e}")
-        closure = None
+        prefix = None
         if in_range and opts is not None:
-            gens = [e for lv in levels[:n_req] for e in lv.generator_set()]
-            closure, refusal = _growth_closure(gens, opts, n_req)
-            record("growth_closure_within_limits", closure is not None, refusal)
-        if closure is not None:
-            growth = evaluate_growth([(n_req, closure)], opts.k, opts.epsilon, n_req, opts.max_order)
+            try:
+                # the measure at exactly n_req levels, even if a shorter prefix clears
+                *_, prefix = _growth_spectra(levels[:n_req], opts)
+                record("growth_closure_within_limits", True)
+            except (BudgetExceededError, RequiresFiniteError):
+                record("growth_closure_within_limits", False, _growth_refusal(opts, n_req))
+            except PreconditionError as e:
+                record("growth_levels_commute", False, str(e))
+        if prefix is not None:
+            growth = evaluate_growth([prefix], opts.k, opts.epsilon, n_req)
             claims = (g["k"], g["dim_threshold"], jsonutil.fraction_from_json(g["epsilon"]),
                       jsonutil.fraction_from_json(g["measure_threshold"]))
             derived = (opts.k, growth.dim_threshold, opts.epsilon, growth.measure_threshold)

@@ -1106,6 +1106,8 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
             raise SpecError(f'field "metadata.fc_center": expected "all" or "trivial", got {fc!r}')
     abf = meta_spec.get("abelian_by_finite")
     if abf is not None:
+        if not isinstance(abf, dict):
+            raise SpecError('field "metadata.abelian_by_finite": expected an object')
         if m.not_abelian_by_finite:
             raise SpecError('field "metadata.abelian_by_finite": the family is not abelian-by-finite')
         gens = abf.get("generators")
@@ -1114,6 +1116,11 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
             raise SpecError('field "metadata.abelian_by_finite.generators": expected a list')
         if not isinstance(index, int) or index < 1:
             raise SpecError('field "metadata.abelian_by_finite.index": expected a positive integer')
+        group_gens = family.generator_forms()
+        if index == 1 and any(family.mul(a, b) != family.mul(b, a)
+                              for a in group_gens for b in group_gens):
+            raise SpecError('field "metadata.abelian_by_finite.index": index 1 declares the '
+                            'group abelian, but its generators do not commute')
         forms = tuple(family.form_from_json(g) for g in gens)
         m = FamilyMetadata(
             fc_center_note=m.fc_center_note, fc_all=m.fc_all, icc=m.icc,

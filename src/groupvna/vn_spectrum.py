@@ -16,18 +16,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from numbers import Number
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .characters import CharacterRow, CharacterTable, class_data, character_table
 from .cyclotomic import Cyclo
 from .errors import (
+    BudgetExceededError,
     ConsistencyError,
     DegenerateSpectrumError,
     DomainMismatchError,
     ParameterError,
     PreconditionError,
+    RequiresFiniteError,
 )
 from .fc_center import DEFAULT_CLASS_BUDGET, fc_filter
 from .groups import (
@@ -35,6 +37,7 @@ from .groups import (
     GroupElement,
     GroupHandle,
     Subgroup,
+    _bfs,
     as_subgroup,
     closure_of_union,
     commutator,
@@ -219,6 +222,12 @@ class FactorSpectrum:
     def dim_measure_multiset(self) -> list[tuple[int, Fraction]]:
         return sorted((a.dimension, a.measure) for a in self.atoms)
 
+    def measure_by_dimension(self) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for a in self.atoms:
+            out[a.dimension] = out.get(a.dimension, Fraction(0)) + a.measure
+        return out
+
     def to_json(self) -> dict:
         return {
             "order": self.subgroup_order,
@@ -273,15 +282,27 @@ class RegularRep:
     """
 
     def __init__(self, subgroup: Subgroup):
-        self.subgroup = as_subgroup(subgroup)
-        self.dimension = self.subgroup.order
-        fam = self.subgroup.handle._family
-        index = self.subgroup._index
-        forms = [x.form for x in self.subgroup.elements]
-        self._right = {}
-        for g in forms:
-            ginv = fam.inv(g)
-            self._right[g] = np.array([index[fam.mul(x, ginv)] for x in forms], dtype=np.int64)
+        self.subgroup = H = as_subgroup(subgroup)
+        self.dimension = H.order
+        fam = H.handle._family
+        index = H._index
+        forms = [x.form for x in H.elements]
+        gens = [g.form for g in (H.generators if H.generators is not None else H.elements)]
+        # x (g s)^-1 = (x s^-1) g^-1, so r_{g s} = r_g[r_s]: a BFS over the
+        # generators costs n |S| products instead of n^2
+        perms = {s: np.array([index[fam.mul(x, fam.inv(s))] for x in forms], dtype=np.int64)
+                 for s in gens}
+        self._right = right = {fam.identity: np.arange(self.dimension, dtype=np.int64)}
+
+        def step(g, s):
+            gs = fam.mul(g, s)
+            if gs not in right:
+                right[gs] = right[g][perms[s]]
+            return gs
+
+        _bfs([fam.identity], list(perms), step)
+        if len(right) != self.dimension:
+            raise ConsistencyError("the subgroup's generators do not reach all of its elements")
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension))
@@ -738,21 +759,96 @@ class GrowthResult:
         }
 
 
-def evaluate_growth(levels: Iterable[tuple[int, Subgroup]], k: int, epsilon: Fraction,
-                    cap: int, max_order: int = 5000) -> GrowthResult:
-    """Measure{dim >= 2^(2^(k-1))} of each (level count, closure) until one exceeds
-    max(1/2 - epsilon, 0).
+def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+                  max_order: int = 5000) -> Iterator[tuple[int, int, dict[int, Fraction]]]:
+    """(n, |H_1...H_n|, {dimension: measure}) for each prefix of a commuting tower.
+
+    For pairwise-commuting finite levels the product H_1...H_{n-1} has centre
+    Z_{n-1} = Z(H_1)...Z(H_{n-1}) and meets H_n in D_n = Z_{n-1} & Z(H_n), so
+    |H_1...H_n| = |H_1...H_{n-1}| |H_n| / |D_n| is known, and refused by
+    `closure_budget` (BudgetExceededError) before `max_order`
+    (RequiresFiniteError), without enumerating the product.  When D_n is
+    trivial the product is direct: dimensions multiply and so do measures
+    (Serre, Linear Representations of Finite Groups, 3.2).  Otherwise the
+    prefix closure, already known to be within the limits, is decomposed.
+
+    Each level's generators must commute with every earlier level's
+    (PreconditionError otherwise): a list or tuple is checked whole before the
+    first prefix, a lazy iterable level by level as it arrives.
+    """
+    subs: list[Subgroup] = []
+    gen_forms: list[list] = []
+
+    def admit(level) -> Subgroup:
+        H = as_subgroup(level)
+        if subs and H.handle is not subs[0].handle:
+            raise DomainMismatchError("tower levels live in different handles")
+        fam = H.handle._family
+        forms = [g.form for g in (H.generators or H.elements)]
+        for i, earlier in enumerate(gen_forms):
+            for a in earlier:
+                for b in forms:
+                    if fam.mul(a, b) != fam.mul(b, a):
+                        raise PreconditionError(
+                            f"tower levels {i} and {len(subs)} do not commute at "
+                            f"({fam.describe(a)}, {fam.describe(b)})"
+                        )
+        subs.append(H)
+        gen_forms.append(forms)
+        return H
+
+    if isinstance(levels, (list, tuple)):
+        levels = [admit(lv) for lv in levels]
+    else:
+        levels = map(admit, levels)
+    order, spectrum, centre = 1, {1: Fraction(1)}, None
+    for n, H in enumerate(levels, start=1):
+        fam, gens = H.handle._family, gen_forms[n - 1]
+        level_centre = [h.form for h in H.elements
+                        if all(fam.mul(h.form, g) == fam.mul(g, h.form) for g in gens)]
+        if centre is None:
+            centre = {fam.identity}
+        meet = centre.intersection(level_centre)
+        order = order * H.order // len(meet)
+        too_big = f"the closure of {n} levels has {order} elements, more than"
+        if order > closure_budget:
+            raise BudgetExceededError(f"{too_big} closure_budget = {closure_budget}",
+                                      budget=closure_budget, partial_count=0)
+        if order > max_order:
+            raise RequiresFiniteError(f"{too_big} max_order = {max_order}")
+        if len(meet) == 1:
+            level = factor_spectrum(H, max_order).measure_by_dimension()
+            step: dict[int, Fraction] = {}
+            for d1, m1 in spectrum.items():
+                for d2, m2 in level.items():
+                    step[d1 * d2] = step.get(d1 * d2, Fraction(0)) + m1 * m2
+            spectrum = step
+        else:
+            closure = closure_of_union(subs[:n], closure_budget)
+            if closure.order != order:
+                raise ConsistencyError(
+                    f"the closure of {n} levels has {closure.order} elements, not {order}")
+            spectrum = factor_spectrum(closure, max_order).measure_by_dimension()
+        centre = {fam.mul(a, b) for a in centre for b in level_centre}
+        yield n, order, spectrum
+
+
+def evaluate_growth(spectra: Iterable[tuple[int, int, dict[int, Fraction]]], k: int,
+                    epsilon: Fraction, cap: int) -> GrowthResult:
+    """Measure{dim >= 2^(2^(k-1))} of each (level count, order, spectrum) until one
+    exceeds max(1/2 - epsilon, 0).
 
     The one place the growth thresholds are derived from k and epsilon:
     `growth_search`, `classify` and certificate replay all evaluate here.
-    `levels` is consumed lazily and no further once a closure clears.
+    `spectra` (as `tower_spectra` yields them) is consumed lazily and no
+    further once a prefix clears.
     """
     dim_threshold = 2 ** (2 ** (k - 1))
     measure_threshold = max(Fraction(1, 2) - epsilon, Fraction(0))
     history: list[tuple[int, int, Fraction]] = []
-    for n_levels, closure in levels:
-        measure = factor_spectrum(closure, max_order).measure_dim_at_least(dim_threshold)
-        history.append((n_levels, closure.order, measure))
+    for n_levels, order, spectrum in spectra:
+        measure = sum((m for d, m in spectrum.items() if d >= dim_threshold), Fraction(0))
+        history.append((n_levels, order, measure))
         if measure > measure_threshold:
             return GrowthResult(True, n_levels, measure, dim_threshold, measure_threshold,
                                 k, epsilon, history, cap)
@@ -765,8 +861,8 @@ def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), 
                   max_order: int = 5000) -> GrowthResult:
     """Smallest N with measure{dim >= 2^(2^(k-1))} > 1/2 - epsilon in S(G_1...G_N).
 
-    `tower` is a list of pairwise-commuting finite subgroups; commutation is
-    spot-checked on their generators.  Reaching the cap without a witness is
+    `tower` is a list of pairwise-commuting finite subgroups (`tower_spectra`
+    checks it on their generators).  Reaching the cap without a witness is
     reported, not raised.
     """
     epsilon = exact_fraction(epsilon)
@@ -774,23 +870,10 @@ def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), 
         raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
     if not 1 <= k <= MAX_GROWTH_K:
         raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
-    subs = [as_subgroup(t) for t in tower]
-    if not subs:
+    tower = list(tower)
+    if not tower:
         raise ParameterError("tower is empty")
-    for i in range(len(subs)):
-        gi = subs[i].generators or subs[i].elements
-        for j in range(i + 1, len(subs)):
-            gj = subs[j].generators or subs[j].elements
-            for a in gi:
-                for b in gj:
-                    if not commutator(a, b).is_identity:
-                        raise PreconditionError(
-                            f"tower levels {i} and {j} do not commute at "
-                            f"({a.describe()}, {b.describe()})"
-                        )
-
-    closures = ((n, closure_of_union(subs[:n], closure_budget)) for n in range(1, len(subs) + 1))
-    return evaluate_growth(closures, k, epsilon, len(subs), max_order)
+    return evaluate_growth(tower_spectra(tower, closure_budget, max_order), k, epsilon, len(tower))
 
 
 # ---------------------------------------------------------------------------

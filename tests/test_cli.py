@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from corpus import SPEC_S3SUM, central_product_q8, spec_product, spec_symmetric
-from groupvna import characters, cli
+from corpus import SPEC_Q8SUM, SPEC_S3SUM, central_product_q8, spec_product, spec_symmetric
+from groupvna import characters, cli, groups
 from groupvna.cli import run
 
 
@@ -19,6 +19,7 @@ def specs(tmp_path):
         "s5": spec_symmetric(5),
         "q8": {"family": "quaternion8"},
         "s3sum": SPEC_S3SUM,
+        "q8sum": SPEC_Q8SUM,
         "s3xs3": spec_product(spec_symmetric(3), spec_symmetric(3)),
         "dinf": {"family": "dihedral_infinite"},
         "free2": {"family": "free", "rank": 2},
@@ -154,6 +155,35 @@ def test_growth_command(specs, capsys):
 
 def test_growth_no_witness_is_inconclusive(specs):
     assert run(["growth", "--spec", specs["s3sum"], "--k", "3", "--levels", "2"]) == 3
+
+
+def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monkeypatch):
+    # Q8^5 has 32768 elements: its order is computed from the levels and
+    # refused by max_order without closing anything larger than one level
+    orders = []
+    original = groups.generate_closure
+
+    def recording(gens, budget=groups.DEFAULT_CLOSURE_BUDGET):
+        closure = original(gens, budget)
+        orders.append(closure.order)
+        return closure
+    monkeypatch.setattr(groups, "generate_closure", recording)
+    assert run(["growth", "--spec", specs["q8sum"], "--k", "3", "--levels", "5"]) == 2
+    assert "32768 elements, more than max_order = 5000" in capsys.readouterr().err
+    assert orders and max(orders) <= 16
+    # above the closure budget it is a verification failure, as before
+    assert run(["growth", "--spec", specs["s3sum"], "--k", "2", "--budget", "50"]) == 1
+    assert "216 elements, more than closure_budget = 50" in capsys.readouterr().err
+    assert max(orders) <= 16
+
+
+@pytest.mark.parametrize("abf", [5, {"index": 1, "generators": []}])
+def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, abf):
+    path = tmp_path / "dinf.json"
+    path.write_text(json.dumps({"family": "dihedral_infinite",
+                                "metadata": {"abelian_by_finite": abf}}))
+    assert run(["classify", "--spec", str(path)]) == 2
+    assert "metadata.abelian_by_finite" in capsys.readouterr().err
 
 
 def test_lemma10_command(specs, capsys):

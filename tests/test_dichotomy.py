@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import SPEC_Q8SUM, SPEC_S3SUM, spec_symmetric
-from groupvna import dichotomy
+from groupvna import dichotomy, groups
 from groupvna.dichotomy import (
     AbelianEvidence,
     ClassifyOptions,
@@ -330,8 +330,15 @@ def _forge_k_type(doc):
     doc["options"]["k"] = "2"
 
 
+def _forge_noncommuting_levels(doc):
+    # a level repeated: the fold refuses the tower, replay records the failure
+    levels = doc["commuting_witness"]["levels"]
+    levels[1] = levels[0]
+
+
 @pytest.mark.parametrize("forge", [_forge_k, _forge_measure_threshold, _forge_digest,
-                                   _forge_levels_required, _forge_k_type])
+                                   _forge_levels_required, _forge_k_type,
+                                   _forge_noncommuting_levels])
 def test_replay_rejects_forged_claims(forge):
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
     assert len(doc["commuting_witness"]["levels"]) == 3
@@ -378,6 +385,22 @@ def test_classify_never_closes_past_max_order(monkeypatch):
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2, max_order=300)).to_bytes())
     assert replay_certificate(doc).passed
     assert max(budgets) <= 300
+
+
+def test_replay_closes_only_the_witness_levels(monkeypatch):
+    # replay folds the levels' spectra: no closure of a product of levels
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
+    orders = []
+
+    def recording(gens, budget=dichotomy.DEFAULT_CLOSURE_BUDGET):
+        closure = generate_closure(gens, budget)
+        orders.append(closure.order)
+        return closure
+    monkeypatch.setattr(dichotomy, "generate_closure", recording)
+    monkeypatch.setattr(groups, "generate_closure", recording)
+    report = replay_certificate(doc)
+    assert report.passed
+    assert orders and max(orders) == 6
 
 
 def test_closure_of_exactly_max_order_certifies():

@@ -130,6 +130,16 @@ def test_user_metadata_validation():
     with pytest.raises(SpecError, match="metadata.abelian_by_finite"):
         construct_group({**SPEC_S3SUM,
                          "metadata": {"abelian_by_finite": {"generators": [], "index": 1}}})
+    with pytest.raises(SpecError, match='"metadata.abelian_by_finite": expected an object'):
+        construct_group({"family": "dihedral_infinite", "metadata": {"abelian_by_finite": 5}})
+    # index 1 claims G itself is abelian, refuted by two non-commuting generators
+    for spec in ({"family": "dihedral_infinite"}, {"family": "free", "rank": 2}):
+        with pytest.raises(SpecError, match="metadata.abelian_by_finite.index"):
+            construct_group({**spec, "metadata": {"abelian_by_finite": {"generators": [],
+                                                                        "index": 1}}})
+    # a declared index 1 on an abelian family stands
+    construct_group({"family": "free", "rank": 1,
+                     "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 1}}})
 
 
 # ---------------------------------------------------------------------------

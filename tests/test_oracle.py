@@ -92,6 +92,25 @@ def test_indexed_commutator_matches_dense_permutation_product():
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    spec_symmetric(4),
+    {"family": "dihedral", "n": 10},
+    {"family": "heisenberg", "p": 3},
+    spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12}),
+], ids=["S4", "D10", "Heis3", "C10xC12"])
+def test_regular_rep_from_generators_matches_all_products(spec):
+    # r_g is built as r_g'[r_s] along a BFS over the generators; it must be
+    # the permutation x -> x g^-1 read off all n^2 products
+    H = as_subgroup(construct_group(spec))
+    fam, index = H.handle._family, H._index
+    rep = RegularRep(H)
+    assert len(rep._right) == H.order
+    for g in H.elements:
+        ginv = fam.inv(g.form)
+        direct = [index[fam.mul(x.form, ginv)] for x in H.elements]
+        np.testing.assert_array_equal(rep._right[g.form], direct)
+
+
 def test_projection_residual_sees_a_noncentral_projection():
     H = as_subgroup(construct_group(spec_symmetric(3)))
     nd = numerical_decomposition(H, seed=0)

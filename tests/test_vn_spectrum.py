@@ -1,5 +1,6 @@
 """Group algebra trace, central projections, spectra, and lemma verifiers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,19 +8,28 @@ import pytest
 
 from corpus import (
     SPEC_Q8,
+    SPEC_Q8SUM,
     SPEC_S3SUM,
     central_product_handle_and_subgroups,
     spec_product,
     spec_symmetric,
 )
 from groupvna.characters import character_table, class_data
-from groupvna.errors import ConsistencyError, ParameterError, PreconditionError
+from groupvna.errors import (
+    BudgetExceededError,
+    ConsistencyError,
+    ParameterError,
+    PreconditionError,
+    RequiresFiniteError,
+)
 from groupvna.groups import (
     as_subgroup,
+    closure_of_union,
     construct_group,
     coordinate_subgroup,
     enumerate_elements,
     factor_subgroup,
+    generate_closure,
 )
 from groupvna.vn_spectrum import (
     AlgebraElement,
@@ -32,6 +42,7 @@ from groupvna.vn_spectrum import (
     norm_squared,
     product_projection_spectrum,
     tau_inner_product,
+    tower_spectra,
     trace,
     unitary,
 )
@@ -331,6 +342,62 @@ def test_growth_parameter_validation(s3sum_tower):
         growth_search(s3sum_tower, k=0, epsilon=Fraction(1, 20))
     with pytest.raises(ParameterError):
         growth_search(s3sum_tower, k=1, epsilon=Fraction(2, 1))
+
+
+def _assert_fold_matches_enumeration(levels):
+    orders = []
+    for n, order, spectrum in tower_spectra(levels):
+        closure = closure_of_union(levels[:n])
+        assert order == closure.order
+        assert spectrum == factor_spectrum(closure).measure_by_dimension()
+        orders.append(order)
+    return orders
+
+
+@pytest.mark.parametrize("factor,levels", [
+    (spec_symmetric(3), 4),
+    (SPEC_Q8, 3),
+    ({"family": "dihedral", "n": 4}, 3),
+])
+def test_tower_fold_matches_enumeration_on_coordinate_towers(factor, levels):
+    # Q8^4 and D4^4 (4096 elements) take seconds to decompose directly
+    handle = construct_group({"family": "restricted_sum", "factor": factor})
+    tower = [coordinate_subgroup(handle, i) for i in range(levels)]
+    order = tower[0].order
+    assert _assert_fold_matches_enumeration(tower) == [order ** n for n in range(1, levels + 1)]
+
+
+def test_tower_fold_matches_enumeration_on_product_factors():
+    handle = construct_group(spec_product(spec_symmetric(3), SPEC_Q8,
+                                          {"family": "dihedral", "n": 5}))
+    tower = [factor_subgroup(handle, i) for i in range(3)]
+    assert _assert_fold_matches_enumeration(tower) == [6, 48, 480]
+
+
+def test_tower_fold_over_levels_that_share_a_central_involution():
+    # level i >= 1 is <z_0 z_i, Q8_i> = Q8_i x <z_0>, order 16, with z_i the
+    # central involution of coordinate i; each meets the earlier product in
+    # {e, z_0}, so the orders are 8 * 16^(n-1) / 2^(n-1), not 8 * 16^(n-1)
+    handle = construct_group(SPEC_Q8SUM)
+    tower = [coordinate_subgroup(handle, 0)]
+    for i in (1, 2):
+        z0_zi = handle.element(((0, (0, 1)), (i, (0, 1))))
+        tower.append(generate_closure([z0_zi, *coordinate_subgroup(handle, i).generators]))
+    assert [H.order for H in tower] == [8, 16, 16]
+    assert _assert_fold_matches_enumeration(tower) == [8, 64, 512]
+
+
+def test_tower_fold_refuses_by_the_computed_order():
+    handle = construct_group(SPEC_Q8SUM)
+    tower = [coordinate_subgroup(handle, i) for i in range(5)]
+    spectra = tower_spectra(tower, closure_budget=10**6, max_order=5000)
+    assert [order for _, order, _ in itertools.islice(spectra, 4)] == [8, 64, 512, 4096]
+    with pytest.raises(RequiresFiniteError, match="32768 elements, more than max_order = 5000"):
+        next(spectra)
+    # a prefix above both limits is refused by the closure budget
+    with pytest.raises(BudgetExceededError,
+                       match="2 levels has 64 elements, more than closure_budget = 60"):
+        list(tower_spectra(tower, closure_budget=60, max_order=50))
 
 
 # ---------------------------------------------------------------------------
