@@ -17,7 +17,13 @@ from fractions import Fraction
 from . import jsonutil
 from .characters import character_table, class_data
 from .characters import validate_orthogonality  # noqa: F401  perfbench traces it under this name
-from .dichotomy import ClassifyOptions, classify, lemma10_sequence, replay_certificate
+from .dichotomy import (
+    DEFAULT_STREAM_BUDGET,
+    ClassifyOptions,
+    classify,
+    lemma10_sequence,
+    replay_certificate,
+)
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -29,8 +35,9 @@ from .errors import (
     SpecError,
     UnsupportedFamilyError,
 )
-from .fc_center import fc_filter
+from .fc_center import DEFAULT_CLASS_BUDGET, fc_filter
 from .groups import (
+    DEFAULT_CLOSURE_BUDGET,
     GroupHandle,
     Subgroup,
     construct_group,
@@ -73,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--spec", required=True, help="path to a group-spec JSON document")
-        p.add_argument("--budget", type=int, default=10**6,
+        p.add_argument("--budget", type=int, default=DEFAULT_CLOSURE_BUDGET,
                        help="subgroup-closure element budget (default 10^6)")
-        p.add_argument("--class-budget", type=int, default=10**4,
+        p.add_argument("--class-budget", type=int, default=DEFAULT_CLASS_BUDGET,
                        help="per-conjugacy-class orbit budget (default 10^4)")
         p.add_argument("--epsilon", type=_parse_fraction, default=Fraction(1, 20),
                        help="slack in the measure threshold 1/2 - epsilon (default 1/20)")
@@ -86,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("classify", help="end-to-end dichotomy certificate"))
-    p.add_argument("--max-levels", type=int, default=8)
-    p.add_argument("--stream-budget", type=int, default=50_000)
+    p.add_argument("--max-levels", type=int, default=ClassifyOptions.max_levels)
+    p.add_argument("--stream-budget", type=int, default=DEFAULT_STREAM_BUDGET)
 
     common(sub.add_parser("spectrum", help="factor spectrum of S(H) for a finite group"))
     common(sub.add_parser("chartab", help="character table"))
@@ -104,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=5, help="tower size cap (default 5)")
 
     p = common(sub.add_parser("lemma10", help="recursive commuting-subgroup witness"))
-    p.add_argument("--stream-budget", type=int, default=50_000)
+    p.add_argument("--stream-budget", type=int, default=DEFAULT_STREAM_BUDGET)
 
     p = common(sub.add_parser("fc", help="FC-center verdicts for enumerated elements"))
     p.add_argument("--count", type=int, default=10)

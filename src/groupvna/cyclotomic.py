@@ -198,12 +198,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(1, 1) / Fraction(other)
-            return Cyclo(self.m, tuple(x * q for x in self.c))
-        return NotImplemented
-
     def conj(self) -> Cyclo:
         """Complex conjugate (zeta -> zeta^(m-1))."""
         d, rows = _reduction(self.m)

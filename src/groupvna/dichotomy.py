@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import jsonutil
+from .characters import DEFAULT_MAX_ORDER
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -28,7 +29,6 @@ from .groups import (
     DEFAULT_CLOSURE_BUDGET,
     GroupElement,
     GroupHandle,
-    commutator,
     construct_group,
     generate_closure,
 )
@@ -67,7 +67,8 @@ def find_noncommuting_pair(
     """
     if budget < 1:
         raise ParameterError("scan budget must be >= 1")
-    accepted: list[GroupElement] = []
+    handle: Optional[GroupHandle] = None
+    accepted: list = []  # canonical forms
     scanned = 0
     exhausted = True
     for e in elements:
@@ -77,10 +78,13 @@ def find_noncommuting_pair(
         scanned += 1
         if membership is not None and not membership(e):
             continue
-        for prior in accepted:
-            if not commutator(prior, e).is_identity:
-                return (prior, e)
-        accepted.append(e)
+        if handle is None:
+            handle = e.group
+        handle._check(e)
+        pair = handle._family.noncommuting_pair(accepted, (e.form,))
+        if pair is not None:
+            return handle.element(pair[0]), e
+        accepted.append(e.form)
     if scanned == 0:
         raise ParameterError("element stream is empty")
     return AbelianEvidence(exhausted, scanned, budget)
@@ -96,19 +100,18 @@ def kernel_membership(g: GroupElement, kernel_set: Iterable[GroupElement]) -> bo
     ks = list(kernel_set)
     g.group._check(g, *ks)
     fam = g.group._family
-    ginv = fam.inv(g.form)
     forms = [b.form for b in ks]
-    for b in forms:
-        if fam.mul(fam.mul(g.form, b), ginv) != b:
-            members = set(forms)
-            for c in forms:
-                if fam.mul(fam.mul(g.form, c), ginv) not in members:
-                    raise PreconditionError(
-                        f"K is not stable under conjugation by {g.describe()}: "
-                        f"image of {fam.describe(c)} escapes"
-                    )
-            return False
-    return True
+    if fam.noncommuting_pair((g.form,), forms) is None:
+        return True
+    ginv = fam.inv(g.form)
+    members = set(forms)
+    for c in forms:
+        if fam.mul(fam.mul(g.form, c), ginv) not in members:
+            raise PreconditionError(
+                f"K is not stable under conjugation by {g.describe()}: "
+                f"image of {fam.describe(c)} escapes"
+            )
+    return False
 
 
 @dataclass
@@ -178,13 +181,10 @@ def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> Wi
         handle._check(lv.g, lv.h, *lv.generator_set())
         gen_forms.append([e.form for e in lv.generator_set()])
 
-    def commute(a, b) -> bool:
-        return fam.mul(a, b) == fam.mul(b, a)
-
     failures: list[str] = []
     noncomm = True
     for lv in levels:
-        if commute(lv.g.form, lv.h.form):
+        if fam.commutes(lv.g.form, lv.h.form):
             noncomm = False
             failures.append(f"level {lv.index}: g and h commute")
 
@@ -213,7 +213,7 @@ def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> Wi
     for i, j in itertools.combinations(range(k), 2):
         for a in gen_forms[i]:
             for b in gen_forms[j]:
-                if not commute(a, b):
+                if not fam.commutes(a, b):
                     commuting = False
                     failures.append(
                         f"levels {i} and {j}: [{fam.describe(a)}, {fam.describe(b)}] != e"
@@ -241,10 +241,6 @@ class _Lemma10Builder:
         self.diagnostics: list[str] = []
         self._fc_cache: dict = {}
 
-    def _stream(self):
-        for e in self.handle.iter_elements(self.stream_budget):
-            yield e
-
     def _membership(self, e: GroupElement) -> bool:
         if not kernel_membership(e, self.kernel):
             return False
@@ -257,13 +253,14 @@ class _Lemma10Builder:
     def _class_of(self, e: GroupElement) -> ConjugacyClass:
         cached = self._fc_cache.get(e.form)
         if cached is None:
-            cached = conjugacy_class(e, self.handle, self.class_budget)
+            cached = conjugacy_class(e, self.class_budget)
             self._fc_cache[e.form] = cached
         return cached
 
     def add_level(self) -> Optional[WitnessLevel]:
-        result = find_noncommuting_pair(self._stream(), self.stream_budget,
-                                        membership=self._membership)
+        # one element past the budget tells a spent budget from an exhausted group
+        result = find_noncommuting_pair(self.handle.iter_elements(self.stream_budget + 1),
+                                        self.stream_budget, membership=self._membership)
         if isinstance(result, AbelianEvidence):
             kind = "exhaustive scan" if result.exhaustive else f"budget {result.budget}"
             self.diagnostics.append(
@@ -332,7 +329,7 @@ class ClassifyOptions:
     class_budget: int = DEFAULT_CLASS_BUDGET
     stream_budget: int = DEFAULT_STREAM_BUDGET
     max_levels: int = 8
-    max_order: int = 5000
+    max_order: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self):
         # thresholds must never hinge on float rounding; a float epsilon is
@@ -462,13 +459,10 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
             return DichotomyCertificate("inconclusive", spec_doc, opts,
                                         diagnostics=diagnostics)
         w = meta.abelian_by_finite
+        if handle._family.noncommuting_pair(w.generator_forms, w.generator_forms) is not None:
+            diagnostics.append("declared abelian witness generators do not commute")
+            return DichotomyCertificate("inconclusive", spec_doc, opts, diagnostics=diagnostics)
         gens = [handle.element(f) for f in w.generator_forms]
-        for a in gens:
-            for b in gens:
-                if not commutator(a, b).is_identity:
-                    diagnostics.append("declared abelian witness generators do not commute")
-                    return DichotomyCertificate("inconclusive", spec_doc, opts,
-                                                diagnostics=diagnostics)
         witness = {
             "kind": "family_metadata",
             "abelian_subgroup_generators": [g.to_json() for g in gens],
@@ -564,6 +558,7 @@ def replay_certificate(cert: dict) -> ReplayReport:
         raise ParameterError("not a recognized certificate document")
     verdict = cert["verdict"]
     handle = construct_group(cert["group_spec"])
+    fam = handle._family
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
 
@@ -577,16 +572,16 @@ def replay_certificate(cert: dict) -> ReplayReport:
 
     if verdict == "type_I":
         w = cert["type_i_witness"]
-        gens = [handle.element_from_json(f) for f in w["abelian_subgroup_generators"]]
-        ok = all(commutator(a, b).is_identity for a in gens for b in gens)
-        record("witness_generators_commute", ok, "witness generators do not commute")
+        forms = [handle.element_from_json(f).form for f in w["abelian_subgroup_generators"]]
+        record("witness_generators_commute", fam.noncommuting_pair(forms, forms) is None,
+               "witness generators do not commute")
         if w["kind"] == "finite_group":
             record("index_matches_order", handle.is_finite and w["index"] == handle.order,
                    "declared index does not equal the group order")
         else:
             m = handle.metadata.abelian_by_finite
             ok = (m is not None and m.index == w["index"]
-                  and list(m.generator_forms) == [g.form for g in gens])
+                  and list(m.generator_forms) == forms)
             record("matches_family_metadata", ok,
                    "witness does not match the family's declared structure")
     elif verdict == "not_type_I":
@@ -595,12 +590,11 @@ def replay_certificate(cert: dict) -> ReplayReport:
         for lv_idx, lv in enumerate(witness["levels"]):
             g = handle.element_from_json(lv["g"])
             h = handle.element_from_json(lv["h"])
-            record(f"level{lv_idx}_noncommuting", not commutator(g, h).is_identity,
+            record(f"level{lv_idx}_noncommuting", not fam.commutes(g.form, h.form),
                    f"level {lv_idx}: pair commutes")
             for name, rep_el in (("g", g), ("h", h)):
                 claimed = {handle.element_from_json(f).form for f in lv[f"{name}_class"]}
-                cls = conjugacy_class(rep_el, handle,
-                                      max(DEFAULT_CLASS_BUDGET, 2 * len(claimed)))
+                cls = conjugacy_class(rep_el, max(DEFAULT_CLASS_BUDGET, 2 * len(claimed)))
                 ok = (not cls.exceeded
                       and {e.form for e in cls.elements} == claimed)
                 record(f"level{lv_idx}_{name}_class_exact", ok,

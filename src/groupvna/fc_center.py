@@ -55,15 +55,13 @@ class FcVerdict:
         return self.kind == "fc"
 
 
-def conjugacy_class(g: GroupElement, handle: Optional[GroupHandle] = None,
-                    budget: int = DEFAULT_CLASS_BUDGET) -> ConjugacyClass:
-    """Breadth-first orbit of g under conjugation by the handle's generators.
+def conjugacy_class(g: GroupElement, budget: int = DEFAULT_CLASS_BUDGET) -> ConjugacyClass:
+    """Breadth-first orbit of g under conjugation by its group's generators.
 
     A returned finite orbit is the complete class: BFS terminates only once
     the orbit is stable under every conjugating generator.
     """
-    if handle is None:
-        handle = g.group
+    handle = g.group
     handle._check(g)
     if budget < 1:
         raise ParameterError("class budget must be >= 1")
@@ -83,7 +81,7 @@ def fc_filter(handle: GroupHandle, n: int,
         raise ParameterError("element count must be >= 1")
     verdicts = []
     for g in handle.iter_elements(n):
-        cls = conjugacy_class(g, handle, budget)
+        cls = conjugacy_class(g, budget)
         if cls.exceeded:
             verdicts.append(FcVerdict(g, "not_fc_evidence", budget=budget))
         else:

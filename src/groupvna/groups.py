@@ -12,7 +12,7 @@ by fixed generator order; restricted sums admit coordinate c from stage c+1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable, Iterator, Optional
 
@@ -108,6 +108,22 @@ class _Family:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def commutes(self, a, b) -> bool:
+        """Whether a b = b a, for canonical forms a and b."""
+        return self.mul(a, b) == self.mul(b, a)
+
+    def noncommuting_pair(self, xs, ys) -> Optional[tuple]:
+        """The first (x, y) with x y != y x, x over `xs` outermost; None if all commute.
+
+        `ys` is traversed once per element of `xs`, so it must be a sequence.
+        """
+        commutes = self.commutes
+        for x in xs:
+            for y in ys:
+                if not commutes(x, y):
+                    return x, y
+        return None
 
     def generator_forms(self) -> list:
         raise NotImplementedError
@@ -718,7 +734,7 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
     if factor.order is None:
         return FamilyMetadata(fc_center_note=None, fc_all=None)
     gens = factor.generator_forms()
-    if all(factor.mul(a, b) == factor.mul(b, a) for a in gens for b in gens):
+    if factor.noncommuting_pair(gens, gens) is None:
         return FamilyMetadata(
             fc_center_note="all of G (abelian)",
             fc_all=True,
@@ -1089,19 +1105,11 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
     fc = meta_spec.get("fc_center")
     if fc is not None:
         if fc == "all":
-            m = FamilyMetadata(
-                fc_center_note="all of G (declared)", fc_all=True,
-                fc_member=lambda form: True,
-                abelian_by_finite=m.abelian_by_finite,
-                not_abelian_by_finite=m.not_abelian_by_finite,
-            )
+            m = replace(m, fc_center_note="all of G (declared)", fc_all=True, icc=False,
+                        fc_member=lambda form: True)
         elif fc == "trivial":
-            m = FamilyMetadata(
-                fc_center_note="trivial (declared icc)", fc_all=False, icc=True,
-                fc_member=lambda form: form == family.identity,
-                abelian_by_finite=m.abelian_by_finite,
-                not_abelian_by_finite=m.not_abelian_by_finite,
-            )
+            m = replace(m, fc_center_note="trivial (declared icc)", fc_all=False, icc=True,
+                        fc_member=lambda form: form == family.identity)
         else:
             raise SpecError(f'field "metadata.fc_center": expected "all" or "trivial", got {fc!r}')
     abf = meta_spec.get("abelian_by_finite")
@@ -1117,17 +1125,12 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
         if not isinstance(index, int) or index < 1:
             raise SpecError('field "metadata.abelian_by_finite.index": expected a positive integer')
         group_gens = family.generator_forms()
-        if index == 1 and any(family.mul(a, b) != family.mul(b, a)
-                              for a in group_gens for b in group_gens):
+        if index == 1 and family.noncommuting_pair(group_gens, group_gens) is not None:
             raise SpecError('field "metadata.abelian_by_finite.index": index 1 declares the '
                             'group abelian, but its generators do not commute')
         forms = tuple(family.form_from_json(g) for g in gens)
-        m = FamilyMetadata(
-            fc_center_note=m.fc_center_note, fc_all=m.fc_all, icc=m.icc,
-            fc_member=m.fc_member,
-            abelian_by_finite=AbelianByFiniteWitness(forms, index, "declared in spec metadata"),
-            not_abelian_by_finite=m.not_abelian_by_finite,
-        )
+        m = replace(m, abelian_by_finite=AbelianByFiniteWitness(
+            forms, index, "declared in spec metadata"))
     family.metadata = m
 
 

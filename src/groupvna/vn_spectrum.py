@@ -20,7 +20,13 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .characters import CharacterRow, CharacterTable, class_data, character_table
+from .characters import (
+    DEFAULT_MAX_ORDER,
+    CharacterRow,
+    CharacterTable,
+    character_table,
+    class_data,
+)
 from .cyclotomic import Cyclo
 from .errors import (
     BudgetExceededError,
@@ -40,10 +46,14 @@ from .groups import (
     _bfs,
     as_subgroup,
     closure_of_union,
-    commutator,
 )
 
 ORACLE_MAX_ORDER = 200
+# eigenvalues closer than this (relative to the spectral radius) form one
+# cluster; a clustering that does not match the centre reseeds the oracle
+ORACLE_GAP_TOLERANCE = 1e-8
+ORACLE_MAX_ATTEMPTS = 5
+ICC_PRECHECK = 8  # enumerated elements whose classes are probed before the Gram check
 # the growth dimension threshold 2^(2^(k-1)) is built as an exact integer; at
 # k = 16 it already dwarfs the dimension of any closure that can be enumerated
 MAX_GROWTH_K = 16
@@ -154,9 +164,6 @@ class AlgebraElement:
             return 0.0
         return max(abs(c.to_complex()) for c in diff.terms.values())
 
-    def support(self) -> list[GroupElement]:
-        return list(self.terms.keys())
-
     def __repr__(self):
         inner = " + ".join(f"({c!r})u[{g.describe()}]" for g, c in list(self.terms.items())[:6])
         more = "" if len(self.terms) <= 6 else f" + ... ({len(self.terms)} terms)"
@@ -239,7 +246,7 @@ class FactorSpectrum:
         }
 
 
-def factor_spectrum(subject, max_order: int = 5000) -> FactorSpectrum:
+def factor_spectrum(subject, max_order: int = DEFAULT_MAX_ORDER) -> FactorSpectrum:
     """One atom (label, chi(1), chi(1)^2/|H|) per irreducible character of H."""
     # class_data refuses a group above max_order before enumerating it
     table = character_table(class_data(subject, max_order))
@@ -251,9 +258,9 @@ def factor_spectrum(subject, max_order: int = 5000) -> FactorSpectrum:
     return FactorSpectrum(n, atoms)
 
 
-def nonabelian_measure(subject, max_order: int = 5000) -> Fraction:
+def nonabelian_measure(subject) -> Fraction:
     """Trace measure of the non-commutative part {x : F^x has dimension >= 2}."""
-    return factor_spectrum(subject, max_order).measure_dim_at_least(2)
+    return factor_spectrum(subject).measure_dim_at_least(2)
 
 
 def central_projection(H, chi: CharacterRow) -> AlgebraElement:
@@ -396,21 +403,21 @@ def _random_selfadjoint(rep: RegularRep, coeffs: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def numerical_decomposition(subject, seed: int = 0, *, gap_tolerance: float = 1e-8,
-                            max_attempts: int = 5,
-                            max_order: int = ORACLE_MAX_ORDER) -> NumericalDecomposition:
+def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     """Brute-force factor decomposition in the right regular representation.
 
     Independent of the character engine: the center is solved from the linear
     commutation equations, central projections are eigenprojections of a
     seeded random self-adjoint central element, block dimensions come from the
     rank data, and matrix units are extracted per block.  Eigen-gaps below
-    `gap_tolerance` trigger a reseed, up to `max_attempts` times.
+    `ORACLE_GAP_TOLERANCE` trigger a reseed, up to `ORACLE_MAX_ATTEMPTS` times.
+    Groups above `ORACLE_MAX_ORDER` are refused.
     """
     H = as_subgroup(subject)
     n = H.order
-    if n > max_order:
-        raise ParameterError(f"numerical oracle is limited to order <= {max_order}, got {n}")
+    if n > ORACLE_MAX_ORDER:
+        raise ParameterError(
+            f"numerical oracle is limited to order <= {ORACLE_MAX_ORDER}, got {n}")
     rep = RegularRep(H)
     fam = H.handle._family
 
@@ -437,13 +444,13 @@ def numerical_decomposition(subject, seed: int = 0, *, gap_tolerance: float = 1e
     r = center_basis.shape[0]
 
     last_error = "never ran"
-    for attempt in range(max_attempts):
+    for attempt in range(ORACLE_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         alpha = rng.random(r) + 1j * rng.random(r)
         z = _random_selfadjoint(rep, center_basis.T @ alpha)
         eigvals, eigvecs = np.linalg.eigh(z)
         scale = max(1.0, float(np.abs(eigvals).max()))
-        clusters = _cluster(eigvals, gap_tolerance * scale)
+        clusters = _cluster(eigvals, ORACLE_GAP_TOLERANCE * scale)
         if len(clusters) != r:
             last_error = f"{len(clusters)} eigenvalue clusters for a center of dimension {r}"
             continue
@@ -453,7 +460,7 @@ def numerical_decomposition(subject, seed: int = 0, *, gap_tolerance: float = 1e
             last_error = f"cluster sizes {sizes} are not perfect squares"
             continue
         try:
-            blocks = _extract_blocks(rep, eigvecs, clusters, dims, rng, gap_tolerance, max_attempts)
+            blocks = _extract_blocks(rep, eigvecs, clusters, dims, rng)
         except DegenerateSpectrumError as e:
             last_error = str(e)
             continue
@@ -467,13 +474,12 @@ def numerical_decomposition(subject, seed: int = 0, *, gap_tolerance: float = 1e
             projection_residual=proj_residual,
         )
     raise DegenerateSpectrumError(
-        f"no usable spectrum after {max_attempts} seeds (last failure: {last_error})"
+        f"no usable spectrum after {ORACLE_MAX_ATTEMPTS} seeds (last failure: {last_error})"
     )
 
 
 def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
-                    dims: list[int], rng: np.random.Generator,
-                    gap_tolerance: float, max_attempts: int) -> list[NumericalBlock]:
+                    dims: list[int], rng: np.random.Generator) -> list[NumericalBlock]:
     n = rep.dimension
     blocks = []
     for sl, d in zip(clusters, dims):
@@ -486,7 +492,7 @@ def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
             system = MatrixUnitSystem(1, units)
             _certify_units(system, np.eye(1, dtype=complex).reshape(1, 1, 1, 1))
         else:
-            system = _matrix_units_for_block(rep, v, d, rng, gap_tolerance, max_attempts)
+            system = _matrix_units_for_block(rep, v, d, rng)
         blocks.append(NumericalBlock(
             dimension=d,
             multiplicity=m,
@@ -498,8 +504,7 @@ def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
 
 
 def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
-                            rng: np.random.Generator, gap_tolerance: float,
-                            max_attempts: int) -> MatrixUnitSystem:
+                            rng: np.random.Generator) -> MatrixUnitSystem:
     """Extract a d x d system of matrix units inside one block.
 
     Compressed to the block, a generic self-adjoint algebra element looks like
@@ -511,13 +516,13 @@ def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
     n = rep.dimension
     m = d * d
     forms = [g.form for g in rep.subgroup.elements]
-    for _ in range(max_attempts):
+    for _ in range(ORACLE_MAX_ATTEMPTS):
         y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
         yc = v.conj().T @ y @ v
         yc = (yc + yc.conj().T) / 2
         w, u = np.linalg.eigh(yc)
         scale = max(1.0, float(np.abs(w).max()))
-        clusters = _cluster(w, gap_tolerance * scale)
+        clusters = _cluster(w, ORACLE_GAP_TOLERANCE * scale)
         if len(clusters) != d or any(sl.stop - sl.start != d for sl in clusters):
             continue
         minimal = [u[:, sl] @ u[:, sl].conj().T for sl in clusters]  # compressed E_j
@@ -639,9 +644,7 @@ def _threshold_projection(H: Subgroup, table: CharacterTable, threshold: int) ->
 
 
 def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int = 0,
-                                closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                                max_order: int = 5000,
-                                with_matrix_units: bool = True) -> Lemma7Report:
+                                closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> Lemma7Report:
     """Verify that p_0 p_1 is a central projection of S(H_0 H_1) supported on
     atoms of dimension at least n0 * n1.
 
@@ -653,16 +656,15 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
         raise DomainMismatchError("subgroups live in different handles")
     if n0 < 1 or n1 < 1:
         raise ParameterError("dimension thresholds must be >= 1")
-    for a in H0.elements:
-        for b in H1.elements:
-            if not commutator(a, b).is_identity:
-                raise PreconditionError(
-                    f"subgroups do not commute: [{a.describe()}, {b.describe()}] != e"
-                )
+    fam = H0.handle._family
+    pair = fam.noncommuting_pair([a.form for a in H0.elements], [b.form for b in H1.elements])
+    if pair is not None:
+        raise PreconditionError(
+            f"subgroups do not commute: [{fam.describe(pair[0])}, {fam.describe(pair[1])}] != e")
 
     notes: list[str] = []
-    t0 = character_table(class_data(H0, max_order))
-    t1 = character_table(class_data(H1, max_order))
+    t0 = character_table(class_data(H0))
+    t1 = character_table(class_data(H1))
     p0 = _threshold_projection(H0, t0, n0)
     p1 = _threshold_projection(H1, t1, n1)
     p = p0 * p1
@@ -676,7 +678,7 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
         p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
 
     H = closure_of_union([H0, H1], closure_budget)
-    table = character_table(class_data(H, max_order))
+    table = character_table(class_data(H))
     tr_frac = trace(p).as_fraction()
 
     supported: list[tuple[str, int, Fraction]] = []
@@ -698,10 +700,10 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
         consistent = False
 
     unit_residual = None
-    if with_matrix_units and H.order <= ORACLE_MAX_ORDER:
+    if H.order <= ORACLE_MAX_ORDER:
         oracle = numerical_decomposition(H, seed)
         unit_residual = max(oracle.max_unit_residual(), oracle.projection_residual)
-    elif with_matrix_units:
+    else:
         notes.append(f"matrix units skipped: order {H.order} exceeds the oracle limit")
 
     passed = is_projection and all_big and consistent and (
@@ -760,7 +762,8 @@ class GrowthResult:
 
 
 def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                  max_order: int = 5000) -> Iterator[tuple[int, int, dict[int, Fraction]]]:
+                  max_order: int = DEFAULT_MAX_ORDER
+                  ) -> Iterator[tuple[int, int, dict[int, Fraction]]]:
     """(n, |H_1...H_n|, {dimension: measure}) for each prefix of a commuting tower.
 
     For pairwise-commuting finite levels the product H_1...H_{n-1} has centre
@@ -786,13 +789,12 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
         fam = H.handle._family
         forms = [g.form for g in (H.generators or H.elements)]
         for i, earlier in enumerate(gen_forms):
-            for a in earlier:
-                for b in forms:
-                    if fam.mul(a, b) != fam.mul(b, a):
-                        raise PreconditionError(
-                            f"tower levels {i} and {len(subs)} do not commute at "
-                            f"({fam.describe(a)}, {fam.describe(b)})"
-                        )
+            pair = fam.noncommuting_pair(earlier, forms)
+            if pair is not None:
+                raise PreconditionError(
+                    f"tower levels {i} and {len(subs)} do not commute at "
+                    f"({fam.describe(pair[0])}, {fam.describe(pair[1])})"
+                )
         subs.append(H)
         gen_forms.append(forms)
         return H
@@ -805,7 +807,7 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     for n, H in enumerate(levels, start=1):
         fam, gens = H.handle._family, gen_forms[n - 1]
         level_centre = [h.form for h in H.elements
-                        if all(fam.mul(h.form, g) == fam.mul(g, h.form) for g in gens)]
+                        if all(fam.commutes(h.form, g) for g in gens)]
         if centre is None:
             centre = {fam.identity}
         meet = centre.intersection(level_centre)
@@ -857,8 +859,7 @@ def evaluate_growth(spectra: Iterable[tuple[int, int, dict[int, Fraction]]], k: 
 
 
 def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), *,
-                  closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                  max_order: int = 5000) -> GrowthResult:
+                  closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> GrowthResult:
     """Smallest N with measure{dim >= 2^(2^(k-1))} > 1/2 - epsilon in S(G_1...G_N).
 
     `tower` is a list of pairwise-commuting finite subgroups (`tower_spectra`
@@ -873,7 +874,7 @@ def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), 
     tower = list(tower)
     if not tower:
         raise ParameterError("tower is empty")
-    return evaluate_growth(tower_spectra(tower, closure_budget, max_order), k, epsilon, len(tower))
+    return evaluate_growth(tower_spectra(tower, closure_budget), k, epsilon, len(tower))
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +908,7 @@ class IccReport:
 
 
 def icc_orthonormality_check(handle: GroupHandle, n: int = 25, *,
-                             class_budget: int = DEFAULT_CLASS_BUDGET,
-                             precheck: int = 8) -> IccReport:
+                             class_budget: int = DEFAULT_CLASS_BUDGET) -> IccReport:
     """Exact Gram matrix of the first n unitaries in an icc group.
 
     tau(u_g u_h*) = delta_{g,h} is evaluated by normal-form reduction of
@@ -919,7 +919,7 @@ def icc_orthonormality_check(handle: GroupHandle, n: int = 25, *,
     """
     if n < 1:
         raise ParameterError("sample size must be >= 1")
-    verdicts = fc_filter(handle, min(precheck, n) if handle.order is None else precheck,
+    verdicts = fc_filter(handle, min(ICC_PRECHECK, n) if handle.order is None else ICC_PRECHECK,
                          budget=class_budget)
     precheck_lines = []
     for v in verdicts:

@@ -150,6 +150,18 @@ def test_lemma10_finite_group_runs_out_of_noncentral_elements():
     assert any("no non-commuting pair" in d for d in w.diagnostics)
 
 
+def test_lemma10_tells_a_spent_stream_budget_from_an_exhausted_group():
+    ss = construct_group(SPEC_S3SUM)
+    w = lemma10_sequence(ss, 3, stream_budget=5)
+    assert len(w.levels) == 1
+    assert w.diagnostics == ["step 2: no non-commuting pair in the filtered stream "
+                             "(budget 5, 5 elements scanned)"]
+    s3 = construct_group(spec_symmetric(3))
+    w = lemma10_sequence(s3, 2, assert_hypothesis=True)
+    assert w.diagnostics == ["step 2: no non-commuting pair in the filtered stream "
+                             "(exhaustive scan, 6 elements scanned)"]
+
+
 def test_lemma10_kernel_recursion_invariant():
     # accepted elements commute with everything in the earlier subgroups
     ss = construct_group(SPEC_S3SUM)

@@ -3,8 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import TRACE_FAMILY_SPECS, SPEC_S3SUM
+from corpus import (
+    SPEC_Q8,
+    SPEC_S3SUM,
+    TRACE_FAMILY_SPECS,
+    central_product_q8,
+    spec_dihedral,
+    spec_product,
+    spec_symmetric,
+)
 from groupvna.errors import (
     BudgetExceededError,
     DomainMismatchError,
@@ -347,3 +356,44 @@ def test_infinite_family_axioms_sampled():
             a, b, c = (rng.choice(pool) for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert (a * a.inv()).is_identity
+
+
+# ---------------------------------------------------------------------------
+# the commutation hook, property-style
+
+# up to 48 elements of each fair enumeration, finite and infinite, over every family
+_COMMUTATION_POOLS = {
+    name: enumerate_elements(construct_group(spec), 48)
+    for name, spec in [
+        ("sym4", spec_symmetric(4)),
+        ("dihedral5", spec_dihedral(5)),
+        ("dihedral_infinite", {"family": "dihedral_infinite"}),
+        ("quaternion8", SPEC_Q8),
+        ("heisenberg3", {"family": "heisenberg", "p": 3}),
+        ("cayley_q8oq8", central_product_q8()[0]),
+        ("sym3xq8", spec_product(spec_symmetric(3), SPEC_Q8)),
+        ("s3sum", SPEC_S3SUM),
+        ("free2", {"family": "free", "rank": 2}),
+    ]
+}
+_POOL_NAMES = sorted(_COMMUTATION_POOLS)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_commutes_agrees_with_the_commutator(data):
+    pool = _COMMUTATION_POOLS[data.draw(st.sampled_from(_POOL_NAMES))]
+    a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert a.group._family.commutes(a.form, b.form) == commutator(a, b).is_identity
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_noncommuting_pair_is_the_first_failure_of_the_nested_loop(data):
+    pool = _COMMUTATION_POOLS[data.draw(st.sampled_from(_POOL_NAMES))]
+    xs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    ys = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    expected = next(((x.form, y.form) for x in xs for y in ys
+                     if not commutator(x, y).is_identity), None)
+    fam = pool[0].group._family
+    assert fam.noncommuting_pair([x.form for x in xs], [y.form for y in ys]) == expected
