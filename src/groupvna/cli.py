@@ -196,14 +196,18 @@ def _load_spec(path: str) -> dict:
         raise SpecError(f"spec file {path} is not valid JSON: {e}") from e
 
 
-def _subgroup_from_arg(handle: GroupHandle, raw: str, budget: int) -> Subgroup:
+def _subgroup_from_arg(handle: GroupHandle, raw: str, budget: int, flag: str) -> Subgroup:
     try:
         forms = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise SpecError(f"subgroup generators are not valid JSON: {e}") from e
+        raise SpecError(f"{flag}: subgroup generators are not valid JSON: {e}") from e
     if not isinstance(forms, list) or not forms:
-        raise SpecError("subgroup generators must be a nonempty JSON list of canonical forms")
-    gens = [handle.element_from_json(f) for f in forms]
+        raise SpecError(f"{flag}: subgroup generators must be a nonempty JSON list of "
+                        "canonical forms")
+    try:
+        gens = [handle.element_from_json(f) for f in forms]
+    except SpecError as e:
+        raise SpecError(f"{flag} {e}") from e
     return generate_closure(gens, budget)
 
 
@@ -266,8 +270,8 @@ def _cmd_lemma6(args, handle: GroupHandle):
 
 def _cmd_lemma7(args, handle: GroupHandle):
     if args.h0 is not None and args.h1 is not None:
-        h0 = _subgroup_from_arg(handle, args.h0, args.budget)
-        h1 = _subgroup_from_arg(handle, args.h1, args.budget)
+        h0 = _subgroup_from_arg(handle, args.h0, args.budget, "--h0")
+        h1 = _subgroup_from_arg(handle, args.h1, args.budget, "--h1")
     elif handle.family == "product" and len(handle.spec["factors"]) == 2:
         h0 = factor_subgroup(handle, 0, args.budget)
         h1 = factor_subgroup(handle, 1, args.budget)

@@ -4,8 +4,10 @@ A not_type_I certificate exhibits pairs (g_i, h_i) with finite conjugacy
 classes, the subgroups generated by those classes (pairwise commuting, each
 non-abelian), and a growth witness: the factor decomposition of the closure
 of the first N class unions puts measure > 1/2 - epsilon on atoms of
-dimension >= 2^(2^(k-1)).  Certificates embed the group spec and replay from
-JSON alone, independent of the search path that produced them.
+dimension >= 2^(2^(k-1)).  The pairs come from one scan of the group's fair
+enumeration, each level resuming just past the previous level's pair.
+Certificates embed the group spec and replay from JSON alone, independent of
+the search path that produced them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import jsonutil
 from .characters import DEFAULT_MAX_ORDER
@@ -23,6 +25,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     RequiresFiniteError,
+    SpecError,
 )
 from .fc_center import DEFAULT_CLASS_BUDGET, ConjugacyClass, conjugacy_class, fc_filter
 from .groups import (
@@ -52,18 +55,17 @@ class AbelianEvidence:
     budget: int
 
 
-def find_noncommuting_pair(
-    elements: Iterable[GroupElement],
-    budget: int,
-    membership=None,
-) -> Union[tuple[GroupElement, GroupElement], AbelianEvidence]:
-    """First non-commuting pair in enumeration order, or abelian evidence.
+def _noncommuting_pairs(elements: Iterable[GroupElement], budget: int, membership=None
+                        ) -> Iterator[Union[tuple[GroupElement, GroupElement], AbelianEvidence]]:
+    """Every non-commuting pair of one scan of the filtered stream, then abelian evidence.
 
-    Scans incrementally: each accepted element is tested against all earlier
-    accepted elements, so the returned pair minimizes the later element's
-    position, then the earlier one's.  `budget` bounds how many stream
-    elements are consumed; an exhausted stream yields a proof of abelianness,
-    a spent budget only evidence.
+    Each accepted element is tested against all earlier accepted elements, so
+    a pair minimizes the later element's position, then the earlier one's.
+    Resumed after a pair, the scan goes on past its later element and keeps
+    only the accepted elements that still pass `membership`, which the
+    consumer may have narrowed meanwhile.  `budget` bounds how many stream
+    elements are consumed, counted from the first; an exhausted stream yields
+    a proof of abelianness, a spent budget only evidence.
     """
     if budget < 1:
         raise ParameterError("scan budget must be >= 1")
@@ -76,18 +78,30 @@ def find_noncommuting_pair(
             exhausted = False
             break
         scanned += 1
-        if membership is not None and not membership(e):
-            continue
         if handle is None:
             handle = e.group
         handle._check(e)
+        if membership is not None and not membership(e):
+            continue
         pair = handle._family.noncommuting_pair(accepted, (e.form,))
-        if pair is not None:
-            return handle.element(pair[0]), e
-        accepted.append(e.form)
+        if pair is None:
+            accepted.append(e.form)
+            continue
+        yield handle.element(pair[0]), e
+        if membership is not None:
+            accepted = [f for f in accepted if membership(handle.element(f))]
     if scanned == 0:
         raise ParameterError("element stream is empty")
-    return AbelianEvidence(exhausted, scanned, budget)
+    yield AbelianEvidence(exhausted, scanned, budget)
+
+
+def find_noncommuting_pair(elements: Iterable[GroupElement], budget: int, membership=None
+                           ) -> Union[tuple[GroupElement, GroupElement], AbelianEvidence]:
+    """First non-commuting pair in enumeration order, or abelian evidence.
+
+    The first result of `_noncommuting_pairs`, which says what the budget bounds.
+    """
+    return next(_noncommuting_pairs(elements, budget, membership))
 
 
 def kernel_membership(g: GroupElement, kernel_set: Iterable[GroupElement]) -> bool:
@@ -222,66 +236,50 @@ def verify_witness_levels(handle: GroupHandle, levels: list[WitnessLevel]) -> Wi
     return WitnessChecks(noncomm, stable, commuting, matrix, failures)
 
 
-class _Lemma10Builder:
-    """Stateful recursion of the commuting-subgroup construction.
+def _witness_levels(handle: GroupHandle, levels: list[WitnessLevel], diagnostics: list[str],
+                    *, stream_budget: int, class_budget: int) -> Iterator[WitnessLevel]:
+    """The commuting-subgroup recursion as one scan of the fair enumeration.
 
-    Each step scans the fair enumeration filtered by kernel membership
-    against K (the union of all classes chosen so far), picks the first
-    non-commuting pair, and adds both conjugacy classes to K.
+    Level n is the first non-commuting pair (g, h) among the streamed elements
+    that centralize K, the union of the conjugacy classes of the earlier
+    levels' pairs.  One scan finds the pairs a rescan from element 0 would:
+    K only grows, so C(K) only shrinks; the elements accepted before h commute
+    pairwise; and h, which does not commute with g in K, is not in C(K).
+    Each level is appended to `levels` as it is yielded; the reason the
+    recursion stops (stream or class budget) goes to `diagnostics`.
     """
+    fc_gate = handle.metadata.fc_all is not True
+    kernel: list[GroupElement] = []
+    classes: dict = {}
 
-    def __init__(self, handle: GroupHandle, *, stream_budget: int, class_budget: int,
-                 fc_gate: bool):
-        self.handle = handle
-        self.stream_budget = stream_budget
-        self.class_budget = class_budget
-        self.fc_gate = fc_gate
-        self.kernel: list[GroupElement] = []
-        self.levels: list[WitnessLevel] = []
-        self.diagnostics: list[str] = []
-        self._fc_cache: dict = {}
+    def class_of(e: GroupElement) -> ConjugacyClass:
+        if e.form not in classes:
+            classes[e.form] = conjugacy_class(e, class_budget)
+        return classes[e.form]
 
-    def _membership(self, e: GroupElement) -> bool:
-        if not kernel_membership(e, self.kernel):
-            return False
-        if self.fc_gate and not e.is_identity:
-            cls = self._class_of(e)
-            if cls.exceeded:
-                return False
-        return True
+    def membership(e: GroupElement) -> bool:
+        return kernel_membership(e, kernel) and not (
+            fc_gate and not e.is_identity and class_of(e).exceeded)
 
-    def _class_of(self, e: GroupElement) -> ConjugacyClass:
-        cached = self._fc_cache.get(e.form)
-        if cached is None:
-            cached = conjugacy_class(e, self.class_budget)
-            self._fc_cache[e.form] = cached
-        return cached
-
-    def add_level(self) -> Optional[WitnessLevel]:
-        # one element past the budget tells a spent budget from an exhausted group
-        result = find_noncommuting_pair(self.handle.iter_elements(self.stream_budget + 1),
-                                        self.stream_budget, membership=self._membership)
-        if isinstance(result, AbelianEvidence):
-            kind = "exhaustive scan" if result.exhaustive else f"budget {result.budget}"
-            self.diagnostics.append(
-                f"step {len(self.levels) + 1}: no non-commuting pair in the filtered "
-                f"stream ({kind}, {result.scanned} elements scanned)"
-            )
-            return None
-        g, h = result
-        g_cls = self._class_of(g)
-        h_cls = self._class_of(h)
+    # one element past the budget tells a spent budget from an exhausted group
+    stream = handle.iter_elements(stream_budget + 1)
+    for step, found in enumerate(_noncommuting_pairs(stream, stream_budget, membership), 1):
+        if isinstance(found, AbelianEvidence):
+            kind = "exhaustive scan" if found.exhaustive else f"budget {found.budget}"
+            diagnostics.append(f"step {step}: no non-commuting pair in the filtered stream "
+                               f"({kind}, {found.scanned} elements scanned)")
+            return
+        g, h = found
+        g_cls, h_cls = class_of(g), class_of(h)
         if g_cls.exceeded or h_cls.exceeded:
             bad = g if g_cls.exceeded else h
-            self.diagnostics.append(
-                f"step {len(self.levels) + 1}: conjugacy class of {bad.describe()} "
-                f"exceeded budget {self.class_budget}; element may lie outside G^fin"
-            )
-            return None
-        level = WitnessLevel(len(self.levels), g, h, g_cls, h_cls)
-        self.levels.append(level)
-        self.kernel.extend(level.generator_set())
-        return level
+            diagnostics.append(f"step {step}: conjugacy class of {bad.describe()} exceeded "
+                               f"budget {class_budget}; element may lie outside G^fin")
+            return
+        level = WitnessLevel(len(levels), g, h, g_cls, h_cls)
+        levels.append(level)
+        kernel.extend(level.generator_set())
+        yield level
 
 
 def lemma10_sequence(handle: GroupHandle, count: int, *,
@@ -303,17 +301,14 @@ def lemma10_sequence(handle: GroupHandle, count: int, *,
             "the construction requires G^fin not abelian-by-finite; the family does not "
             "declare it and the caller did not assert it"
         )
-    builder = _Lemma10Builder(handle, stream_budget=stream_budget,
-                              class_budget=class_budget,
-                              fc_gate=meta.fc_all is not True)
-    complete = True
-    for _ in range(count):
-        if builder.add_level() is None:
-            complete = False
-            break
-    checks = verify_witness_levels(handle, builder.levels) if builder.levels else None
-    return CommutingWitness(handle, builder.levels, count, complete, checks,
-                            builder.diagnostics)
+    levels: list[WitnessLevel] = []
+    diagnostics: list[str] = []
+    for _ in itertools.islice(_witness_levels(handle, levels, diagnostics,
+                                              stream_budget=stream_budget,
+                                              class_budget=class_budget), count):
+        pass
+    checks = verify_witness_levels(handle, levels) if levels else None
+    return CommutingWitness(handle, levels, count, len(levels) == count, checks, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -484,41 +479,37 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
             )
         return DichotomyCertificate("inconclusive", spec_doc, opts, diagnostics=diagnostics)
 
-    builder = _Lemma10Builder(handle, stream_budget=opts.stream_budget,
-                              class_budget=opts.class_budget,
-                              fc_gate=meta.fc_all is not True)
-
-    def witness_levels():
-        # one more witness level per prefix, so the first prefix that clears is kept
-        while len(builder.levels) < opts.max_levels and builder.add_level() is not None:
-            yield builder.levels[-1]
-
+    levels: list[WitnessLevel] = []
+    search_notes: list[str] = []
+    # levels are drawn one per prefix, so the search stops at the first prefix that clears
+    search = itertools.islice(_witness_levels(handle, levels, search_notes,
+                                              stream_budget=opts.stream_budget,
+                                              class_budget=opts.class_budget),
+                              max(opts.max_levels, 0))
     growth: Optional[GrowthResult] = None
     try:
-        growth = evaluate_growth(_growth_spectra(witness_levels(), opts), opts.k, opts.epsilon,
+        growth = evaluate_growth(_growth_spectra(search, opts), opts.k, opts.epsilon,
                                  opts.max_levels)
     except (BudgetExceededError, RequiresFiniteError):
-        builder.diagnostics.append(
-            f"growth evaluation stopped: {_growth_refusal(opts, len(builder.levels))}")
+        search_notes.append(f"growth evaluation stopped: {_growth_refusal(opts, len(levels))}")
     except (ConsistencyError, PreconditionError) as e:
-        builder.diagnostics.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
-    diagnostics.extend(builder.diagnostics)
+        search_notes.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
+    diagnostics.extend(search_notes)
 
     if growth is None or not growth.found:
         diagnostics.append(
             f"no growth witness within {opts.max_levels} levels; hypothesis may fail "
             f"or budgets are too small"
         )
-        witness = CommutingWitness(handle, builder.levels, opts.max_levels, False,
-                                   verify_witness_levels(handle, builder.levels)
-                                   if builder.levels else None,
-                                   builder.diagnostics)
+        witness = CommutingWitness(handle, levels, opts.max_levels, False,
+                                   verify_witness_levels(handle, levels) if levels else None,
+                                   search_notes)
         return DichotomyCertificate("inconclusive", spec_doc, opts,
                                     commuting_witness=witness, diagnostics=diagnostics)
 
-    checks = verify_witness_levels(handle, builder.levels)
-    witness = CommutingWitness(handle, builder.levels, growth.levels_required, True,
-                               checks, builder.diagnostics)
+    checks = verify_witness_levels(handle, levels)
+    witness = CommutingWitness(handle, levels, growth.levels_required, True,
+                               checks, search_notes)
     if not checks.passed:
         diagnostics.append("witness invariant verification failed: " + "; ".join(checks.failures))
         return DichotomyCertificate("inconclusive", spec_doc, opts,
@@ -548,17 +539,32 @@ class ReplayReport:
         }
 
 
+class _Malformed(Exception):
+    """A certificate field replay cannot read; the message names the field."""
+
+
+def _field(doc, *keys, parse=None):
+    """doc[keys[0]][keys[1]]..., through `parse`; _Malformed names the path if either fails."""
+    try:
+        value = doc
+        for key in keys:
+            value = value[key]
+        return value if parse is None else parse(value)
+    except (KeyError, IndexError, TypeError, ZeroDivisionError, SpecError) as e:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        raise _Malformed(f"{path}: {e}") from None
+
+
 def replay_certificate(cert: dict) -> ReplayReport:
     """Re-run every check a certificate claims, from its serialized form alone.
 
     Growth thresholds and size limits are taken from the certificate's
-    options, never read from its growth report.
+    options, never read from its growth report.  A field replay cannot read
+    fails the replay and is named in its failures.
     """
-    if cert.get("format") != "groupvna-certificate/1":
+    if not isinstance(cert, dict) or cert.get("format") != "groupvna-certificate/1":
         raise ParameterError("not a recognized certificate document")
-    verdict = cert["verdict"]
-    handle = construct_group(cert["group_spec"])
-    fam = handle._family
+    verdict = cert.get("verdict")
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
 
@@ -567,60 +573,71 @@ def replay_certificate(cert: dict) -> ReplayReport:
         if not ok:
             failures.append(detail or name)
 
+    try:
+        _replay_claims(cert, verdict, record)
+    except _Malformed as e:
+        record("certificate_readable", False, str(e))
+    return ReplayReport(verdict, all(ok for _, ok in checks), checks, failures)
+
+
+def _replay_claims(cert: dict, verdict, record) -> None:
+    handle = _field(cert, "group_spec", parse=construct_group)
+    fam = handle._family
     record("spec_digest_matches", cert.get("spec_digest") == jsonutil.spec_digest(handle.spec),
            "spec_digest does not match the embedded group spec")
 
     if verdict == "type_I":
-        w = cert["type_i_witness"]
-        forms = [handle.element_from_json(f).form for f in w["abelian_subgroup_generators"]]
+        at = ("type_i_witness", "abelian_subgroup_generators")
+        forms = [_field(cert, *at, i, parse=handle.element_from_json).form
+                 for i in range(_field(cert, *at, parse=len))]
         record("witness_generators_commute", fam.noncommuting_pair(forms, forms) is None,
                "witness generators do not commute")
-        if w["kind"] == "finite_group":
-            record("index_matches_order", handle.is_finite and w["index"] == handle.order,
+        index = _field(cert, "type_i_witness", "index")
+        if _field(cert, "type_i_witness", "kind") == "finite_group":
+            record("index_matches_order", handle.is_finite and index == handle.order,
                    "declared index does not equal the group order")
         else:
             m = handle.metadata.abelian_by_finite
-            ok = (m is not None and m.index == w["index"]
+            ok = (m is not None and m.index == index
                   and list(m.generator_forms) == forms)
             record("matches_family_metadata", ok,
                    "witness does not match the family's declared structure")
     elif verdict == "not_type_I":
-        witness = cert["commuting_witness"]
+        at = ("commuting_witness", "levels")
         levels = []
-        for lv_idx, lv in enumerate(witness["levels"]):
-            g = handle.element_from_json(lv["g"])
-            h = handle.element_from_json(lv["h"])
+        for lv_idx in range(_field(cert, *at, parse=len)):
+            g = _field(cert, *at, lv_idx, "g", parse=handle.element_from_json)
+            h = _field(cert, *at, lv_idx, "h", parse=handle.element_from_json)
             record(f"level{lv_idx}_noncommuting", not fam.commutes(g.form, h.form),
                    f"level {lv_idx}: pair commutes")
+            classes = []
             for name, rep_el in (("g", g), ("h", h)):
-                claimed = {handle.element_from_json(f).form for f in lv[f"{name}_class"]}
+                members = [_field(cert, *at, lv_idx, f"{name}_class", i,
+                                  parse=handle.element_from_json)
+                           for i in range(_field(cert, *at, lv_idx, f"{name}_class", parse=len))]
+                claimed = {e.form for e in members}
                 cls = conjugacy_class(rep_el, max(DEFAULT_CLASS_BUDGET, 2 * len(claimed)))
                 ok = (not cls.exceeded
                       and {e.form for e in cls.elements} == claimed)
                 record(f"level{lv_idx}_{name}_class_exact", ok,
                        f"level {lv_idx}: serialized class of {name} is not the computed class")
-            levels.append(WitnessLevel(
-                lv_idx, g, h,
-                ConjugacyClass(g, tuple(handle.element_from_json(f) for f in lv["g_class"]),
-                               DEFAULT_CLASS_BUDGET),
-                ConjugacyClass(h, tuple(handle.element_from_json(f) for f in lv["h_class"]),
-                               DEFAULT_CLASS_BUDGET),
-            ))
+                classes.append(ConjugacyClass(rep_el, tuple(members), DEFAULT_CLASS_BUDGET))
+            levels.append(WitnessLevel(lv_idx, g, h, *classes))
         wchecks = verify_witness_levels(handle, levels)
         record("witness_invariants", wchecks.passed, "; ".join(wchecks.failures))
 
-        g = cert["growth"]
-        n_req = g["levels_required"]
+        n_req = _field(cert, "growth", "levels_required")
         in_range = isinstance(n_req, int) and 1 <= n_req <= len(levels)
         record("levels_required_in_range", in_range,
                f"levels_required {n_req} is not between 1 and {len(levels)}")
-        o = cert["options"]
         try:
+            o = cert["options"]
             opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]),
                                    closure_budget=o.get("closure_budget"),
                                    max_order=o.get("max_order"))
             record("options_valid", True)
-        except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError) as e:
+        except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError,
+                AttributeError) as e:
             opts = None
             record("options_valid", False, f"certificate options: {e}")
         prefix = None
@@ -635,22 +652,22 @@ def replay_certificate(cert: dict) -> ReplayReport:
                 record("growth_levels_commute", False, str(e))
         if prefix is not None:
             growth = evaluate_growth([prefix], opts.k, opts.epsilon, n_req)
-            claims = (g["k"], g["dim_threshold"], jsonutil.fraction_from_json(g["epsilon"]),
-                      jsonutil.fraction_from_json(g["measure_threshold"]))
+            claims = (_field(cert, "growth", "k"), _field(cert, "growth", "dim_threshold"),
+                      _field(cert, "growth", "epsilon", parse=jsonutil.fraction_from_json),
+                      _field(cert, "growth", "measure_threshold",
+                             parse=jsonutil.fraction_from_json))
             derived = (opts.k, growth.dim_threshold, opts.epsilon, growth.measure_threshold)
             record("growth_thresholds_match_options", claims == derived,
                    "growth report (k, dim, epsilon, measure) thresholds "
                    f"({', '.join(map(str, claims))}) differ from "
                    f"({', '.join(map(str, derived))}) derived from the options")
             measure = growth.history[0][2]
-            claimed = jsonutil.fraction_from_json(g["achieved_measure"])
+            claimed = _field(cert, "growth", "achieved_measure", parse=jsonutil.fraction_from_json)
             record("growth_measure_matches", measure == claimed,
                    f"recomputed measure {measure} != claimed {claimed}")
             record("growth_measure_clears_threshold", growth.found,
                    f"measure {measure} does not exceed {growth.measure_threshold}")
-    else:
+    elif verdict == "inconclusive":
         record("inconclusive_makes_no_claims", True)
-
-    return ReplayReport(verdict, all(ok for _, ok in checks), checks, failures)
-
-
+    else:
+        raise _Malformed(f"verdict: unknown verdict {verdict!r}")

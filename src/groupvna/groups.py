@@ -850,7 +850,7 @@ class GroupHandle:
         return GroupElement(self, form)
 
     def element_from_json(self, data) -> GroupElement:
-        return GroupElement(self, self._family.form_from_json(data))
+        return GroupElement(self, _parse_form(self._family, data, "element"))
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a, b)
@@ -903,6 +903,16 @@ class GroupHandle:
         if not self.is_finite:
             raise RequiresFiniteError(f"{self.describe()} is not finite")
         return list(self.iter_elements(self.order))
+
+
+def _parse_form(family: _Family, data, where: str):
+    """`family.form_from_json(data)`, every malformed form a SpecError naming `where`."""
+    try:
+        return family.form_from_json(data)
+    except SpecError as e:
+        raise SpecError(f"{where}: {e}") from e
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as e:
+        raise SpecError(f"{where}: {data!r} is not a {family.tag} canonical form") from e
 
 
 def _spec_label(spec: dict) -> str:
@@ -1026,12 +1036,20 @@ def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET
     return generate_closure(gens, budget)
 
 
+def _require_finite_factor(factor: _Family, name: str):
+    # an infinite factor's closure would only stop at the closure budget
+    if factor.order is None:
+        raise RequiresFiniteError(f"{name}, {_spec_label(factor.spec_doc)}, is infinite; "
+                                  "its subgroup cannot be enumerated")
+
+
 def coordinate_subgroup(handle: GroupHandle, coord: int,
                         budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     """The coordinate-`coord` copy of the factor inside a restricted sum."""
     fam = handle._family
     if not isinstance(fam, _RestrictedSum):
         raise ParameterError("coordinate subgroups exist only for restricted_sum handles")
+    _require_finite_factor(fam.factor, "the factor")
     gens = [GroupElement(handle, ((coord, g),)) for g in fam.factor.generator_forms()]
     return generate_closure(gens or [handle.identity], budget)
 
@@ -1044,6 +1062,7 @@ def factor_subgroup(handle: GroupHandle, i: int,
         raise ParameterError("factor subgroups exist only for product handles")
     if not 0 <= i < len(fam.factors):
         raise ParameterError(f"product has no factor {i}")
+    _require_finite_factor(fam.factors[i], f"factor {i}")
     gens = [GroupElement(handle, fam._embed(i, g)) for g in fam.factors[i].generator_forms()]
     return generate_closure(gens or [handle.identity], budget)
 
@@ -1128,7 +1147,8 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
         if index == 1 and family.noncommuting_pair(group_gens, group_gens) is not None:
             raise SpecError('field "metadata.abelian_by_finite.index": index 1 declares the '
                             'group abelian, but its generators do not commute')
-        forms = tuple(family.form_from_json(g) for g in gens)
+        forms = tuple(_parse_form(family, g, 'field "metadata.abelian_by_finite.generators"')
+                      for g in gens)
         m = replace(m, abelian_by_finite=AbelianByFiniteWitness(
             forms, index, "declared in spec metadata"))
     family.metadata = m

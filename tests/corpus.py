@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from groupvna.groups import GroupHandle, Subgroup, construct_group, generate_closure
 
 
@@ -24,6 +26,14 @@ def spec_product(*factors):
 SPEC_Q8 = {"family": "quaternion8"}
 SPEC_S3SUM = {"family": "restricted_sum", "factor": spec_symmetric(3)}
 SPEC_Q8SUM = {"family": "restricted_sum", "factor": SPEC_Q8}
+
+
+def json_values(depth: int, ints=st.integers()):
+    """JSON values nested at most `depth` lists deep: ints, short strings, None, lists."""
+    values = st.none() | ints | st.text(max_size=3)
+    for _ in range(depth):
+        values = values | st.lists(values, max_size=3)
+    return values
 
 
 def central_product_q8():

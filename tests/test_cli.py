@@ -5,8 +5,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import SPEC_Q8SUM, SPEC_S3SUM, central_product_q8, spec_product, spec_symmetric
+from corpus import (
+    SPEC_Q8SUM,
+    SPEC_S3SUM,
+    central_product_q8,
+    json_values,
+    spec_product,
+    spec_symmetric,
+)
 from groupvna import characters, cli, groups
 from groupvna.cli import run
 
@@ -177,13 +185,82 @@ def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monke
     assert max(orders) <= 16
 
 
-@pytest.mark.parametrize("abf", [5, {"index": 1, "generators": []}])
-def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, abf):
-    path = tmp_path / "dinf.json"
-    path.write_text(json.dumps({"family": "dihedral_infinite",
-                                "metadata": {"abelian_by_finite": abf}}))
-    assert run(["classify", "--spec", str(path)]) == 2
-    assert "metadata.abelian_by_finite" in capsys.readouterr().err
+DINF = {"family": "dihedral_infinite"}
+C2SUM = {"family": "restricted_sum", "factor": {"family": "cyclic", "n": 2}}
+
+
+def _witness(generators):
+    return {"index": 2, "generators": generators}
+
+
+@pytest.mark.parametrize("spec,abf", [
+    pytest.param(DINF, 5, id="5"),
+    pytest.param(DINF, {"index": 1, "generators": []}, id="abf1"),
+    pytest.param(DINF, _witness([["x", 0]]), id="dinf-string-entry"),
+    pytest.param(DINF, _witness([[1]]), id="dinf-short-form"),
+    pytest.param(DINF, _witness([5]), id="dinf-int-form"),
+    pytest.param({"family": "free", "rank": 2}, _witness([[1, "a"]]), id="free2-string-letter"),
+    pytest.param(C2SUM, _witness([[[0]]]), id="c2sum-short-pair"),
+    pytest.param(C2SUM, _witness([[0, 1]]), id="c2sum-int-pair"),
+])
+def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, abf):
+    # the spec is refused while it is parsed, whatever the command
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "metadata": {"abelian_by_finite": abf}}))
+    for command in cli._COMMANDS:
+        assert run([command, "--spec", str(path)]) == 2, command
+        assert "metadata.abelian_by_finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h0", ["[[0,1]]", "[5]", "[null]"])
+def test_malformed_subgroup_generator_exits_2(specs, capsys, h0):
+    assert run(["lemma7", "--spec", specs["s3xs3"], "--h0", h0,
+                "--h1", "[[[0,1,2],[1,0,2]]]"]) == 2
+    assert "--h0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    spec_product({"family": "free", "rank": 1}, spec_symmetric(3)),
+    spec_product(DINF, {"family": "cyclic", "n": 2}),
+    spec_product({"family": "free", "rank": 2}, spec_symmetric(3)),
+    {"family": "restricted_sum", "factor": {"family": "free", "rank": 1}},
+], ids=["ZxS3", "DinfxC2", "F2xS3", "Zsum"])
+def test_infinite_factor_is_refused_before_closing_anything(tmp_path, capsys, monkeypatch,
+                                                              spec):
+    # closing an infinite factor could only stop at the 10^6 closure budget
+    calls = []
+    original = groups.generate_closure
+
+    def recording(gens, budget=groups.DEFAULT_CLOSURE_BUDGET):
+        calls.append(budget)
+        return original(gens, budget)
+    monkeypatch.setattr(groups, "generate_closure", recording)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    commands = ["growth"] if spec["family"] == "restricted_sum" else ["growth", "lemma7"]
+    for command in commands:
+        assert run([command, "--spec", str(path)]) == 2
+        assert "is infinite" in capsys.readouterr().err
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([DINF, {"family": "free", "rank": 2}, C2SUM]),
+       generators=st.lists(json_values(3), max_size=3))
+def test_fuzzed_abelian_witness_generators_never_crash(tmp_path_factory, family, generators):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps({**family, "metadata": {"abelian_by_finite": _witness(generators)}}))
+    assert run(["classify", "--spec", str(path), "--class-budget", "50"]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h0=st.lists(json_values(3), max_size=3))
+def test_fuzzed_subgroup_generators_never_crash(tmp_path_factory, h0):
+    path = tmp_path_factory.mktemp("fuzz") / "s3xs3.json"
+    path.write_text(json.dumps(spec_product(spec_symmetric(3), spec_symmetric(3))))
+    code = run(["lemma7", "--spec", str(path), "--h0", json.dumps(h0),
+                "--h1", "[[[0,1,2],[1,0,2]]]"])
+    assert code in (0, 1, 2, 3)
 
 
 def test_lemma10_command(specs, capsys):

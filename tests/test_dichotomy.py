@@ -5,8 +5,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import SPEC_Q8SUM, SPEC_S3SUM, spec_symmetric
+from corpus import SPEC_Q8SUM, SPEC_S3SUM, json_values, spec_symmetric
 from groupvna import dichotomy, groups
 from groupvna.dichotomy import (
     AbelianEvidence,
@@ -17,7 +18,7 @@ from groupvna.dichotomy import (
     lemma10_sequence,
     replay_certificate,
 )
-from groupvna.errors import ParameterError, PreconditionError
+from groupvna.errors import DomainMismatchError, ParameterError, PreconditionError
 from groupvna.fc_center import conjugacy_class
 from groupvna.groups import construct_group, generate_closure
 
@@ -57,6 +58,15 @@ def test_pair_found_in_first_coordinate_of_restricted_sum():
 def test_empty_stream_rejected():
     with pytest.raises(ParameterError, match="empty"):
         find_noncommuting_pair(iter(()), budget=5)
+
+
+def test_scan_rejects_a_spent_budget_and_mixed_handles():
+    s3 = construct_group(spec_symmetric(3))
+    with pytest.raises(ParameterError, match="budget"):
+        find_noncommuting_pair(s3.iter_elements(6), budget=0)
+    q8 = construct_group({"family": "quaternion8"})
+    with pytest.raises(DomainMismatchError):
+        find_noncommuting_pair([s3.identity, q8.identity], budget=5)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +183,57 @@ def test_lemma10_kernel_recursion_invariant():
             for member in closure:
                 assert commutator(lv.g, member).is_identity
                 assert commutator(lv.h, member).is_identity
+
+
+def test_lemma10_scans_the_stream_once(monkeypatch):
+    # every level resumes the scan past the previous pair: the elements drawn
+    # are those up to the last pair's later element, not a rescan per level
+    ss = construct_group(SPEC_S3SUM)
+    positions = {e.form: i for i, e in enumerate(ss.iter_elements(500))}
+    drawn = []
+    original = ss.iter_elements
+
+    def counting(limit=None):
+        for e in original(limit):
+            drawn.append(e)
+            yield e
+    monkeypatch.setattr(ss, "iter_elements", counting)
+    w = lemma10_sequence(ss, 5)
+    assert w.complete
+    assert len(drawn) == positions[w.levels[-1].h.form] + 1
+
+
+def _rescanned_pairs(handle, count, stream_budget):
+    """The recursion by rescanning a fresh stream from element 0 for every level.
+
+    The families tested declare every class finite, so no FC gate applies.
+    """
+    kernel, pairs, diagnostics = [], [], []
+    for step in range(1, count + 1):
+        found = find_noncommuting_pair(handle.iter_elements(stream_budget + 1), stream_budget,
+                                       membership=lambda e: kernel_membership(e, kernel))
+        if isinstance(found, AbelianEvidence):
+            kind = "exhaustive scan" if found.exhaustive else f"budget {found.budget}"
+            diagnostics.append(f"step {step}: no non-commuting pair in the filtered stream "
+                               f"({kind}, {found.scanned} elements scanned)")
+            break
+        pairs.append(found)
+        for x in found:
+            kernel.extend(conjugacy_class(x).elements)
+    return pairs, diagnostics
+
+
+@pytest.mark.parametrize("factor", [spec_symmetric(3), {"family": "quaternion8"},
+                                    {"family": "dihedral", "n": 4},
+                                    {"family": "heisenberg", "p": 3}],
+                         ids=["S3", "Q8", "D4", "Heis3"])
+@pytest.mark.parametrize("stream_budget", [5, 40, 300])
+def test_lemma10_single_scan_matches_a_rescan_per_level(factor, stream_budget):
+    spec = {"family": "restricted_sum", "factor": factor}
+    w = lemma10_sequence(construct_group(spec), 5, stream_budget=stream_budget)
+    pairs, diagnostics = _rescanned_pairs(construct_group(spec), 5, stream_budget)
+    assert [(lv.g.form, lv.h.form) for lv in w.levels] == [(g.form, h.form) for g, h in pairs]
+    assert w.diagnostics == diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +409,80 @@ def _forge_noncommuting_levels(doc):
     levels[1] = levels[0]
 
 
-@pytest.mark.parametrize("forge", [_forge_k, _forge_measure_threshold, _forge_digest,
-                                   _forge_levels_required, _forge_k_type,
-                                   _forge_noncommuting_levels])
+def _replace(path, value, named):
+    """A forge setting the field at `path` to `value`; replay must name `named`."""
+    def forge(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return named
+    return forge
+
+
+_LEVEL0 = ("commuting_witness", "levels", 0)
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_k, _forge_measure_threshold, _forge_digest, _forge_levels_required, _forge_k_type,
+    _forge_noncommuting_levels,
+    pytest.param(_replace(_LEVEL0 + ("g",), "x", "commuting_witness.levels[0].g"),
+                 id="g-string"),
+    pytest.param(_replace(_LEVEL0 + ("g",), [[0]], "commuting_witness.levels[0].g"),
+                 id="g-short-pair"),
+    pytest.param(_replace(_LEVEL0 + ("g_class",), 5, "commuting_witness.levels[0].g_class"),
+                 id="g_class-int"),
+    pytest.param(_replace(("commuting_witness", "levels"), None, "commuting_witness.levels"),
+                 id="levels-null"),
+    pytest.param(_replace(("growth",), None, "growth"), id="growth-null"),
+    pytest.param(_replace(("growth", "achieved_measure"), None, "growth.achieved_measure"),
+                 id="achieved_measure-null"),
+    pytest.param(_replace(("commuting_witness",), None, "commuting_witness"),
+                 id="commuting_witness-null"),
+    pytest.param(_replace(("verdict",), "type_I", "type_i_witness"), id="verdict-type_I"),
+    pytest.param(_replace(("group_spec",), {"family": "nope"}, "group_spec"),
+                 id="group_spec-unknown-family"),
+])
 def test_replay_rejects_forged_claims(forge):
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
     assert len(doc["commuting_witness"]["levels"]) == 3
     assert replay_certificate(doc).passed
-    forge(doc)
-    assert not replay_certificate(doc).passed
+    named = forge(doc)
+    report = replay_certificate(doc)
+    assert not report.passed
+    if named is not None:
+        assert any(named in f for f in report.failures), report.failures
+
+
+def test_replay_refuses_a_document_that_is_not_a_certificate():
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
+    for bad in ({**doc, "format": "groupvna-certificate/0"}, [doc], None):
+        with pytest.raises(ParameterError, match="not a recognized certificate"):
+            replay_certificate(bad)
+
+
+def _field_paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _field_paths(child, prefix + (key,))
+
+
+_S3SUM_CERT = classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes()
+_S3SUM_FIELDS = [p for p in _field_paths(json.loads(_S3SUM_CERT)) if p and p != ("format",)]
+
+
+# ints stay small: a forged group spec is built before anything is checked,
+# and a symmetric family's constructor builds an n-tuple and n! for any n
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(_S3SUM_FIELDS),
+       value=json_values(3, ints=st.integers(-1000, 1000)))
+def test_replay_of_a_randomly_forged_field_never_raises(path, value):
+    doc = json.loads(_S3SUM_CERT)
+    _replace(path, value, None)(doc)
+    report = replay_certificate(doc)
+    assert report.passed in (True, False)
 
 
 @pytest.mark.parametrize("limits,failed", [
