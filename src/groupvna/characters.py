@@ -4,12 +4,18 @@ The class-multiplication matrices A_i with (A_i)[j, k] = a_ijk commute, and
 their joint eigenvectors, computed over a prime field F_p with p = 1 mod
 exponent(H) and p > 2 sqrt(|H|), are exactly the central-character vectors
 w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  Each A_i is built only
-when the splitting reaches it, so no r x r x r tensor is held.  Degrees come
-from the second orthogonality relation, character values from root-of-unity
-multiplicities (a mod-p discrete Fourier transform over the power map), and
-every value is lifted to an exact element of Z[zeta_m], m the exponent.  Both
-orthogonality relations are checked exactly, at the Galois conjugates of
-zeta_m, before any table is returned.
+when the splitting reaches it, so no r x r x r tensor is held.  On each joint
+eigenspace, with B the action of A_i and chi its characteristic polynomial, a
+simple root lam gets its eigenvector as q(B) v for q = chi / (x - lam) and one
+Krylov sequence v, Bv, ..., B^(d-1) v: by Cayley-Hamilton (B - lam) q(B) v =
+chi(B) v = 0, so a nonzero q(B) v is an eigenvector whatever B is.  Only
+repeated roots, and a simple root whose q(B) v vanishes, cost a Gaussian
+elimination.  Degrees come from the second orthogonality relation, character
+values from root-of-unity multiplicities (a mod-p discrete Fourier transform
+over the power map, one per Galois orbit of classes), and every value is
+lifted to an exact element of Z[zeta_m], m the exponent.  Both orthogonality
+relations are checked exactly, at the Galois conjugates of zeta_m, before any
+table is returned.
 """
 
 from __future__ import annotations
@@ -184,14 +190,26 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
                 continue
             images = (basis @ m.T) % p
             b_op = images[:, pivots].T % p  # coords act as columns
-            roots = modp.poly_roots_mod(modp.charpoly_mod(b_op, p), p)
+            chi = modp.charpoly_mod(b_op, p)
+            roots = modp.poly_roots_mod(chi, p)
+            # basis[0]: on the whole space, the identity class's coordinate has the
+            # component chi(1)^2 / |H| != 0 along every w_chi, so the first
+            # split finds the vector of every simple root
+            seed = np.zeros(d, dtype=np.int64)
+            seed[0] = 1
+            found = modp.simple_eigenvectors(b_op, chi, roots, seed, p)
             total = 0
             for lam in roots:
-                nul = modp.nullspace_mod((b_op - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if nul.shape[0] == 0:
-                    continue
-                ambient = (nul @ basis) % p
-                red, piv = modp.rref_mod(ambient, p)
+                vec = found.get(lam)
+                if vec is None:
+                    nul = modp.nullspace_mod((b_op - lam * np.eye(d, dtype=np.int64)) % p, p)
+                    if nul.shape[0] == 0:
+                        continue
+                    red, piv = modp.rref_mod((nul @ basis) % p, p)
+                else:
+                    red = (vec @ basis) % p
+                    piv = [int(np.flatnonzero(red)[0])]
+                    red = (red * modp.inv_mod(red[piv[0]], p) % p)[None, :]
                 refined.append((red, piv))
                 total += red.shape[0]
             if total != d:
@@ -213,26 +231,24 @@ def character_table(cd: ClassData) -> CharacterTable:
     n = cd.order
     m = cd.exponent
     p = dixon_prime(n, m)
-    vectors = _common_eigenvectors(cd, p)
+    w = np.array(_common_eigenvectors(cd, p))  # one eigenvector per row
+    w = w * np.array([modp.inv_mod(int(x), p) for x in w[:, 0]], dtype=np.int64)[:, None] % p
 
+    # second orthogonality: sum_k w_k w_k' / |C_k| = |H| / chi(1)^2 mod p
     inv_sizes = np.array([modp.inv_mod(int(s), p) for s in cd.sizes], dtype=np.int64)
-    rows_mod_p = []
-    degrees = []
-    for w in vectors:
-        w = (w * modp.inv_mod(int(w[0]), p)) % p
-        s = 0
-        for k in range(r):
-            s = (s + int(w[k]) * int(w[cd.inverse_class[k]]) % p * int(inv_sizes[k])) % p
-        if s == 0:
+    norms = (w * w[:, cd.inverse_class] % p * inv_sizes % p).sum(axis=1) % p
+    d2 = np.array([n * modp.inv_mod(int(s), p) % p for s in norms], dtype=np.int64)
+    ds = np.arange(1, isqrt(n) + 1, dtype=np.int64)
+    hits = (ds * ds % p)[None, :] == d2[:, None]
+    bad = np.flatnonzero((norms == 0) | (hits.sum(axis=1) != 1))
+    if bad.size:
+        if norms[bad[0]] == 0:
             raise ConsistencyError("degree recovery hit a zero norm mod p")
-        d2 = n * modp.inv_mod(s, p) % p
-        cands = [d for d in range(1, isqrt(n) + 1) if d * d % p == d2]
-        if len(cands) != 1:
-            raise ConsistencyError(f"degree recovery ambiguous mod {p}: candidates {cands}")
-        d = cands[0]
-        chi = (d * w % p) * inv_sizes % p
-        degrees.append(d)
-        rows_mod_p.append(chi)
+        raise ConsistencyError(
+            f"degree recovery ambiguous mod {p}: candidates {ds[hits[bad[0]]].tolist()}")
+    deg = ds[hits.argmax(axis=1)]
+    degrees = deg.tolist()
+    rows_mod_p = deg[:, None] * w % p * inv_sizes % p
 
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("sum of squared degrees does not match the group order")
@@ -240,42 +256,34 @@ def character_table(cd: ClassData) -> CharacterTable:
         if n % d:
             raise ConsistencyError(f"character degree {d} does not divide the group order {n}")
 
-    # power map: class of rep_j^t for t = 0..m-1
-    fam = cd.subgroup.handle._family
-    pm = np.zeros((r, m), dtype=np.int64)
-    for j, c in enumerate(cd.classes):
-        cur = fam.identity
-        for t in range(m):
-            pm[j, t] = cd.class_of[cur]
-            cur = fam.mul(cur, c.representative.form)
-
-    z = pow(modp.primitive_root_mod(p), (p - 1) // m, p)
-    zexp = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
-    zneg = np.zeros((m, m), dtype=np.int64)
-    for t in range(m):
-        for s in range(m):
-            zneg[t, s] = zexp[(-t * s) % m]
-    inv_m = modp.inv_mod(m, p)
-
-    # row s of `powers` holds x^s mod Phi_m, so the power-basis coordinates of
-    # sum_s mu_s zeta^s are mu @ powers
-    powers = np.array(_reduction(m)[1][:m], dtype=np.int64)
+    plan, phi = _lift_plan(cd, p), _reduction(m)[0]
+    block = max(1, 2**16 // (r * m))  # rows lifted at once: a block's transforms hold <= 2^16 entries
     distinct: dict = {}  # coordinates -> Cyclo; tables repeat few values many times
     built = []
-    for d, chi in zip(degrees, rows_mod_p):
-        vals_t = chi[pm]  # (r, m): chi(rep_j^t) mod p
-        mults = (vals_t @ zneg) % p * inv_m % p
-        if (mults.sum(axis=1) != d).any():
-            raise ConsistencyError("root-of-unity multiplicities do not sum to the degree")
-        coords = mults @ powers
-        key = [(round(c.real, 10), round(c.imag, 10)) for c in _evaluate(coords, m, 1).tolist()]
-        values = []
-        for c in map(tuple, coords.tolist()):
-            v = distinct.get(c)
-            if v is None:
-                v = distinct[c] = Cyclo(m, c)
-            values.append(v)
-        built.append(((d, key), d, tuple(values)))
+    for start in range(0, r, block):
+        chi, degs = rows_mod_p[start:start + block], deg[start:start + block, None]
+        coords = np.empty((len(chi), r, phi), dtype=np.int64)
+        for js, gather, dft, inv_o, column, perm, powers in plan:
+            mults = (chi[:, gather] @ dft) % p * inv_o % p
+            if (mults.sum(axis=2) != degs).any():
+                raise ConsistencyError("root-of-unity multiplicities do not sum to the degree")
+            # a class has at most d nonzero multiplicities: add up their rows of powers
+            mults = mults[:, column, perm]
+            row, at, s = np.nonzero(mults)
+            coords[:, js] = np.add.reduceat(
+                mults[row, at, s, None] * powers[s],
+                np.searchsorted(row * len(js) + at, np.arange(len(chi) * len(js)))
+            ).reshape(len(chi), len(js), phi)
+        for d, row_coords in zip(degs[:, 0].tolist(), coords):
+            # re, im, re, im, ...: compares like the list of (re, im) pairs
+            key = np.round(_evaluate(row_coords, m, 1), 10).view(np.float64).tolist()
+            values = []
+            for c in map(tuple, row_coords.tolist()):
+                v = distinct.get(c)
+                if v is None:
+                    v = distinct[c] = Cyclo(m, c)
+                values.append(v)
+            built.append(((d, key), d, tuple(values)))
 
     built.sort(key=lambda item: item[0])
     cdata_rows = [CharacterRow(f"chi{i}", d, values, cd) for i, (_, d, values) in enumerate(built)]
@@ -288,6 +296,57 @@ def character_table(cd: ClassData) -> CharacterTable:
         )
     table.orthogonality = report
     return table
+
+
+def _lift_plan(cd: ClassData, p: int) -> list[tuple]:
+    """What the multiplicity lift needs, one entry per element order o.
+
+    The multiplicity mu_s of zeta_m^s among the eigenvalues of rep_j is the mod-p
+    transform (1/m) sum_t chi(rep_j^t) z^(-ts) over the power map.  On a class of
+    order o, chi(rep_j^t) has period o, so mu_s vanishes unless m/o divides s and
+    the transform shrinks to an o x o one over z^(m/o).  A class C_j' holding
+    rep_j^k, k prime to o, has chi(rep_j'^t) = chi(rep_j^(kt)), so its
+    multiplicities are those of C_j at k^-1 s mod o: only the first class of each
+    such Galois orbit, its leader, needs a transform.  An entry holds the classes
+    of order o, the power-map rows of their leaders, the transform, 1/o mod p,
+    each class's leader (a column index) and permutation, and the rows
+    x^s mod Phi_m for the s that m/o divides.
+    """
+    r, m = len(cd.classes), cd.exponent
+    fam = cd.subgroup.handle._family
+    cycles = []  # cycles[j][t]: the class of rep_j^t for t < o_j
+    for c in cd.classes:
+        cycle, cur = [0], c.representative.form
+        while cur != fam.identity:
+            cycle.append(cd.class_of[cur])
+            cur = fam.mul(cur, c.representative.form)
+        cycles.append(cycle)
+    source: dict = {}  # class j' -> (leader j, k) with rep_j' conjugate to rep_j^k
+    for j, cycle in enumerate(cycles):
+        if j not in source:
+            o = len(cycle)
+            for k in range(1, o + 1):
+                if gcd(k, o) == 1 and cycle[k % o] not in source:
+                    source[cycle[k % o]] = (j, k)
+    if any(cycles[jk] != [cycles[j][k * t % len(cycles[j])] for t in range(len(cycles[j]))]
+           for jk, (j, k) in source.items()):
+        raise ConsistencyError("the power map is not constant on conjugacy classes")
+
+    z = pow(modp.primitive_root_mod(p), (p - 1) // m, p)
+    zexp = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
+    zneg = zexp[np.negative(np.outer(np.arange(m), np.arange(m))) % m]
+    # row s holds x^s mod Phi_m: sum_s mu_s zeta^s has coordinates mu @ powers
+    powers = np.array(_reduction(m)[1][:m], dtype=np.int64)
+    plan = []
+    for o in sorted({len(cycle) for cycle in cycles}):
+        js = [j for j in range(r) if len(cycles[j]) == o]
+        leaders = sorted({source[j][0] for j in js})
+        plan.append((np.array(js), np.array([cycles[j] for j in leaders]), zneg[:o, ::m // o],
+                     modp.inv_mod(o, p),
+                     np.array([[leaders.index(source[j][0])] for j in js]),
+                     np.outer([pow(source[j][1], -1, o) for j in js], np.arange(o)) % o,
+                     powers[::m // o]))
+    return plan
 
 
 @dataclass

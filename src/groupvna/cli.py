@@ -9,6 +9,7 @@ content); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -70,6 +71,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from e
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupvna",

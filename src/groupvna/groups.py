@@ -156,6 +156,20 @@ class _Family:
         raise NotImplementedError
 
 
+def _json_int(x) -> int:
+    """A JSON integer inside a canonical form; strings, floats and bools are not."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a JSON integer")
+    return x
+
+
+def _json_list(x, length: Optional[int] = None) -> list:
+    """A JSON array inside a canonical form, with `length` entries when given."""
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        raise TypeError(f"{x!r} is not a JSON array" + (f" of {length} entries" if length else ""))
+    return x
+
+
 def _perm_describe(form) -> str:
     n = len(form)
     seen = [False] * n
@@ -210,7 +224,7 @@ class _Symmetric(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        form = tuple(int(x) for x in data)
+        form = tuple(_json_int(x) for x in _json_list(data))
         if sorted(form) != list(range(self.n)):
             raise SpecError(f"not a permutation of 0..{self.n - 1}: {data}")
         return form
@@ -241,7 +255,7 @@ class _Cyclic(_Family):
         return form
 
     def form_from_json(self, data):
-        v = int(data)
+        v = _json_int(data)
         if not 0 <= v < self.n:
             raise SpecError(f"cyclic value out of range: {data}")
         return v
@@ -282,7 +296,7 @@ class _Dihedral(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        x, s = int(data[0]), int(data[1])
+        x, s = map(_json_int, _json_list(data, 2))
         if not (0 <= x < self.n and s in (0, 1)):
             raise SpecError(f"dihedral form out of range: {data}")
         return (x, s)
@@ -323,7 +337,7 @@ class _DihedralInfinite(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        x, s = int(data[0]), int(data[1])
+        x, s = map(_json_int, _json_list(data, 2))
         if s not in (0, 1):
             raise SpecError(f"dihedral_infinite form out of range: {data}")
         return (x, s)
@@ -370,7 +384,7 @@ class _Quaternion8(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        ax, s = int(data[0]), int(data[1])
+        ax, s = map(_json_int, _json_list(data, 2))
         if not (0 <= ax <= 3 and s in (0, 1)):
             raise SpecError(f"quaternion form out of range: {data}")
         return (ax, s)
@@ -408,7 +422,7 @@ class _Heisenberg(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        a, b, c = (int(v) % self.p for v in data)
+        a, b, c = (_json_int(v) % self.p for v in _json_list(data, 3))
         return (a, b, c)
 
 
@@ -500,7 +514,7 @@ class _Cayley(_Family):
         return form
 
     def form_from_json(self, data):
-        v = int(data)
+        v = _json_int(data)
         if not 0 <= v < self.n:
             raise SpecError(f"cayley index out of range: {data}")
         return v
@@ -568,7 +582,7 @@ class _Product(_Family):
         return [f.form_to_json(x) for f, x in zip(self.factors, form)]
 
     def form_from_json(self, data):
-        if len(data) != len(self.factors):
+        if len(_json_list(data)) != len(self.factors):
             raise SpecError(f"product form needs {len(self.factors)} components")
         return tuple(f.form_from_json(x) for f, x in zip(self.factors, data))
 
@@ -626,11 +640,11 @@ class _RestrictedSum(_Family):
 
     def form_from_json(self, data):
         items = []
-        for pair in data:
-            c = int(pair[0])
-            if c < 0:
+        for pair in _json_list(data):
+            c, x = _json_list(pair, 2)
+            if _json_int(c) < 0:
                 raise SpecError(f"restricted_sum coordinate must be >= 0: {pair}")
-            x = self.factor.form_from_json(pair[1])
+            x = self.factor.form_from_json(x)
             if x != self.factor.identity:
                 items.append((c, x))
         items.sort()
@@ -688,7 +702,7 @@ class _Free(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        word = [int(x) for x in data]
+        word = [_json_int(x) for x in _json_list(data)]
         for x in word:
             if x == 0 or abs(x) > self.rank:
                 raise SpecError(f"free word letter out of range: {x}")

@@ -69,6 +69,37 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+def simple_eigenvectors(b: np.ndarray, chi: np.ndarray, roots: list[int], v: np.ndarray,
+                        p: int) -> dict[int, np.ndarray]:
+    """Eigenvectors b x = lam x, one per simple root lam of chi = det(xI - b), from
+    the single Krylov sequence v, b v, ..., b^(d-1) v.
+
+    For each root, q = chi / (x - lam) comes from synthetic division.  By
+    Cayley-Hamilton (b - lam) q(b) v = chi(b) v = 0, so a nonzero q(b) v is an
+    eigenvector whatever b is.  A root is simple when chi'(lam) = q(lam) != 0.
+    Repeated roots, and simple roots whose q(b) v is zero, get no entry.
+    """
+    d = b.shape[0]
+    lam = np.array(roots, dtype=np.int64)
+    if d == 0 or lam.size == 0:
+        return {}
+    krylov = np.empty((d, d), dtype=np.int64)
+    krylov[0] = np.asarray(v, dtype=np.int64) % p
+    for k in range(1, d):
+        krylov[k] = (b @ krylov[k - 1]) % p
+    # q[:, k] is the x^k coefficient of chi / (x - lam), one row per root;
+    # q_(d-1) = 1 and q_(k-1) = chi_k + lam q_k, while Horner accumulates q(lam)
+    q = np.empty((lam.size, d), dtype=np.int64)
+    q[:, d - 1] = 1
+    dchi = np.ones(lam.size, dtype=np.int64)
+    for k in range(d - 1, 0, -1):
+        q[:, k - 1] = (int(chi[k]) + lam * q[:, k]) % p
+        dchi = (dchi * lam + q[:, k - 1]) % p
+    vectors = (q @ krylov) % p
+    keep = (dchi != 0) & vectors.any(axis=1)
+    return {int(x): vec for x, vec, ok in zip(roots, vectors, keep) if ok}
+
+
 def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
     h = np.array(a, dtype=np.int64) % p
     n = h.shape[0]

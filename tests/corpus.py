@@ -29,8 +29,9 @@ SPEC_Q8SUM = {"family": "restricted_sum", "factor": SPEC_Q8}
 
 
 def json_values(depth: int, ints=st.integers()):
-    """JSON values nested at most `depth` lists deep: ints, short strings, None, lists."""
-    values = st.none() | ints | st.text(max_size=3)
+    """JSON values nested at most `depth` lists deep: ints, floats, bools, short
+    strings, None, lists."""
+    values = st.none() | ints | st.floats(-8, 8) | st.booleans() | st.text(max_size=3)
     for _ in range(depth):
         values = values | st.lists(values, max_size=3)
     return values

@@ -1,10 +1,21 @@
 """Character tables via class-sum eigenvectors over a prime field."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from corpus import TRACE_FAMILY_SPECS, central_product_q8
+from corpus import (
+    SPEC_Q8,
+    TRACE_FAMILY_SPECS,
+    central_product_q8,
+    spec_cyclic,
+    spec_dihedral,
+    spec_product,
+    spec_symmetric,
+)
+from groupvna import cli, modp
 from groupvna.characters import (
     CharacterTable,
     character_table,
@@ -15,6 +26,7 @@ from groupvna.characters import (
 from groupvna.cyclotomic import Cyclo
 from groupvna.errors import RequiresFiniteError
 from groupvna.groups import commutator, construct_group, generate_closure
+from groupvna.jsonutil import canonical_dumps
 
 
 def _table(spec) -> CharacterTable:
@@ -269,3 +281,73 @@ def test_subgroup_class_data():
     h0 = factor_subgroup(s3s3, 0)
     t = character_table(class_data(h0))
     assert t.degrees == [1, 1, 2]
+
+
+def spec_heisenberg(p):
+    return {"family": "heisenberg", "p": p}
+
+
+# sha256 of the `chartab` and `spectrum --format json` reports without
+# wall_time_ms, measured before the splitting took eigenvectors from Krylov
+# sequences: the benchmark's nine character-table groups, C200 and S6
+PINNED_REPORTS = [
+    ("C72", spec_cyclic(72),
+     "e0d021bf09c238d786d6422ea2e5605263caff05de703c40baee525e45743460",
+     "18670e4954435f15cccdbc51f4ffaa69b4e429a0c1be0808056a5386d455edd1"),
+    ("C10xC12", spec_product(spec_cyclic(10), spec_cyclic(12)),
+     "a9551f5796c6bb97ce264e4a12452895b5faaaff69fac62e3a1733582d586520",
+     "226e75354ea8b6e3c25b342dd1d22d938a43c8c5c5a02980490b3213f5956759"),
+    ("D20", spec_dihedral(20),
+     "a565a8cb150cb2ace76d16ab065b41d62d655e40b32586d381245d5f44fb10a2",
+     "40e1fd7fa38e2b80bac4a6d0fe94113cb7cb54325c20a83f022562e275b334f8"),
+    ("S5xC2", spec_product(spec_symmetric(5), spec_cyclic(2)),
+     "66986d0c500f8fdac8f06384695e2be1715bae4923c12b52e99bf8e9acde9484",
+     "affc2965d411a3afb0cd4313eed639bd70928d5b31f3c0d558985e759634e223"),
+    ("S4xS3", spec_product(spec_symmetric(4), spec_symmetric(3)),
+     "3c1da1c93feda543396d992029778ee67391fe158eda5fa34f9a7859007cd5c0",
+     "b659fc4904dd3cbd5e7030043d84b9fde5fabba80dee3fc66f1d3d2c17cc2357"),
+    ("Heis3", spec_heisenberg(3),
+     "3f7f0d5aed6bc98f0db84aa51ec309a99675c91139a3ac1c1ec994b00eea68e4",
+     "f7472accb507b698cde0ab3d1d0f006ee7ba1f29fdad751c31979dde3e2ef3c4"),
+    ("Heis7", spec_heisenberg(7),
+     "6b564fb245e11ef51376da2a327605b64beaed0f0bf558874076a0b1334bd120",
+     "61efb7472058f1a9f9f3b5f89f596b787a030c4eb3d44c8109ea2645c352f9cc"),
+    ("Heis3xQ8", spec_product(spec_heisenberg(3), SPEC_Q8),
+     "61b93fe9f936d726030845cae1a507ef25a96933286354313f33387cc80e464b",
+     "c2fd399491565c95c3ea8fea38346e13c19635babbe81f99da2fd38cc89f8329"),
+    ("D6xQ8xS3", spec_product(spec_dihedral(6), SPEC_Q8, spec_symmetric(3)),
+     "c2e8cea4b908a8a4d16baff267b5e68af8dd9620788ad8d2960d55ace4c1c96b",
+     "b883ca6e9b2da81516390aecb7cdbb43755de5ee0a91581a1474efb58c0bb6b8"),
+    ("C200", spec_cyclic(200),
+     "f4826613424752390d7694304c804a681412acdc3a47491ff5942636f4cf1a84",
+     "2a16b16856f6c2286838deed63fc53bbd0865b2e43b7098d7898e159c6347bb0"),
+    ("S6", spec_symmetric(6),
+     "9fa0a93530e516f9fa6ebae0948e7ed7a6db878c2b67c2daa3c02f27aea19309",
+     "3e2938f8b43835071a91e198e64be00532fd2d471d61a70d2e7fcc56b36e14f9"),
+]
+
+
+@pytest.mark.parametrize("name,spec,chartab,spectrum", PINNED_REPORTS,
+                         ids=[name for name, *_ in PINNED_REPORTS])
+def test_character_engine_bytes_pinned(tmp_path, capsys, name, spec, chartab, spectrum):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    for command, digest in (("chartab", chartab), ("spectrum", spectrum)):
+        assert cli.run([command, "--spec", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_ms"]
+        assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == digest, command
+
+
+def test_cyclic_splitting_needs_no_elimination(monkeypatch):
+    # C72's first class matrix has 72 simple eigenvalues: Krylov vectors cover them all
+    calls = []
+    original = modp.nullspace_mod
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+    monkeypatch.setattr(modp, "nullspace_mod", counting)
+    t = character_table(class_data(construct_group(spec_cyclic(72))))
+    assert len(t.rows) == 72
+    assert calls == []

@@ -202,6 +202,9 @@ def _witness(generators):
     pytest.param({"family": "free", "rank": 2}, _witness([[1, "a"]]), id="free2-string-letter"),
     pytest.param(C2SUM, _witness([[[0]]]), id="c2sum-short-pair"),
     pytest.param(C2SUM, _witness([[0, 1]]), id="c2sum-int-pair"),
+    pytest.param(DINF, _witness(["10"]), id="dinf-string-form"),
+    pytest.param(DINF, _witness([[1.0, 0]]), id="dinf-float-entry"),
+    pytest.param(C2SUM, _witness([[[0, True]]]), id="c2sum-bool-entry"),
 ])
 def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, abf):
     # the spec is refused while it is parsed, whatever the command
@@ -212,7 +215,8 @@ def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, 
         assert "metadata.abelian_by_finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h0", ["[[0,1]]", "[5]", "[null]"])
+@pytest.mark.parametrize("h0", ["[[0,1]]", "[5]", "[null]", '[["012","012"]]',
+                                '[[[0,1,2],[true,false,2]]]', '[[[0,1,2],[1.0,0,2]]]'])
 def test_malformed_subgroup_generator_exits_2(specs, capsys, h0):
     assert run(["lemma7", "--spec", specs["s3xs3"], "--h0", h0,
                 "--h1", "[[[0,1,2],[1,0,2]]]"]) == 2

@@ -10,6 +10,8 @@ from corpus import (
     SPEC_S3SUM,
     TRACE_FAMILY_SPECS,
     central_product_q8,
+    json_values,
+    spec_cyclic,
     spec_dihedral,
     spec_product,
     spec_symmetric,
@@ -69,6 +71,59 @@ def test_malformed_spec_names_field():
         construct_group({"family": "cayley", "table": [[0, 1], [1, 1]]})
     with pytest.raises(UnsupportedFamilyError, match="alternating"):
         construct_group({"family": "alternating", "n": 5})
+
+
+DINF = {"family": "dihedral_infinite"}
+FORM_SPECS = [spec_symmetric(3), spec_cyclic(5), spec_dihedral(4), DINF, SPEC_Q8,
+              {"family": "heisenberg", "p": 3}, {"family": "free", "rank": 2},
+              {"family": "restricted_sum", "factor": spec_cyclic(2)},
+              spec_product(spec_cyclic(3), spec_dihedral(3))]
+
+
+@pytest.mark.parametrize("spec,data", [
+    (DINF, "10"),
+    (spec_symmetric(3), "201"),
+    (spec_cyclic(5), 2.7),
+    (spec_cyclic(5), True),
+    (spec_dihedral(4), [1.9, True]),
+    (spec_dihedral(4), [1, 1, 0]),
+    (SPEC_Q8, [1.0, 0]),
+    ({"family": "heisenberg", "p": 3}, [1, 2]),
+    ({"family": "free", "rank": 2}, ""),
+    ({"family": "restricted_sum", "factor": spec_cyclic(2)}, {}),
+    ({"family": "restricted_sum", "factor": spec_cyclic(2)}, [[0, 1, 5]]),
+    (spec_product(spec_cyclic(3), spec_dihedral(3)), "ab"),
+], ids=["dinf-string", "s3-string", "c5-float", "c5-bool", "d4-float-bool", "d4-long",
+        "q8-float", "heis3-short", "free2-empty-string", "c2sum-object", "c2sum-long-pair",
+        "product-string"])
+def test_only_json_ints_and_arrays_are_canonical_forms(spec, data):
+    handle = construct_group(spec)
+    with pytest.raises(SpecError, match="element"):
+        handle.element_from_json(data)
+
+
+def test_json_forms_round_trip():
+    for spec in FORM_SPECS:
+        handle = construct_group(spec)
+        for g in handle.iter_elements(20):
+            assert handle.element_from_json(g.to_json()) == g
+
+
+def _ints_and_arrays(value) -> bool:
+    if isinstance(value, list):
+        return all(_ints_and_arrays(v) for v in value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(FORM_SPECS), data=json_values(3, ints=st.integers(-3, 6)))
+def test_fuzzed_forms_parse_or_raise_spec_error(spec, data):
+    handle = construct_group(spec)
+    try:
+        handle.element_from_json(data)
+    except SpecError:
+        return
+    assert _ints_and_arrays(data)
 
 
 def test_cayley_rejects_nonassociative_loop():
