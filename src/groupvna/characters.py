@@ -31,7 +31,7 @@ from . import modp
 from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
-from .groups import GroupElement, GroupHandle, Subgroup, _conjugacy_orbit, as_subgroup
+from .groups import GroupElement, GroupHandle, Subgroup, _conjugacy_orbit, as_subgroup, order_text
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -74,7 +74,7 @@ class ClassData:
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     """Partition a finite subgroup into conjugacy classes."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
-        _check_order(f"subgroup of {subject.describe()}, order {subject.order}",
+        _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
                      subject.order, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order

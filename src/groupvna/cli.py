@@ -196,6 +196,10 @@ def _load_spec(path: str) -> dict:
         raise SpecError(f"cannot read spec file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SpecError(f"spec file {path} is not valid JSON: {e}") from e
+    except ValueError as e:  # undecodable text, or an integer past the int-string limit
+        raise SpecError(f"spec file {path} cannot be read: {e}") from e
+    except RecursionError as e:
+        raise SpecError(f"spec file {path} is nested too deeply to parse") from e
 
 
 def _subgroup_from_arg(handle: GroupHandle, raw: str, budget: int, flag: str) -> Subgroup:
@@ -203,6 +207,8 @@ def _subgroup_from_arg(handle: GroupHandle, raw: str, budget: int, flag: str) ->
         forms = json.loads(raw)
     except json.JSONDecodeError as e:
         raise SpecError(f"{flag}: subgroup generators are not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise SpecError(f"{flag}: subgroup generators are nested too deeply to parse") from e
     if not isinstance(forms, list) or not forms:
         raise SpecError(f"{flag}: subgroup generators must be a nonempty JSON list of "
                         "canonical forms")

@@ -32,6 +32,7 @@ from .groups import (
     DEFAULT_CLOSURE_BUDGET,
     GroupElement,
     GroupHandle,
+    _json_int,
     construct_group,
     generate_closure,
 )
@@ -109,7 +110,8 @@ def kernel_membership(g: GroupElement, kernel_set: Iterable[GroupElement]) -> bo
 
     If g fails to centralize some b in K, the stability precondition
     gamma_g(K) = K is verified before returning False; instability raises
-    PreconditionError.
+    PreconditionError.  That proof costs 2|K| products per rejected g, so
+    `_witness_levels`, whose K is stable by construction, does not call this.
     """
     ks = list(kernel_set)
     g.group._check(g, *ks)
@@ -247,9 +249,17 @@ def _witness_levels(handle: GroupHandle, levels: list[WitnessLevel], diagnostics
     pairwise; and h, which does not commute with g in K, is not in C(K).
     Each level is appended to `levels` as it is yielded; the reason the
     recursion stops (stream or class budget) goes to `diagnostics`.
+
+    Membership in C(K) is a plain commutation test, without the stability
+    proof of `kernel_membership`: K is a union of whole BFS-closed classes,
+    and a class that exceeds its budget ends the recursion before it joins
+    K.  `verify_witness_levels` re-checks every class against the family's
+    conjugating letters wherever levels are emitted (`lemma10_sequence`,
+    `classify`, replay).
     """
+    fam = handle._family
     fc_gate = handle.metadata.fc_all is not True
-    kernel: list[GroupElement] = []
+    kernel: list = []  # canonical forms
     classes: dict = {}
 
     def class_of(e: GroupElement) -> ConjugacyClass:
@@ -258,7 +268,7 @@ def _witness_levels(handle: GroupHandle, levels: list[WitnessLevel], diagnostics
         return classes[e.form]
 
     def membership(e: GroupElement) -> bool:
-        return kernel_membership(e, kernel) and not (
+        return fam.noncommuting_pair((e.form,), kernel) is None and not (
             fc_gate and not e.is_identity and class_of(e).exceeded)
 
     # one element past the budget tells a spent budget from an exhausted group
@@ -278,7 +288,7 @@ def _witness_levels(handle: GroupHandle, levels: list[WitnessLevel], diagnostics
             return
         level = WitnessLevel(len(levels), g, h, g_cls, h_cls)
         levels.append(level)
-        kernel.extend(level.generator_set())
+        kernel.extend(e.form for e in level.generator_set())
         yield level
 
 
@@ -592,7 +602,7 @@ def _replay_claims(cert: dict, verdict, record) -> None:
                  for i in range(_field(cert, *at, parse=len))]
         record("witness_generators_commute", fam.noncommuting_pair(forms, forms) is None,
                "witness generators do not commute")
-        index = _field(cert, "type_i_witness", "index")
+        index = _field(cert, "type_i_witness", "index", parse=_json_int)
         if _field(cert, "type_i_witness", "kind") == "finite_group":
             record("index_matches_order", handle.is_finite and index == handle.order,
                    "declared index does not equal the group order")
@@ -626,8 +636,8 @@ def _replay_claims(cert: dict, verdict, record) -> None:
         wchecks = verify_witness_levels(handle, levels)
         record("witness_invariants", wchecks.passed, "; ".join(wchecks.failures))
 
-        n_req = _field(cert, "growth", "levels_required")
-        in_range = isinstance(n_req, int) and 1 <= n_req <= len(levels)
+        n_req = _field(cert, "growth", "levels_required", parse=_json_int)
+        in_range = 1 <= n_req <= len(levels)
         record("levels_required_in_range", in_range,
                f"levels_required {n_req} is not between 1 and {len(levels)}")
         try:

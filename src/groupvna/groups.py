@@ -12,6 +12,8 @@ by fixed generator order; restricted sums admit coordinate c from stage c+1).
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable, Iterator, Optional
@@ -26,6 +28,11 @@ from .errors import (
 )
 
 DEFAULT_CLOSURE_BUDGET = 10**6
+MAX_SPEC_DEPTH = 64  # products and restricted sums nested inside one another
+# every order below 2^MAX_ORDER_BITS (about 10^3010) can be written in decimal;
+# 1000! is about 2^8530
+MAX_ORDER_BITS = 10_000
+MAX_SYMMETRIC_N = 1000
 
 
 @dataclass(frozen=True)
@@ -599,15 +606,29 @@ class _RestrictedSum(_Family):
         self.metadata = _restricted_sum_metadata(factor)
 
     def mul(self, a, b):
-        acc = dict(a)
+        """One merge of the coordinate-sorted supports; a factor identity drops out."""
+        factor = self.factor
+        out = []
+        i = 0
         for coord, y in b:
-            x = acc.get(coord, self.factor.identity)
-            z = self.factor.mul(x, y)
-            if z == self.factor.identity:
-                acc.pop(coord, None)
+            j = bisect_left(a, (coord,), i)  # (c,) sorts just before every (c, x)
+            out += a[i:j]
+            if j < len(a) and a[j][0] == coord:
+                z = factor.mul(a[j][1], y)
+                if z != factor.identity:
+                    out.append((coord, z))
+                j += 1
             else:
-                acc[coord] = z
-        return tuple(sorted(acc.items()))
+                out.append((coord, y))
+            i = j
+        out += a[i:]
+        return tuple(out)
+
+    def commutes(self, a, b):
+        """Coordinates commute independently; only the shared ones can fail."""
+        ys = dict(b)
+        fcommutes = self.factor.commutes
+        return all(fcommutes(x, ys[coord]) for coord, x in a if coord in ys)
 
     def inv(self, a):
         return tuple((coord, self.factor.inv(x)) for coord, x in a)
@@ -847,10 +868,10 @@ class GroupHandle:
     @property
     def finiteness(self) -> str:
         """Finiteness hint: "finite(<order>)" or "infinite"."""
-        return f"finite({self.order})" if self.is_finite else "infinite"
+        return f"finite({order_text(self.order)})" if self.is_finite else "infinite"
 
     def describe(self) -> str:
-        size = f"order {self.order}" if self.is_finite else "infinite"
+        size = f"order {order_text(self.order)}" if self.is_finite else "infinite"
         return f"{_spec_label(self.spec)} ({size})"
 
     # -- group law -----------------------------------------------------------
@@ -997,7 +1018,7 @@ class Subgroup:
         return Subgroup(handle, handle.all_elements(), list(handle.generators), _trusted=True)
 
     def describe(self) -> str:
-        return f"subgroup of {self.handle.describe()}, order {self.order}"
+        return f"subgroup of {self.handle.describe()}, order {order_text(self.order)}"
 
 
 def as_subgroup(subject) -> Subgroup:
@@ -1094,14 +1115,25 @@ def _require_int(spec: dict, field_name: str, minimum: int) -> int:
     return v
 
 
-def _build_family(spec: dict) -> _Family:
+def order_text(order: int) -> str:
+    """`order` in decimal, or a power of ten it exceeds once it has more than 30 digits."""
+    if order < 10**30:
+        return str(order)
+    # the margin absorbs the float error of log10 below 10^(10^6)
+    return f"more than 10^{math.floor(math.log10(order) - 1e-9)}"
+
+
+def _build_family(spec: dict, depth: int = 0) -> _Family:
     if not isinstance(spec, dict):
         raise SpecError("group spec must be a JSON object")
     fam = spec.get("family")
     if not isinstance(fam, str):
         raise SpecError('field "family": required string')
     if fam == "symmetric":
-        return _Symmetric(_require_int(spec, "n", 1))
+        if _require_int(spec, "n", 1) > MAX_SYMMETRIC_N:
+            raise SpecError(f'field "n": symmetric groups are supported up to n = '
+                            f'{MAX_SYMMETRIC_N}')
+        return _Symmetric(spec["n"])
     if fam == "cyclic":
         return _Cyclic(_require_int(spec, "n", 1))
     if fam == "dihedral":
@@ -1120,15 +1152,23 @@ def _build_family(spec: dict) -> _Family:
         factors = spec.get("factors")
         if not isinstance(factors, list) or not factors:
             raise SpecError('field "factors": expected a nonempty list of group specs')
-        return _Product([_build_family(f) for f in factors])
+        _check_depth("factors", depth)
+        return _Product([_build_family(f, depth + 1) for f in factors])
     if fam == "restricted_sum":
         factor = spec.get("factor")
         if factor is None:
             raise SpecError('field "factor": required for family "restricted_sum"')
-        return _RestrictedSum(_build_family(factor))
+        _check_depth("factor", depth)
+        return _RestrictedSum(_build_family(factor, depth + 1))
     if fam == "free":
         return _Free(_require_int(spec, "rank", 1))
     raise UnsupportedFamilyError(f'field "family": unsupported family "{fam}"')
+
+
+def _check_depth(field_name: str, depth: int):
+    if depth >= MAX_SPEC_DEPTH:
+        raise SpecError(f'field "{field_name}": group specs nested more than '
+                        f'{MAX_SPEC_DEPTH} deep')
 
 
 def _apply_user_metadata(family: _Family, meta_spec: dict):
@@ -1155,7 +1195,7 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
         index = abf.get("index")
         if not isinstance(gens, list):
             raise SpecError('field "metadata.abelian_by_finite.generators": expected a list')
-        if not isinstance(index, int) or index < 1:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise SpecError('field "metadata.abelian_by_finite.index": expected a positive integer')
         group_gens = family.generator_forms()
         if index == 1 and family.noncommuting_pair(group_gens, group_gens) is not None:
@@ -1175,7 +1215,12 @@ def construct_group(spec) -> GroupHandle:
             spec = json.loads(spec)
         except json.JSONDecodeError as e:
             raise SpecError(f"spec is not valid JSON: {e}") from e
+        except RecursionError as e:
+            raise SpecError("spec is nested too deeply to parse") from e
     family = _build_family(spec)
+    if family.order is not None and family.order.bit_length() > MAX_ORDER_BITS:
+        raise SpecError(f"the group order is {order_text(family.order)}; orders up to "
+                        f"2^{MAX_ORDER_BITS} are supported")
     if "metadata" in spec:
         _apply_user_metadata(family, spec["metadata"])
         family.spec_doc = dict(family.spec_doc, metadata=spec["metadata"])

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, report formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from corpus import (
 )
 from groupvna import characters, cli, groups
 from groupvna.cli import run
+from groupvna.jsonutil import canonical_dumps
 
 
 @pytest.fixture()
@@ -205,6 +207,8 @@ def _witness(generators):
     pytest.param(DINF, _witness(["10"]), id="dinf-string-form"),
     pytest.param(DINF, _witness([[1.0, 0]]), id="dinf-float-entry"),
     pytest.param(C2SUM, _witness([[[0, True]]]), id="c2sum-bool-entry"),
+    pytest.param({"family": "free", "rank": 1}, {"index": True, "generators": [[1]]},
+                 id="free1-bool-index"),
 ])
 def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, abf):
     # the spec is refused while it is parsed, whatever the command
@@ -213,6 +217,64 @@ def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, 
     for command in cli._COMMANDS:
         assert run([command, "--spec", str(path)]) == 2, command
         assert "metadata.abelian_by_finite" in capsys.readouterr().err
+
+
+def _nested_products(depth):
+    return ('{"family": "product", "factors": [' * depth + '{"family": "cyclic", "n": 2}'
+            + "]}" * depth)
+
+
+@pytest.mark.parametrize("text,named", [
+    pytest.param(_nested_products(3000), "nested too deeply to parse", id="product-3000-deep"),
+    pytest.param(_nested_products(65), 'field "factors": group specs nested more than 64',
+                 id="product-65-deep"),
+    pytest.param('{"family": "symmetric", "n": 20000}', 'field "n"', id="s20000"),
+    pytest.param('{"family": "cyclic", "n": 1' + "0" * 5000 + "}", "cannot be read",
+                 id="int-5001-digits"),
+    pytest.param('{"family": "heisenberg", "p": 1' + "0" * 4000 + "}",
+                 "the group order is more than 10^11999", id="order-12001-digits"),
+    pytest.param(b'\xff\xfe{"family"', "cannot be read", id="not-utf8"),
+])
+def test_spec_boundary_exits_2(tmp_path, capsys, text, named):
+    # refused while the spec is read, whatever the command, without printing the order
+    path = tmp_path / "spec.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    for command in cli._COMMANDS:
+        assert run([command, "--spec", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert named in err and len(err) < 400, (command, err[:400])
+
+
+def test_a_huge_order_is_refused_without_printing_it(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_symmetric(1000)))
+    assert run(["spectrum", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "(order more than 10^2567)" in err and "exceeds the configured maximum" in err
+    assert len(err) < 300
+
+
+def test_a_product_nested_64_deep_is_a_group(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(_nested_products(64))
+    code, report = _run_json(capsys, ["spectrum", "--spec", str(path)])
+    assert code == 0
+    assert report["results"]["spectrum"]["atoms"]
+
+
+# sha256 of the `lemma10 --k 6 --format json` reports without wall_time_ms,
+# measured while the scan still re-proved K stable for every rejected element
+@pytest.mark.parametrize("spec,digest", [
+    (SPEC_S3SUM, "a67b2e4b59d21306bd400535bc59541ecf84f664d65d7f24c26e485dffb39941"),
+    (SPEC_Q8SUM, "96367285aacbc18083c2f03b75b247111915f72c5e3af68a1b651fbc64970cbf"),
+], ids=["s3sum", "q8sum"])
+def test_lemma10_bytes_pinned(tmp_path, capsys, spec, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["lemma10", "--spec", str(path), "--k", "6", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_ms"]
+    assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("h0", ["[[0,1]]", "[5]", "[null]", '[["012","012"]]',

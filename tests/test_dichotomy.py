@@ -203,6 +203,20 @@ def test_lemma10_scans_the_stream_once(monkeypatch):
     assert len(drawn) == positions[w.levels[-1].h.form] + 1
 
 
+def test_lemma10_needs_no_stability_proof(monkeypatch):
+    # K is a union of whole classes, so the scan never re-proves it stable
+    calls = []
+    original = dichotomy.kernel_membership
+
+    def recording(g, kernel_set):
+        calls.append(g)
+        return original(g, kernel_set)
+    monkeypatch.setattr(dichotomy, "kernel_membership", recording)
+    w = lemma10_sequence(construct_group(SPEC_S3SUM), 5)
+    assert w.complete and w.checks.passed
+    assert calls == []
+
+
 def _rescanned_pairs(handle, count, stream_budget):
     """The recursion by rescanning a fresh stream from element 0 for every level.
 
@@ -409,15 +423,24 @@ def _forge_noncommuting_levels(doc):
     levels[1] = levels[0]
 
 
-def _replace(path, value, named):
-    """A forge setting the field at `path` to `value`; replay must name `named`."""
+def _replace(path, value, named, base=None):
+    """A forge setting the field at `path` to `value`; replay must name `named`.
+
+    `base` is the (spec, k) whose certificate is forged, by default the S3 sum at k = 2.
+    """
     def forge(doc):
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
         return named
+    forge.base = base
     return forge
+
+
+# type_I on the index a spec declares
+_FREE1_INDEX1 = {"family": "free", "rank": 1,
+                 "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 1}}}
 
 
 _LEVEL0 = ("commuting_witness", "levels", 0)
@@ -442,10 +465,17 @@ _LEVEL0 = ("commuting_witness", "levels", 0)
     pytest.param(_replace(("verdict",), "type_I", "type_i_witness"), id="verdict-type_I"),
     pytest.param(_replace(("group_spec",), {"family": "nope"}, "group_spec"),
                  id="group_spec-unknown-family"),
+    # True == 1: one level clears k = 1, and the declared index is 1
+    pytest.param(_replace(("growth", "levels_required"), True, "growth.levels_required",
+                          base=(SPEC_S3SUM, 1)), id="levels_required-bool"),
+    pytest.param(_replace(("type_i_witness", "index"), True, "type_i_witness.index",
+                          base=(_FREE1_INDEX1, 2)), id="index-bool"),
 ])
 def test_replay_rejects_forged_claims(forge):
-    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
-    assert len(doc["commuting_witness"]["levels"]) == 3
+    spec, k = getattr(forge, "base", None) or (SPEC_S3SUM, 2)
+    doc = json.loads(classify(spec, ClassifyOptions(k=k)).to_bytes())
+    if spec is SPEC_S3SUM and k == 2:
+        assert len(doc["commuting_witness"]["levels"]) == 3
     assert replay_certificate(doc).passed
     named = forge(doc)
     report = replay_certificate(doc)

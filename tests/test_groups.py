@@ -353,6 +353,36 @@ def test_restricted_sum_enumeration_puts_low_coordinates_first():
     assert all(e.form[0][0] == 1 for e in els[4:7])
 
 
+def _dict_law_mul(factor, a, b):
+    """The restricted-sum law through a dict of coordinates, sorted afterwards."""
+    acc = dict(a)
+    for coord, y in b:
+        z = factor.mul(acc.get(coord, factor.identity), y)
+        if z == factor.identity:
+            acc.pop(coord, None)
+        else:
+            acc[coord] = z
+    return tuple(sorted(acc.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor=st.sampled_from([spec_symmetric(3), SPEC_Q8, spec_cyclic(2)]), data=st.data())
+def test_restricted_sum_law_matches_a_dict_reference(factor, data):
+    fam = construct_group({"family": "restricted_sum", "factor": factor})._family
+    one = fam.factor.identity
+    elements = [e.form for e in construct_group(factor).all_elements()]
+    forms = st.dictionaries(st.integers(0, 7), st.sampled_from(elements), max_size=6).map(
+        lambda d: tuple(sorted((c, x) for c, x in d.items() if x != one)))
+    a, b = data.draw(forms), data.draw(forms)
+    ab, ba = fam.mul(a, b), fam.mul(b, a)
+    assert ab == _dict_law_mul(fam.factor, a, b) and ba == _dict_law_mul(fam.factor, b, a)
+    for form in (ab, ba):
+        assert type(form) is tuple and all(type(entry) is tuple for entry in form)
+        assert all(x != one for _, x in form)
+    assert fam.commutes(a, b) == (ab == ba) == fam.commutes(b, a)
+    assert fam.mul(a, fam.inv(a)) == fam.identity
+
+
 def test_coordinate_subgroup():
     ss = construct_group(SPEC_S3SUM)
     sub = coordinate_subgroup(ss, 3)
