@@ -31,7 +31,7 @@ from . import modp
 from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
-from .groups import GroupElement, GroupHandle, Subgroup, _conjugacy_orbit, as_subgroup, order_text
+from .groups import GroupHandle, Subgroup, _bfs, as_subgroup, order_text
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -42,7 +42,9 @@ class ClassData:
 
     The structure constant a_ijk counts pairs (x, y) in C_i x C_j with x*y = z
     for one fixed z in C_k (the count is independent of the choice of z);
-    `class_matrix(i)` builds the r x r slice A_i on demand.
+    `class_matrix(i)` builds the r x r slice A_i on demand.  `power_classes[j]`
+    holds the classes of rep_j^0, rep_j^1, ... up to the order of rep_j; the
+    exponent is the lcm of their lengths.
     """
 
     subgroup: Subgroup
@@ -51,6 +53,7 @@ class ClassData:
     sizes: list[int]
     inverse_class: list[int]
     exponent: int
+    power_classes: list[list[int]]
 
     @property
     def order(self) -> int:
@@ -72,25 +75,21 @@ class ClassData:
 
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
-    """Partition a finite subgroup into conjugacy classes."""
+    """Partition a finite subgroup into conjugacy classes; walk each representative's powers."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
                      subject.order, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order
     _check_order(H.describe(), n, max_order)
-    handle, fam = H.handle, H.handle._family
-    gens = H.generators if H.generators is not None else H.elements
-    letters = fam.alphabet_block([g.form for g in gens])
+    fam, conj = H.handle._family, H.table.conj.tolist()
     class_of: dict = {}
     classes: list[ConjugacyClass] = []
-    for g in H.elements:
-        if g.form in class_of:
-            continue
-        orbit = _conjugacy_orbit(fam, g.form, letters)
-        for f in orbit:
-            class_of[f] = len(classes)
-        classes.append(ConjugacyClass(g, tuple(GroupElement(handle, f) for f in orbit), budget=n))
+    for i, g in enumerate(H.elements):
+        if g.form not in class_of:
+            orbit = [H.elements[x] for x in _bfs([i], range(len(conj)), lambda x, a: conj[a][x])]
+            class_of.update((x.form, len(classes)) for x in orbit)
+            classes.append(ConjugacyClass(g, tuple(orbit), budget=n))
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")
@@ -100,27 +99,23 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
         raise ConsistencyError("the identity's class is not the singleton class 0")
 
     inverse_class = [class_of[fam.inv(c.representative.form)] for c in classes]
-    exponent = 1
+    power_classes = []
     for c in classes:
-        exponent = lcm(exponent, _element_order(H, c.representative))
-    return ClassData(H, classes, class_of, sizes, inverse_class, exponent)
+        cycle, g = [0], c.representative.form
+        cur = g
+        while cur != fam.identity:
+            if len(cycle) == n:
+                raise ConsistencyError("element order exceeds subgroup order")
+            cycle.append(class_of[cur])
+            cur = fam.mul(cur, g)
+        power_classes.append(cycle)
+    exponent = lcm(*map(len, power_classes))
+    return ClassData(H, classes, class_of, sizes, inverse_class, exponent, power_classes)
 
 
 def _check_order(what: str, order: int, max_order: int):
     if order > max_order:
         raise RequiresFiniteError(f"{what} exceeds the configured maximum {max_order}")
-
-
-def _element_order(H: Subgroup, g: GroupElement) -> int:
-    fam = H.handle._family
-    cur = g.form
-    k = 1
-    while cur != fam.identity:
-        cur = fam.mul(cur, g.form)
-        k += 1
-        if k > H.order:
-            raise ConsistencyError("element order exceeds subgroup order")
-    return k
 
 
 @dataclass
@@ -205,7 +200,11 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
                     nul = modp.nullspace_mod((b_op - lam * np.eye(d, dtype=np.int64)) % p, p)
                     if nul.shape[0] == 0:
                         continue
-                    red, piv = modp.rref_mod((nul @ basis) % p, p)
+                    # a nullspace row is 1 at its free column, its last nonzero entry,
+                    # and 0 at the other free columns: nul @ basis is already the
+                    # identity on the basis pivots of those columns
+                    red = (nul @ basis) % p
+                    piv = [pivots[np.flatnonzero(row)[-1]] for row in nul]
                 else:
                     red = (vec @ basis) % p
                     piv = [int(np.flatnonzero(red)[0])]
@@ -312,15 +311,7 @@ def _lift_plan(cd: ClassData, p: int) -> list[tuple]:
     each class's leader (a column index) and permutation, and the rows
     x^s mod Phi_m for the s that m/o divides.
     """
-    r, m = len(cd.classes), cd.exponent
-    fam = cd.subgroup.handle._family
-    cycles = []  # cycles[j][t]: the class of rep_j^t for t < o_j
-    for c in cd.classes:
-        cycle, cur = [0], c.representative.form
-        while cur != fam.identity:
-            cycle.append(cd.class_of[cur])
-            cur = fam.mul(cur, c.representative.form)
-        cycles.append(cycle)
+    r, m, cycles = len(cd.classes), cd.exponent, cd.power_classes
     source: dict = {}  # class j' -> (leader j, k) with rep_j' conjugate to rep_j^k
     for j, cycle in enumerate(cycles):
         if j not in source:

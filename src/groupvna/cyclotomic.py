@@ -96,18 +96,6 @@ class Cyclo:
         d, rows = _reduction(m)
         return Cyclo(m, rows[s % m])
 
-    @staticmethod
-    def from_multiplicities(m: int, mults) -> Cyclo:
-        """sum_s mults[s] * zeta_m^s for an integer vector of length m."""
-        d, rows = _reduction(m)
-        acc = [0] * d
-        for s, mu in enumerate(mults):
-            if mu:
-                row = rows[s % m]
-                for j in range(d):
-                    acc[j] += mu * row[j]
-        return Cyclo(m, acc)
-
     # -- modulus handling --------------------------------------------------
 
     def lift(self, m2: int) -> Cyclo:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, ParameterError
-from .groups import GroupElement, GroupHandle, _conjugacy_orbit
+from .groups import GroupElement, GroupHandle, _bfs
 
 DEFAULT_CLASS_BUDGET = 10**4
 
@@ -66,9 +66,9 @@ def conjugacy_class(g: GroupElement, budget: int = DEFAULT_CLASS_BUDGET) -> Conj
     if budget < 1:
         raise ParameterError("class budget must be >= 1")
     fam = handle._family
-    letters = fam.alphabet_block(fam.conjugating_forms(g.form))
+    pairs = [(t, fam.inv(t)) for t in fam.alphabet_block(fam.conjugating_forms(g.form))]
     try:
-        forms = _conjugacy_orbit(fam, g.form, letters, budget)
+        forms = _bfs([g.form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]), budget)
     except BudgetExceededError as e:
         return ConjugacyClass(g, None, budget, partial_count=e.partial_count)
     return ConjugacyClass(g, tuple(GroupElement(handle, f) for f in forms), budget)

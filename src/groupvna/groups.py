@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     DomainMismatchError,
@@ -33,6 +35,7 @@ MAX_SPEC_DEPTH = 64  # products and restricted sums nested inside one another
 # 1000! is about 2^8530
 MAX_ORDER_BITS = 10_000
 MAX_SYMMETRIC_N = 1000
+MAX_FREE_RANK = 1000  # each conjugating alphabet holds 2 * rank letters
 
 
 @dataclass(frozen=True)
@@ -439,8 +442,6 @@ class _Cayley(_Family):
     def __init__(self, table: list):
         self.tag = "cayley"
         self._validate(table)
-        import numpy as np
-
         self.table = np.array(table, dtype=np.int64)
         n = len(table)
         self.n = n
@@ -824,12 +825,6 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
-def _conjugacy_orbit(fam: _Family, form, letters: list, budget: Optional[int] = None) -> list:
-    """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first."""
-    pairs = [(t, fam.inv(t)) for t in letters]
-    return _bfs([form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]), budget)
-
-
 # ---------------------------------------------------------------------------
 # handle
 
@@ -968,10 +963,35 @@ def _spec_label(spec: dict) -> str:
 # subgroups and closures
 
 
+class IndexTable:
+    """A finite subgroup's letters acting on its element indices 0..n-1.
+
+    The letters are the alphabet block of the subgroup's generators, or of its
+    elements when it has none; a block is closed under inversion, and
+    inverse_letter[a] is the letter t_a^-1.  right[a, x] is the index of
+    x t_a, conj[a, x] that of t_a x t_a^-1, and inverse[x] that of x^-1.
+    """
+
+    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj")
+
+    def __init__(self, H: "Subgroup"):
+        fam, index = H.handle._family, H._index
+        forms = [e.form for e in H.elements]
+        self.letters = fam.alphabet_block([g.form for g in H.generators or H.elements])
+        letter = {t: a for a, t in enumerate(self.letters)}
+        self.inverse_letter = np.array([letter[fam.inv(t)] for t in self.letters], dtype=np.intp)
+        self.inverse = np.array([index[fam.inv(x)] for x in forms], dtype=np.intp)
+        self.right = np.array([[index[fam.mul(x, t)] for x in forms] for t in self.letters],
+                              dtype=np.intp).reshape(len(self.letters), len(forms))
+        # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
+        back = self.right[self.inverse_letter]
+        self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
+
+
 class Subgroup:
     """A finite subgroup materialized as an ordered element list (identity first)."""
 
-    __slots__ = ("handle", "elements", "generators", "_index")
+    __slots__ = ("handle", "elements", "generators", "_index", "_table")
 
     def __init__(self, handle: GroupHandle, elements: list[GroupElement],
                  generators: Optional[list[GroupElement]] = None, _trusted: bool = False):
@@ -979,6 +999,7 @@ class Subgroup:
         self.elements = tuple(elements)
         self.generators = tuple(generators) if generators is not None else None
         self._index = {e.form: i for i, e in enumerate(self.elements)}
+        self._table: Optional[IndexTable] = None
         if not _trusted:
             self._validate()
 
@@ -1002,6 +1023,13 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def table(self) -> IndexTable:
+        """The subgroup's index table, built on first use and then kept."""
+        if self._table is None:
+            self._table = IndexTable(self)
+        return self._table
 
     def __len__(self):
         return len(self.elements)
@@ -1161,7 +1189,9 @@ def _build_family(spec: dict, depth: int = 0) -> _Family:
         _check_depth("factor", depth)
         return _RestrictedSum(_build_family(factor, depth + 1))
     if fam == "free":
-        return _Free(_require_int(spec, "rank", 1))
+        if _require_int(spec, "rank", 1) > MAX_FREE_RANK:
+            raise SpecError(f'field "rank": free groups are supported up to rank {MAX_FREE_RANK}')
+        return _Free(spec["rank"])
     raise UnsupportedFamilyError(f'field "family": unsupported family "{fam}"')
 
 

@@ -290,26 +290,22 @@ class RegularRep:
 
     def __init__(self, subgroup: Subgroup):
         self.subgroup = H = as_subgroup(subgroup)
-        self.dimension = H.order
-        fam = H.handle._family
-        index = H._index
-        forms = [x.form for x in H.elements]
-        gens = [g.form for g in (H.generators if H.generators is not None else H.elements)]
-        # x (g s)^-1 = (x s^-1) g^-1, so r_{g s} = r_g[r_s]: a BFS over the
-        # generators costs n |S| products instead of n^2
-        perms = {s: np.array([index[fam.mul(x, fam.inv(s))] for x in forms], dtype=np.int64)
-                 for s in gens}
-        self._right = right = {fam.identity: np.arange(self.dimension, dtype=np.int64)}
+        n = self.dimension = H.order
+        table = H.table
+        right, back = table.right.tolist(), table.right[table.inverse_letter]
+        # x (g t)^-1 = (x t^-1) g^-1, so r_{g t} = r_g[r_t]: a BFS over the
+        # letters costs n |letters| index steps instead of n^2 products
+        perms = [np.arange(n, dtype=np.int64)] + [None] * (n - 1)
 
-        def step(g, s):
-            gs = fam.mul(g, s)
-            if gs not in right:
-                right[gs] = right[g][perms[s]]
-            return gs
+        def step(x, a):
+            y = right[a][x]
+            if perms[y] is None:
+                perms[y] = perms[x][back[a]]
+            return y
 
-        _bfs([fam.identity], list(perms), step)
-        if len(right) != self.dimension:
+        if len(_bfs([0], range(len(right)), step)) != n:
             raise ConsistencyError("the subgroup's generators do not reach all of its elements")
+        self._right = {g.form: perm for g, perm in zip(H.elements, perms)}
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension))
@@ -419,24 +415,14 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
         raise ParameterError(
             f"numerical oracle is limited to order <= {ORACLE_MAX_ORDER}, got {n}")
     rep = RegularRep(H)
-    fam = H.handle._family
 
     # center of the generated algebra: coefficient functions constant under
-    # h -> g h g^-1 for every generator g, solved as a linear system
-    gens = H.generators if H.generators is not None else H.elements
-    gen_forms = fam.alphabet_block([g.form for g in gens]) or [fam.identity]
-    rows = []
-    for gform in gen_forms:
-        ginv = fam.inv(gform)
-        for i, h in enumerate(H.elements):
-            j = H._index[fam.mul(fam.mul(gform, h.form), ginv)]
-            if i != j:
-                row = np.zeros(n)
-                row[i] = 1.0
-                row[j] = -1.0
-                rows.append(row)
-    if rows:
-        _, s, vt = np.linalg.svd(np.array(rows))
+    # h -> t h t^-1 for every letter t, solved as a linear system with one row
+    # e_h - e_{t h t^-1} per letter and element it moves
+    conj = H.table.conj
+    letter, i = np.nonzero(conj != np.arange(n))
+    if i.size:
+        _, s, vt = np.linalg.svd(np.eye(n)[i] - np.eye(n)[conj[letter, i]])
         rank = int((s > 1e-10 * max(1.0, s[0])).sum())
         center_basis = vt[rank:]
     else:
@@ -464,7 +450,7 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
         except DegenerateSpectrumError as e:
             last_error = str(e)
             continue
-        proj_residual = _projection_residual(rep, blocks, gen_forms)
+        proj_residual = _projection_residual(rep, blocks, H.table.letters)
         return NumericalDecomposition(
             subgroup_order=n,
             blocks=blocks,
@@ -780,23 +766,21 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     first prefix, a lazy iterable level by level as it arrives.
     """
     subs: list[Subgroup] = []
-    gen_forms: list[list] = []
 
     def admit(level) -> Subgroup:
         H = as_subgroup(level)
         if subs and H.handle is not subs[0].handle:
             raise DomainMismatchError("tower levels live in different handles")
         fam = H.handle._family
-        forms = [g.form for g in (H.generators or H.elements)]
-        for i, earlier in enumerate(gen_forms):
-            pair = fam.noncommuting_pair(earlier, forms)
+        forms = H.table.letters
+        for i, earlier in enumerate(subs):
+            pair = fam.noncommuting_pair(earlier.table.letters, forms)
             if pair is not None:
                 raise PreconditionError(
                     f"tower levels {i} and {len(subs)} do not commute at "
                     f"({fam.describe(pair[0])}, {fam.describe(pair[1])})"
                 )
         subs.append(H)
-        gen_forms.append(forms)
         return H
 
     if isinstance(levels, (list, tuple)):
@@ -805,9 +789,9 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
         levels = map(admit, levels)
     order, spectrum, centre = 1, {1: Fraction(1)}, None
     for n, H in enumerate(levels, start=1):
-        fam, gens = H.handle._family, gen_forms[n - 1]
-        level_centre = [h.form for h in H.elements
-                        if all(fam.commutes(h.form, g) for g in gens)]
+        fam, conj = H.handle._family, H.table.conj
+        level_centre = [H.elements[i].form
+                        for i in np.flatnonzero((conj == np.arange(H.order)).all(axis=0))]
         if centre is None:
             centre = {fam.identity}
         meet = centre.intersection(level_centre)

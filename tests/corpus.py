@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from groupvna.groups import GroupHandle, Subgroup, construct_group, generate_closure
+from groupvna.groups import GroupHandle, Subgroup, as_subgroup, construct_group, generate_closure
 
 
 def spec_symmetric(n):
@@ -70,6 +70,29 @@ def central_product_handle_and_subgroups() -> tuple[GroupHandle, Subgroup, Subgr
     h0 = generate_closure([handle.element(i) for i in h0_idx])
     h1 = generate_closure([handle.element(i) for i in h1_idx])
     return handle, h0, h1
+
+
+def index_table_subgroup(name: str) -> Subgroup:
+    """One of INDEX_TABLE_SUBGROUPS: whole groups, a closure inside an infinite
+    group, a subgroup given only by its elements, and the trivial group."""
+    if name == "s3sum-closure":
+        s3sum = construct_group(SPEC_S3SUM)
+        return generate_closure([s3sum.element(((0, (1, 0, 2)),)),
+                                 s3sum.element(((0, (1, 2, 0)), (1, (1, 0, 2))))])
+    if name == "s3-in-s4-elements":
+        s4 = construct_group(spec_symmetric(4))
+        return as_subgroup([e for e in s4.all_elements() if e.form[3] == 3])
+    return as_subgroup(construct_group({
+        "s4": spec_symmetric(4),
+        "q8xc2": spec_product(SPEC_Q8, spec_cyclic(2)),
+        "heis3": {"family": "heisenberg", "p": 3},
+        "cayley-q8oq8": central_product_q8()[0],
+        "trivial": spec_cyclic(1),
+    }[name]))
+
+
+INDEX_TABLE_SUBGROUPS = ["s4", "q8xc2", "heis3", "cayley-q8oq8", "s3sum-closure",
+                         "s3-in-s4-elements", "trivial"]
 
 
 # finite families of order <= 64 exercised by the exact trace-axiom checks

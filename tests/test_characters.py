@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from corpus import (
+    INDEX_TABLE_SUBGROUPS,
     SPEC_Q8,
     TRACE_FAMILY_SPECS,
     central_product_q8,
+    index_table_subgroup,
     spec_cyclic,
     spec_dihedral,
     spec_product,
@@ -25,7 +27,7 @@ from groupvna.characters import (
 )
 from groupvna.cyclotomic import Cyclo
 from groupvna.errors import RequiresFiniteError
-from groupvna.groups import commutator, construct_group, generate_closure
+from groupvna.groups import _bfs, commutator, construct_group, generate_closure
 from groupvna.jsonutil import canonical_dumps
 
 
@@ -38,6 +40,34 @@ def test_class_data_s3():
     assert sorted(cd.sizes) == [1, 2, 3]
     assert cd.sizes[0] == 1  # identity class first
     assert cd.exponent == 6
+
+
+def _conjugacy_orbit(fam, form, letters):
+    """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first."""
+    pairs = [(t, fam.inv(t)) for t in letters]
+    return _bfs([form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]))
+
+
+@pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
+def test_class_data_matches_a_conjugacy_orbit_reference(name):
+    H = index_table_subgroup(name)
+    fam = H.handle._family
+    # the classes as orbits of canonical forms under conjugation by the
+    # generators and their inverses, in order of first element
+    letters = fam.alphabet_block([g.form for g in H.generators or H.elements])
+    want, seen = [], set()
+    for g in H.elements:
+        if g.form not in seen:
+            want.append(_conjugacy_orbit(fam, g.form, letters))
+            seen.update(want[-1])
+    cd = class_data(H)
+    assert [[x.form for x in c.elements] for c in cd.classes] == want
+    for c, cycle in zip(cd.classes, cd.power_classes):
+        powers, x = [], H.handle.identity
+        while not powers or not x.is_identity:
+            powers.append(cd.class_of[x.form])
+            x = x * c.representative
+        assert cycle == powers
 
 
 def test_class_data_cyclic4_singletons():

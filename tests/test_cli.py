@@ -229,6 +229,7 @@ def _nested_products(depth):
     pytest.param(_nested_products(65), 'field "factors": group specs nested more than 64',
                  id="product-65-deep"),
     pytest.param('{"family": "symmetric", "n": 20000}', 'field "n"', id="s20000"),
+    pytest.param('{"family": "free", "rank": 1000000}', 'field "rank"', id="free-rank-10^6"),
     pytest.param('{"family": "cyclic", "n": 1' + "0" * 5000 + "}", "cannot be read",
                  id="int-5001-digits"),
     pytest.param('{"family": "heisenberg", "p": 1' + "0" * 4000 + "}",

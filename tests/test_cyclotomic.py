@@ -66,14 +66,6 @@ def test_to_complex_matches_exponential():
         assert abs(got - want) < 1e-12
 
 
-def test_from_multiplicities():
-    # 1 + zeta_4 + zeta_4^2 + zeta_4^3 = 0; 2*zeta_4 - 2*zeta_4^3 = 4i... checked via complex
-    v = Cyclo.from_multiplicities(4, [1, 1, 1, 1])
-    assert v.is_zero()
-    w = Cyclo.from_multiplicities(4, [0, 2, 0, 0])
-    assert abs(w.to_complex() - 2j) < 1e-12
-
-
 def test_is_rational_guard():
     z = Cyclo.root(8, 1)
     assert not z.is_rational()

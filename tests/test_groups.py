@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    INDEX_TABLE_SUBGROUPS,
     SPEC_Q8,
     SPEC_S3SUM,
     TRACE_FAMILY_SPECS,
     central_product_q8,
+    index_table_subgroup,
     json_values,
     spec_cyclic,
     spec_dihedral,
@@ -32,6 +34,25 @@ from groupvna.groups import (
     generate_closure,
     group_law,
 )
+
+
+@pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
+def test_index_table_follows_the_group_law(name):
+    H = index_table_subgroup(name)
+    fam, table, elements = H.handle._family, H.table, H.elements
+    assert table.right.shape == table.conj.shape == (len(table.letters), H.order)
+    for x, g in enumerate(elements):
+        assert elements[table.inverse[x]] == g.inv()
+    for a, form in enumerate(table.letters):
+        t = H.handle.element(form)
+        assert table.letters[table.inverse_letter[a]] == fam.inv(form)
+        for x, g in enumerate(elements):
+            assert elements[table.right[a, x]].form == fam.mul(g.form, form)
+            assert elements[table.conj[a, x]] == conjugate(g, t)
+    # the letters generate the subgroup
+    letters = [H.handle.element(f) for f in table.letters] or [H.handle.identity]
+    assert generate_closure(letters).order == H.order
+    assert H.table is table  # built once, then kept
 
 
 def _perm(handle, *images):
