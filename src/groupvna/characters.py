@@ -2,24 +2,32 @@
 
 The class-multiplication matrices A_i with (A_i)[j, k] = a_ijk commute, and
 their joint eigenvectors, computed over a prime field F_p with p = 1 mod
-exponent(H) and p > 2 sqrt(|H|), are exactly the central-character vectors
-w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  Each A_i is built only
-when the splitting reaches it, so no r x r x r tensor is held.  On each joint
-eigenspace, with B the action of A_i and chi its characteristic polynomial, a
-simple root lam gets its eigenvector as q(B) v for q = chi / (x - lam) and one
-Krylov sequence v, Bv, ..., B^(d-1) v: by Cayley-Hamilton (B - lam) q(B) v =
-chi(B) v = 0, so a nonzero q(B) v is an eigenvector whatever B is.  Only
-repeated roots, and a simple root whose q(B) v vanishes, cost a Gaussian
-elimination.  Degrees come from the second orthogonality relation, character
-values from root-of-unity multiplicities (a mod-p discrete Fourier transform
-over the power map, one per Galois orbit of classes), and every value is
-lifted to an exact element of Z[zeta_m], m the exponent.  Both orthogonality
-relations are checked exactly, at the Galois conjugates of zeta_m, before any
-table is returned.
+exponent(H), are exactly the central-character vectors
+w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  The whole class algebra
+is split at once by one random combination A_c = sum_i c_i A_i (Dixon, Numer.
+Math. 10 (1967); Schneider, J. Symbolic Comput. 9 (1990)): w_chi is an
+eigenvector of A_c with eigenvalue c . w_chi / |C|, and two distinct central
+characters share that eigenvalue with probability 1/p.  With r classes and
+p > r^2 the expected number of colliding pairs is below r^2 / 2p < 1/2, so
+one combination nearly always yields r simple eigenvalues; a collided space is
+split again by a fresh combination.  p > 2 sqrt(|H|) keeps the degrees
+recoverable, and the table's values are exact, so they do not depend on p.
+On each eigenspace, with B the action of A_c and chi its characteristic
+polynomial, a simple root lam gets its eigenvector as q(B) v for
+q = chi / (x - lam) and one Krylov sequence v, Bv, ..., B^(d-1) v: by
+Cayley-Hamilton (B - lam) q(B) v = chi(B) v = 0, so a nonzero q(B) v is an
+eigenvector whatever B is.  Only repeated roots, and a simple root whose
+q(B) v vanishes, cost a Gaussian elimination.  Degrees come from the second
+orthogonality relation, character values from root-of-unity multiplicities
+(a mod-p discrete Fourier transform over the power map, one per Galois orbit
+of classes), and every value is lifted to an exact element of Z[zeta_m], m the
+exponent.  Both orthogonality relations are checked exactly, at the Galois
+conjugates of zeta_m, before any table is returned.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -34,6 +42,7 @@ from .fc_center import ConjugacyClass
 from .groups import GroupHandle, Subgroup, _bfs, as_subgroup, order_text
 
 DEFAULT_MAX_ORDER = 5000
+SPLIT_ROUNDS = 8  # random combinations tried before the splitting gives up
 
 
 @dataclass
@@ -41,8 +50,10 @@ class ClassData:
     """Conjugacy classes of a finite subgroup, the identity's class first.
 
     The structure constant a_ijk counts pairs (x, y) in C_i x C_j with x*y = z
-    for one fixed z in C_k (the count is independent of the choice of z);
-    `class_matrix(i)` builds the r x r slice A_i on demand.  `power_classes[j]`
+    for one fixed z in C_k (the count is independent of the choice of z).
+    `class_combination(c)` builds the r x r matrix sum_i c_i A_i of the slices
+    (A_i)[j, k] = a_ijk from the subgroup's index table, one column at a time.
+    `index_class[x]` is the class of element index x.  `power_classes[j]`
     holds the classes of rep_j^0, rep_j^1, ... up to the order of rep_j; the
     exponent is the lcm of their lengths.
     """
@@ -50,6 +61,7 @@ class ClassData:
     subgroup: Subgroup
     classes: list[ConjugacyClass]
     class_of: dict  # canonical form -> class index
+    index_class: np.ndarray  # element index -> class index
     sizes: list[int]
     inverse_class: list[int]
     exponent: int
@@ -59,19 +71,53 @@ class ClassData:
     def order(self) -> int:
         return self.subgroup.order
 
-    def class_matrix(self, i: int) -> np.ndarray:
-        """A_i, (A_i)[j, k] = a_ijk = #{x in C_i : x^-1 z_k in C_j} for z_k the
-        representative of C_k: |C_i| * r products and r^2 memory."""
-        fam, r = self.subgroup.handle._family, len(self.classes)
-        reps = [c.representative.form for c in self.classes]
-        cells = [self.class_of[fam.mul(xi, z)] * r + k
-                 for xi in (fam.inv(x.form) for x in self.classes[i].elements)
-                 for k, z in enumerate(reps)]
-        a = np.bincount(cells, minlength=r * r).reshape(r, r)
+    def class_combination(self, c) -> np.ndarray:
+        """A_c = sum_i c_i A_i: (A_c)[j, k] sums c_class(x) over the x in H with
+        x^-1 z_k in C_j, for one z_k in each C_k.  Column k is one weighted
+        bincount over the permutation x -> x^-1 z_k, built from `inverse` by the
+        right-multiplication rows along a word for z_k; each sum is at most
+        c . |C| < 2^53, so the float weights stay exact (see `dixon_prime`)."""
+        table, r = self.subgroup.table, len(self.classes)
+        c = np.asarray(c, dtype=np.int64)
+        weights = c[self.index_class].astype(np.float64)
+        out = np.empty((r, r), dtype=np.int64)
+        for k, word in enumerate(self._words()):
+            perm = table.inverse  # perm[x] is the index of x^-1 t_a1 ... t_ai
+            for a in word:
+                perm = table.right[a][perm]
+            out[:, k] = np.bincount(self.index_class[perm], weights, minlength=r)
         sz = np.array(self.sizes, dtype=np.int64)
-        if not np.array_equal(a @ sz, sz[i] * sz):
-            raise ConsistencyError(f"class matrix {i} violates sum_k a_ijk |C_k| = |C_i||C_j|")
-        return a
+        if not np.array_equal(out @ sz, int(c @ sz) * sz):
+            raise ConsistencyError("class combination violates sum_k a_ijk |C_k| = |C_i||C_j|")
+        return out
+
+    def _words(self) -> list[list[int]]:
+        """For each class k, letters a_1, a_2, ... with t_a1 t_a2 ... = z_k, the
+        element of C_k met first by a breadth-first search over the letters."""
+        right, cls = self.subgroup.table.right.tolist(), self.index_class.tolist()
+        up = {0: (0, -1)}  # index -> (parent index, letter)
+        first = {0: 0}  # class -> its element met first
+        frontier = [0]
+        while len(first) < len(self.classes) and frontier:
+            nxt = []
+            for y in frontier:
+                for a, row in enumerate(right):
+                    z = row[y]
+                    if z not in up:
+                        up[z] = (y, a)
+                        nxt.append(z)
+                        first.setdefault(cls[z], z)
+            frontier = nxt
+        if len(first) < len(self.classes):
+            raise ConsistencyError("the index table's letters do not reach every class")
+        words = []
+        for k in range(len(self.classes)):
+            word, z = [], first[k]
+            while z:
+                z, a = up[z]
+                word.append(a)
+            words.append(word[::-1])
+        return words
 
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
@@ -85,10 +131,13 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     fam, conj = H.handle._family, H.table.conj.tolist()
     class_of: dict = {}
     classes: list[ConjugacyClass] = []
+    index_class = np.empty(n, dtype=np.intp)
     for i, g in enumerate(H.elements):
         if g.form not in class_of:
-            orbit = [H.elements[x] for x in _bfs([i], range(len(conj)), lambda x, a: conj[a][x])]
+            at = _bfs([i], range(len(conj)), lambda x, a: conj[a][x])
+            orbit = [H.elements[x] for x in at]
             class_of.update((x.form, len(classes)) for x in orbit)
+            index_class[at] = len(classes)
             classes.append(ConjugacyClass(g, tuple(orbit), budget=n))
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
@@ -110,7 +159,8 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
             cur = fam.mul(cur, g)
         power_classes.append(cycle)
     exponent = lcm(*map(len, power_classes))
-    return ClassData(H, classes, class_of, sizes, inverse_class, exponent, power_classes)
+    return ClassData(H, classes, class_of, index_class, sizes, inverse_class, exponent,
+                     power_classes)
 
 
 def _check_order(what: str, order: int, max_order: int):
@@ -157,26 +207,38 @@ class CharacterTable:
         }
 
 
-def dixon_prime(order: int, exponent: int) -> int:
-    """Smallest prime p with p = 1 mod exponent and p > 2 sqrt(order)."""
-    p = max(2 * isqrt(order) + 1, 3)
+def dixon_prime(order: int, exponent: int, classes: int) -> int:
+    """Smallest prime p with p = 1 mod exponent and p > max(2 sqrt(order), classes^2).
+
+    Raises ConsistencyError unless int64 holds the splitting's arithmetic: dot
+    products of up to max(classes, exponent) terms below (p - 1)^2 stay under
+    2^63, and the float weights of `class_combination`, order * (p - 1), under 2^53.
+    """
+    p = max(2 * isqrt(order) + 1, classes * classes + 1, 3)
     while True:
         if (p - 1) % exponent == 0 and modp.is_prime(p):
-            return p
+            break
         p += 1
+    if max(classes, exponent) * (p - 1) ** 2 >= 2**63 or order * (p - 1) >= 2**53:
+        raise ConsistencyError(f"the Dixon prime {p} of {classes} classes overflows int64")
+    return p
 
 
 def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
-    """Joint one-dimensional eigenspaces of the class matrices A_1, A_2, ... over F_p.
+    """Joint one-dimensional eigenspaces of the class matrices over F_p.
 
-    Each matrix is built, and reduced mod p, only when the refinement reaches it.
+    Each round splits the spaces left by the one before with a combination
+    A_c of random coefficients c; the generator has a fixed seed, so a table's
+    splitting is reproducible.  Round 0 splits the whole space; the later
+    rounds see only the rare spaces whose eigenvalues collided.
     """
     r = len(cd.classes)
+    rng = random.Random(0)
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    for i in range(1, r):
+    for round_ in range(SPLIT_ROUNDS):
         if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
-        m = cd.class_matrix(i) % p
+        m = cd.class_combination([rng.randrange(p) for _ in range(r)]) % p
         refined = []
         for basis, pivots in spaces:
             d = basis.shape[0]
@@ -187,11 +249,14 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
             b_op = images[:, pivots].T % p  # coords act as columns
             chi = modp.charpoly_mod(b_op, p)
             roots = modp.poly_roots_mod(chi, p)
-            # basis[0]: on the whole space, the identity class's coordinate has the
-            # component chi(1)^2 / |H| != 0 along every w_chi, so the first
-            # split finds the vector of every simple root
-            seed = np.zeros(d, dtype=np.int64)
-            seed[0] = 1
+            if round_ == 0:
+                # on the whole space, the identity class's coordinate has the
+                # component chi(1)^2 / |H| != 0 along every w_chi, so it finds
+                # the vector of every simple root
+                seed = np.zeros(d, dtype=np.int64)
+                seed[0] = 1
+            else:
+                seed = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
             found = modp.simple_eigenvectors(b_op, chi, roots, seed, p)
             total = 0
             for lam in roots:
@@ -215,7 +280,8 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
                 raise ConsistencyError("eigenspace refinement lost dimensions mod p")
         spaces = refined
     if not all(basis.shape[0] == 1 for basis, _ in spaces):
-        raise ConsistencyError("class-sum matrices did not split into one-dimensional joint eigenspaces")
+        raise ConsistencyError(f"{SPLIT_ROUNDS} class combinations did not split the class "
+                               "algebra into one-dimensional joint eigenspaces")
     return [basis[0] % p for basis, _ in spaces]
 
 
@@ -229,7 +295,7 @@ def character_table(cd: ClassData) -> CharacterTable:
     r = len(cd.classes)
     n = cd.order
     m = cd.exponent
-    p = dixon_prime(n, m)
+    p = dixon_prime(n, m, r)
     w = np.array(_common_eigenvectors(cd, p))  # one eigenvector per row
     w = w * np.array([modp.inv_mod(int(x), p) for x in w[:, 0]], dtype=np.int64)[:, None] % p
 

@@ -920,7 +920,12 @@ class GroupHandle:
         return not self._enum_exhausted or bool(added)
 
     def iter_elements(self, limit: Optional[int] = None) -> Iterator[GroupElement]:
-        """Prefix-stable fair enumeration; stops at `limit` or group exhaustion."""
+        """Prefix-stable fair enumeration; stops at `limit` or group exhaustion.
+
+        A finite group stops after its order, whatever its alphabet blocks do.
+        """
+        if self.is_finite:
+            limit = self.order if limit is None else min(limit, self.order)
         i = 0
         while limit is None or i < limit:
             while i >= len(self._enum):

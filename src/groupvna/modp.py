@@ -1,8 +1,8 @@
 """Dense linear algebra over prime fields F_p on int64 numpy arrays.
 
-Everything here assumes p is prime and all matrix entries fit comfortably in
-int64 after one multiply-accumulate (p < 2**31 keeps that safe at the sizes
-this package handles).
+Everything here assumes p is prime and that a dot product of d terms below
+(p - 1)^2 fits in int64, d the matrix size: d (p - 1)^2 < 2^63 (the
+character engine's `dixon_prime` checks this for its prime).
 """
 
 from __future__ import annotations
@@ -120,36 +120,45 @@ def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of det(xI - a) over F_p, ascending order, monic."""
+    """Coefficients of det(xI - a) over F_p, ascending order, monic.
+
+    With h the Hessenberg form and p_k the characteristic polynomial of its
+    leading k x k block, p_k = (x - h[k-1, k-1]) p_(k-1) - sum_i w_i p_(i-1),
+    w_i = h[i-1, k-1] h[i, i-1] ... h[k-1, k-2]: scalar weights, then one
+    vector-matrix product per k.
+    """
     n = a.shape[0]
     if n == 0:
         return np.array([1], dtype=np.int64)
-    h = _hessenberg_mod(a, p)
+    h = _hessenberg_mod(a, p).tolist()
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
     for k in range(1, n + 1):
-        pk = np.zeros(n + 1, dtype=np.int64)
-        pk[1 : k + 1] = polys[k - 1, :k]
-        pk = (pk - h[k - 1, k - 1] * polys[k - 1]) % p
+        w = [0] * (k - 1)
         prod = 1
         for i in range(k - 1, 0, -1):
-            prod = (prod * h[i, i - 1]) % p
+            prod = prod * h[i][i - 1] % p
             if prod == 0:
                 break
-            w = (h[i - 1, k - 1] * prod) % p
-            if w:
-                pk = (pk - w * polys[i - 1]) % p
-        polys[k] = pk
+            w[i - 1] = h[i - 1][k - 1] * prod % p
+        pk = polys[k]
+        pk[1 : k + 1] = polys[k - 1, :k]
+        pk[:] = (pk - h[k - 1][k - 1] * polys[k - 1]) % p
+        pk[:] = (pk - np.array(w, dtype=np.int64) @ polys[: k - 1]) % p
     return polys[n]
 
 
 def poly_roots_mod(coeffs: np.ndarray, p: int) -> list[int]:
-    """All roots in F_p of a nonzero polynomial (ascending coefficients)."""
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in coeffs[::-1]:
-        acc = (acc * xs + int(c)) % p
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+    """All roots in F_p of a nonzero polynomial (ascending coefficients), by
+    Horner's rule on 2^16 points of F_p at a time."""
+    roots: list[int] = []
+    for start in range(0, p, 2**16):
+        xs = np.arange(start, min(start + 2**16, p), dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for c in coeffs[::-1]:
+            acc = (acc * xs + int(c)) % p
+        roots += xs[acc == 0].tolist()
+    return roots
 
 
 def primitive_root_mod(p: int) -> int:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corpus import (
@@ -17,16 +19,17 @@ from corpus import (
     spec_product,
     spec_symmetric,
 )
-from groupvna import cli, modp
+from groupvna import characters, cli, modp
 from groupvna.characters import (
     CharacterTable,
+    ClassData,
     character_table,
     class_data,
     dixon_prime,
     validate_orthogonality,
 )
 from groupvna.cyclotomic import Cyclo
-from groupvna.errors import RequiresFiniteError
+from groupvna.errors import ConsistencyError, RequiresFiniteError
 from groupvna.groups import _bfs, commutator, construct_group, generate_closure
 from groupvna.jsonutil import canonical_dumps
 
@@ -80,14 +83,32 @@ def test_class_data_quaternion8():
     assert sorted(cd.sizes) == [1, 1, 2, 2, 2]
 
 
+def _unit(r, i):
+    return [int(j == i) for j in range(r)]
+
+
 def test_structure_constants_identity_row():
-    import numpy as np
     cd = class_data(construct_group({"family": "symmetric", "n": 4}))
     r = len(cd.classes)
-    assert np.array_equal(cd.class_matrix(0), np.eye(r, dtype=np.int64))
+    assert np.array_equal(cd.class_combination(_unit(r, 0)), np.eye(r, dtype=np.int64))
     sizes = np.array(cd.sizes)
     for i in range(r):
-        assert np.array_equal(cd.class_matrix(i) @ sizes, sizes[i] * sizes)
+        assert np.array_equal(cd.class_combination(_unit(r, i)) @ sizes, sizes[i] * sizes)
+
+
+@pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
+def test_class_combination_matches_the_group_law(name):
+    cd = class_data(index_table_subgroup(name))
+    fam, r = cd.subgroup.handle._family, len(cd.classes)
+    rng = random.Random(r)
+    c = [rng.randrange(1000) for _ in range(r)]
+    # sum_i c_i a_ijk from the products x^-1 z_k at each class's representative
+    want = np.zeros((r, r), dtype=np.int64)
+    for k, cls in enumerate(cd.classes):
+        z = cls.representative.form
+        for x in cd.subgroup.elements:
+            want[cd.class_of[fam.mul(fam.inv(x.form), z)], k] += c[cd.class_of[x.form]]
+    assert np.array_equal(cd.class_combination(c), want)
 
 
 def test_class_data_allocates_no_structure_constant_tensor():
@@ -111,10 +132,25 @@ def test_requires_finite():
 
 
 def test_dixon_prime_properties():
-    for order, exponent in ((6, 6), (120, 60), (32, 4), (27, 3)):
-        p = dixon_prime(order, exponent)
-        assert p % exponent == 1
+    # S3, S5, Q8 x C4, Heis(3), the trivial group, C5000
+    for order, exponent, classes in ((6, 6, 3), (120, 60, 7), (32, 4, 20), (27, 3, 11),
+                                     (1, 1, 1), (5000, 5000, 5000)):
+        p = dixon_prime(order, exponent, classes)
+        assert modp.is_prime(p)
+        assert (p - 1) % exponent == 0
         assert p * p > 4 * order
+        assert p > classes * classes
+        assert classes * (p - 1) ** 2 < 2**63
+
+
+@pytest.mark.parametrize("order,exponent,classes", [
+    (10**4, 10**4, 10**4),  # classes (p - 1)^2 past 2^63
+    (10**6, 10**7, 10),  # exponent (p - 1)^2 past 2^63
+    (2**40, 2, 1),  # order (p - 1) past 2^53
+])
+def test_dixon_prime_refuses_a_prime_that_overflows_int64(order, exponent, classes):
+    with pytest.raises(ConsistencyError, match="overflows int64"):
+        dixon_prime(order, exponent, classes)
 
 
 def test_trivial_table():
@@ -256,7 +292,6 @@ def test_d5_has_exact_golden_ratio_values():
 
 
 def test_degrees_invariant_under_cayley_relabeling():
-    import random
     from groupvna.groups import enumerate_elements
     s4 = construct_group({"family": "symmetric", "n": 4})
     els = enumerate_elements(s4, 24)
@@ -370,7 +405,7 @@ def test_character_engine_bytes_pinned(tmp_path, capsys, name, spec, chartab, sp
 
 
 def test_cyclic_splitting_needs_no_elimination(monkeypatch):
-    # C72's first class matrix has 72 simple eigenvalues: Krylov vectors cover them all
+    # C72's first class combination has 72 simple eigenvalues: Krylov vectors cover them all
     calls = []
     original = modp.nullspace_mod
 
@@ -381,3 +416,37 @@ def test_cyclic_splitting_needs_no_elimination(monkeypatch):
     t = character_table(class_data(construct_group(spec_cyclic(72))))
     assert len(t.rows) == 72
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", [
+    spec_product(spec_heisenberg(3), SPEC_Q8),
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_dihedral(20),
+], ids=["Heis3xQ8", "C10xC12", "D20"])
+def test_colliding_eigenvalues_give_the_same_table(monkeypatch, spec):
+    # below r^2 the prime makes a random combination's eigenvalues collide:
+    # repeated roots go through the nullspace and later rounds split them
+    want = _table(spec).to_json()
+    original_prime, original_combination = characters.dixon_prime, ClassData.class_combination
+    combinations, nullspaces = [], []
+    monkeypatch.setattr(characters, "dixon_prime",
+                        lambda order, exponent, classes: original_prime(order, exponent, 0))
+    monkeypatch.setattr(ClassData, "class_combination",
+                        lambda cd, c: combinations.append(c) or original_combination(cd, c))
+    original_nullspace = modp.nullspace_mod
+    monkeypatch.setattr(modp, "nullspace_mod",
+                        lambda a, p: nullspaces.append(p) or original_nullspace(a, p))
+    t = _table(spec)
+    assert t.dixon_prime < len(t.rows) ** 2
+    assert len(combinations) > 1 and nullspaces
+    assert t.to_json() == want
+
+
+def test_splitting_gives_up_after_its_rounds(monkeypatch):
+    # D20 under the small prime needs a second combination; one is all it gets
+    original_prime = characters.dixon_prime
+    monkeypatch.setattr(characters, "dixon_prime",
+                        lambda order, exponent, classes: original_prime(order, exponent, 0))
+    monkeypatch.setattr(characters, "SPLIT_ROUNDS", 1)
+    with pytest.raises(ConsistencyError, match="did not split"):
+        _table(spec_dihedral(20))

@@ -35,6 +35,7 @@ def specs(tmp_path):
         "free2": {"family": "free", "rank": 2},
         "s3xc1": spec_product(spec_symmetric(3), {"family": "cyclic", "n": 1}),
         "s12": spec_symmetric(12),
+        "trivsum": {"family": "restricted_sum", "factor": {"family": "cyclic", "n": 1}},
     }
     for name, doc in docs.items():
         p = tmp_path / f"{name}.json"
@@ -358,6 +359,15 @@ def test_icc_command(specs, capsys):
 def test_icc_command_fails_on_fc_contradiction(specs, capsys):
     assert run(["icc-check", "--spec", specs["dinf"], "--class-budget", "200"]) == 1
     assert "not icc" in capsys.readouterr().err
+
+
+def test_enumeration_of_a_group_with_endless_alphabet_blocks_ends(specs, capsys):
+    # the restricted sum of the trivial group has order 1, but its alphabet
+    # blocks never run out: the enumeration stops at the order
+    code, report = _run_json(capsys, ["fc", "--spec", specs["trivsum"]])
+    assert code == 0
+    assert [v["verdict"] for v in report["results"]["verdicts"]] == ["fc"]
+    assert run(["icc-check", "--spec", specs["trivsum"]]) in (0, 1, 2, 3)
 
 
 def test_usage_errors(specs, capsys):

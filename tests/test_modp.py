@@ -162,11 +162,11 @@ def test_simple_eigenvectors_hypothesis(pm, spectrum, seed):
                          ids=["S4", "Heis3"])
 def test_simple_eigenvectors_match_nullspaces_of_class_matrices(spec):
     cd = class_data(construct_group(spec))
-    p = dixon_prime(cd.order, cd.exponent)
     r = len(cd.classes)
+    p = dixon_prime(cd.order, cd.exponent, r)
     seed = np.eye(r, dtype=np.int64)[0]  # the identity class's coordinate, as in the splitting
     for i in range(1, r):
-        a = cd.class_matrix(i) % p
+        a = cd.class_combination(np.eye(r, dtype=np.int64)[i]) % p
         chi = modp.charpoly_mod(a, p)
         roots = modp.poly_roots_mod(chi, p)
         found = modp.simple_eigenvectors(a, chi, roots, seed, p)
