@@ -46,6 +46,7 @@ from .groups import (
     _bfs,
     as_subgroup,
     closure_of_union,
+    order_text,
 )
 
 ORACLE_MAX_ORDER = 200
@@ -270,7 +271,8 @@ def central_projection(H, chi: CharacterRow) -> AlgebraElement:
     if cd.subgroup is not H and {e.form for e in cd.subgroup.elements} != {e.form for e in H.elements}:
         raise ParameterError("character row does not belong to this subgroup")
     scale = Fraction(chi.degree, H.order)
-    terms = {h: chi.values[cd.class_of[h.form]].conj() * scale for h in H.elements}
+    coeffs = [value.conj() * scale for value in chi.values]  # one per class
+    terms = {h: coeffs[cd.class_of[h.form]] for h in H.elements}
     p = AlgebraElement(H.handle, terms)
     if trace(p) != Fraction(chi.degree**2, H.order):
         raise ConsistencyError("central projection has the wrong trace")
@@ -285,7 +287,8 @@ class RegularRep:
     """Right regular representation of a finite subgroup on its coordinate space.
 
     rho(g) delta_x = delta_{x g^-1}, a permutation matrix, stored per g as
-    the index array x -> x g^-1.
+    the index array x -> x g^-1: row i of `_perms` for the i-th element, and
+    `_right` maps each element's form to its row.
     """
 
     def __init__(self, subgroup: Subgroup):
@@ -305,33 +308,42 @@ class RegularRep:
 
         if len(_bfs([0], range(len(right)), step)) != n:
             raise ConsistencyError("the subgroup's generators do not reach all of its elements")
-        self._right = {g.form: perm for g, perm in zip(H.elements, perms)}
+        self._perms = np.array(perms)
+        self._right = {g.form: perm for g, perm in zip(H.elements, self._perms)}
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension))
         m[self._right[g.form], np.arange(self.dimension)] = 1.0
         return m
 
-    def _accumulate(self, coeffs: dict) -> np.ndarray:
+    def _accumulate(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[i] rho(g_i) over the elements in order.  Column c holds
+        coeffs[i] in row c g_i^-1, and i -> c g_i^-1 is a bijection, so one
+        assignment writes every cell exactly once."""
         out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        cols = np.arange(self.dimension)
-        for form, c in coeffs.items():
-            out[self._right[form], cols] += c
+        out[self._perms, np.arange(self.dimension)] = coeffs[:, None]
         return out
 
 
 @dataclass
 class MatrixUnitSystem:
-    """Explicit matrix units e_jk inside one block of the regular representation.
+    """Matrix units e_jk inside one block of the regular representation, held
+    in block coordinates: e_jk = V comp[j, k] V^dagger for the block's
+    orthonormal basis V.  `units` builds the full-space (size, size, N, N)
+    array on request.
 
-    Residuals are Frobenius norms computed in block-compressed coordinates,
-    which agree exactly with the full-space Frobenius residuals because the
-    compression is an isometry.
+    Residuals are Frobenius norms computed on `comp`, which agree exactly
+    with the full-space Frobenius residuals because V is an isometry.
     """
 
     size: int
-    units: np.ndarray  # (size, size, N, N)
+    basis: np.ndarray  # (N, size^2), orthonormal columns
+    comp: np.ndarray  # (size, size, size^2, size^2)
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def units(self) -> np.ndarray:
+        return self.basis @ self.comp @ self.basis.conj().T
 
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
@@ -342,11 +354,19 @@ class MatrixUnitSystem:
 
 @dataclass
 class NumericalBlock:
+    """One block of the regular representation, held as an orthonormal basis
+    V of its range; `projection` builds the full-space central projection
+    V V^dagger on request."""
+
     dimension: int
     multiplicity: int  # rank of the central projection = dimension^2
     measure: Fraction
-    projection: np.ndarray
+    basis: np.ndarray  # (N, multiplicity), orthonormal columns
     units: MatrixUnitSystem
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
 @dataclass
@@ -394,8 +414,7 @@ def _cluster(values: np.ndarray, gap: float) -> list[slice]:
 
 
 def _random_selfadjoint(rep: RegularRep, coeffs: np.ndarray) -> np.ndarray:
-    forms = [g.form for g in rep.subgroup.elements]
-    x = rep._accumulate(dict(zip(forms, coeffs)))
+    x = rep._accumulate(coeffs)
     return (x + x.conj().T) / 2
 
 
@@ -407,13 +426,14 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     seeded random self-adjoint central element, block dimensions come from the
     rank data, and matrix units are extracted per block.  Eigen-gaps below
     `ORACLE_GAP_TOLERANCE` trigger a reseed, up to `ORACLE_MAX_ATTEMPTS` times.
-    Groups above `ORACLE_MAX_ORDER` are refused.
+    Groups above `ORACLE_MAX_ORDER` are refused, a finite handle before it
+    is enumerated.
     """
+    if isinstance(subject, GroupHandle) and subject.is_finite:
+        _check_oracle_order(subject.order)
     H = as_subgroup(subject)
     n = H.order
-    if n > ORACLE_MAX_ORDER:
-        raise ParameterError(
-            f"numerical oracle is limited to order <= {ORACLE_MAX_ORDER}, got {n}")
+    _check_oracle_order(n)
     rep = RegularRep(H)
 
     # center of the generated algebra: coefficient functions constant under
@@ -464,6 +484,12 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     )
 
 
+def _check_oracle_order(n: int):
+    if n > ORACLE_MAX_ORDER:
+        raise ParameterError(
+            f"numerical oracle is limited to order <= {ORACLE_MAX_ORDER}, got {order_text(n)}")
+
+
 def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
                     dims: list[int], rng: np.random.Generator) -> list[NumericalBlock]:
     n = rep.dimension
@@ -471,19 +497,16 @@ def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
     for sl, d in zip(clusters, dims):
         v = eigvecs[:, sl]  # (n, d^2) orthonormal
         m = d * d
-        projection = v @ v.conj().T
         if d == 1:
-            units = np.empty((1, 1, n, n), dtype=complex)
-            units[0, 0] = projection
-            system = MatrixUnitSystem(1, units)
-            _certify_units(system, np.eye(1, dtype=complex).reshape(1, 1, 1, 1))
+            system = MatrixUnitSystem(1, v, np.eye(1, dtype=complex).reshape(1, 1, 1, 1))
+            _certify_units(system)
         else:
             system = _matrix_units_for_block(rep, v, d, rng)
         blocks.append(NumericalBlock(
             dimension=d,
             multiplicity=m,
             measure=Fraction(m, n),
-            projection=projection,
+            basis=v,
             units=system,
         ))
     return blocks
@@ -501,7 +524,6 @@ def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
     """
     n = rep.dimension
     m = d * d
-    forms = [g.form for g in rep.subgroup.elements]
     for _ in range(ORACLE_MAX_ATTEMPTS):
         y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
         yc = v.conj().T @ y @ v
@@ -512,7 +534,7 @@ def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
         if len(clusters) != d or any(sl.stop - sl.start != d for sl in clusters):
             continue
         minimal = [u[:, sl] @ u[:, sl].conj().T for sl in clusters]  # compressed E_j
-        a = rep._accumulate(dict(zip(forms, rng.random(n) + 1j * rng.random(n))))
+        a = rep._accumulate(rng.random(n) + 1j * rng.random(n))
         ac = v.conj().T @ a @ v
         comp = np.empty((d, d, m, m), dtype=complex)
         ok = True
@@ -529,22 +551,21 @@ def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
         for j in range(d):
             for k in range(d):
                 comp[j, k] = isoms[j] @ isoms[k].conj().T
-        units = v @ comp @ v.conj().T  # e_jk = V comp_jk V^dagger, broadcast over (j, k)
-        system = MatrixUnitSystem(d, units)
-        _certify_units(system, comp)
+        system = MatrixUnitSystem(d, v, comp)
+        _certify_units(system)
         return system
     raise DegenerateSpectrumError(
         f"could not isolate {d} minimal projections in a dimension-{d} block"
     )
 
 
-def _certify_units(system: MatrixUnitSystem, comp: np.ndarray):
+def _certify_units(system: MatrixUnitSystem):
     """Frobenius residuals of the matrix-unit relations, in compressed coordinates;
     each step holds d^2 matrices, never all d^4 products at once."""
     def fro(stack):  # the largest Frobenius norm in a stack of matrices
         return float(np.linalg.norm(stack, axis=(-2, -1)).max())
 
-    d = system.size
+    d, comp = system.size, system.comp
     adj = comp.conj().swapaxes(-1, -2)  # adj[j, k] = comp[j, k]^dagger
     diag = comp[np.arange(d), np.arange(d)]  # diag[j] = comp[j, j]
     product = 0.0
@@ -563,17 +584,20 @@ def _certify_units(system: MatrixUnitSystem, comp: np.ndarray):
 
 def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock],
                          gen_forms: list) -> float:
+    # p = V V^dagger, so p p - p = V (V^dagger V - I) V^dagger: n^2 d^2 flops, not n^3.
     # rho(g) has its ones at (perm[c], c): p rho = p[:, perm], rho p = p[perm^-1, :]
     n = rep.dimension
+    perms = [(perm, np.argsort(perm)) for perm in (rep._right[g] for g in gen_forms)]
     residual = 0.0
     total = np.zeros((n, n), dtype=complex)
     for b in blocks:
+        v = b.basis
+        gram = v.conj().T @ v - np.eye(v.shape[1])
+        residual = max(residual, float(np.abs(v @ gram @ v.conj().T).max()))
         p = b.projection
         total += p
-        residual = max(residual, float(np.abs(p @ p - p).max()))
-        for gform in gen_forms:
-            perm = rep._right[gform]
-            residual = max(residual, float(np.abs(p[:, perm] - p[np.argsort(perm), :]).max()))
+        for perm, inverse in perms:
+            residual = max(residual, float(np.abs(p[:, perm] - p[inverse, :]).max()))
     residual = max(residual, float(np.abs(total - np.eye(n)).max()))
     return residual
 

@@ -8,7 +8,7 @@ import pytest
 
 from corpus import SPEC_Q8, central_product_q8, spec_product, spec_symmetric
 from groupvna.errors import ParameterError
-from groupvna.groups import as_subgroup, construct_group
+from groupvna.groups import Subgroup, as_subgroup, construct_group
 from groupvna.vn_spectrum import (
     RegularRep,
     _projection_residual,
@@ -111,18 +111,85 @@ def test_regular_rep_from_generators_matches_all_products(spec):
         np.testing.assert_array_equal(rep._right[g.form], direct)
 
 
+def _dense_projection_residual(rep, projections, gen_forms):
+    # the full-space formula: idempotence, commutation with rho(g), sum to I
+    els = {g.form: g for g in rep.subgroup.elements}
+    rhos = [rep.matrix(els[f]) for f in gen_forms]
+    n = rep.dimension
+    return max([float(np.abs(p @ p - p).max()) for p in projections]
+               + [float(np.abs(p @ rho - rho @ p).max()) for p in projections for rho in rhos]
+               + [float(np.abs(sum(projections) - np.eye(n)).max())])
+
+
 def test_projection_residual_sees_a_noncentral_projection():
     H = as_subgroup(construct_group(spec_symmetric(3)))
     nd = numerical_decomposition(H, seed=0)
     rep = RegularRep(H)
     block = next(b for b in nd.blocks if b.dimension == 2)
     e = block.units.units[0, 0]  # a minimal projection: idempotent, not central
-    blocks = [dataclasses.replace(block, projection=e),
-              dataclasses.replace(block, projection=np.eye(6) - e)]
+    w, u = np.linalg.eigh(e)
+    blocks = [dataclasses.replace(block, basis=u[:, w > 0.5]),
+              dataclasses.replace(block, basis=u[:, w < 0.5])]  # the ranges of e and I - e
     dense = max(float(np.abs(e @ rep.matrix(g) - rep.matrix(g) @ e).max()) for g in H.elements)
     got = _projection_residual(rep, blocks, [g.form for g in H.elements])
     assert got > 1e-6
     assert abs(got - dense) < 1e-12
+
+
+def test_projection_residual_sees_a_nonidempotent_projection():
+    # p p - p is computed as V (V^dagger V - I) V^dagger; a basis scaled off
+    # the unit sphere keeps p central, so the idempotence term must show
+    H = as_subgroup(construct_group(spec_symmetric(3)))
+    nd = numerical_decomposition(H, seed=0)
+    rep = RegularRep(H)
+    i = next(i for i, b in enumerate(nd.blocks) if b.dimension == 1)
+    blocks = list(nd.blocks)
+    blocks[i] = dataclasses.replace(blocks[i], basis=blocks[i].basis * (1 + 1e-3))
+    gens = H.table.letters
+    got = _projection_residual(rep, blocks, gens)
+    assert got > 1e-6
+    assert abs(got - _dense_projection_residual(rep, [b.projection for b in blocks], gens)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    spec_symmetric(4),
+    spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12}),
+], ids=["S4", "C10xC12"])
+def test_accumulate_matches_the_sum_of_permutation_matrices(spec):
+    H = as_subgroup(construct_group(spec))
+    rep = RegularRep(H)
+    rng = np.random.default_rng(0)
+    c = rng.random(H.order) + 1j * rng.random(H.order)
+    want = sum(ci * rep.matrix(g) for ci, g in zip(c, H.elements))
+    np.testing.assert_array_equal(rep._accumulate(c), want)
+
+
+def test_oracle_blocks_hold_no_full_space_arrays():
+    # each block keeps its n x d^2 basis and d^4 compressed units: n^2 + sum d^4
+    # <= 2 n^2 entries in all, where one n x n array per block would be 120 n^2
+    nd = numerical_decomposition(construct_group(
+        spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12})))
+    n = nd.subgroup_order
+    arrays = {}
+    for block in nd.blocks:
+        for owner in (block, block.units):
+            for f in dataclasses.fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray):
+                    arrays[id(value)] = value
+    assert len(nd.blocks) == n
+    assert sum(a.nbytes for a in arrays.values()) <= 2 * n * n * 16
+
+
+@pytest.mark.parametrize("spec", [{"family": "cyclic", "n": 10**7}, spec_symmetric(8)],
+                         ids=["C10^7", "S8"])
+def test_oracle_refuses_a_large_handle_before_enumerating_it(spec, monkeypatch):
+    def enumerate_whole_group(handle):
+        raise AssertionError("the oracle enumerated a group above its order limit")
+
+    monkeypatch.setattr(Subgroup, "whole_group", staticmethod(enumerate_whole_group))
+    with pytest.raises(ParameterError, match="200"):
+        numerical_decomposition(construct_group(spec))
 
 
 def test_oracle_murray_von_neumann_residual():
