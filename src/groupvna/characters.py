@@ -39,7 +39,7 @@ from . import modp
 from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
-from .groups import GroupHandle, Subgroup, _bfs, as_subgroup, order_text
+from .groups import GroupHandle, Subgroup, as_subgroup, order_text
 
 DEFAULT_MAX_ORDER = 5000
 SPLIT_ROUNDS = 8  # random combinations tried before the splitting gives up
@@ -128,17 +128,15 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     H = as_subgroup(subject)
     n = H.order
     _check_order(H.describe(), n, max_order)
-    fam, conj = H.handle._family, H.table.conj.tolist()
+    fam = H.handle._family
     class_of: dict = {}
     classes: list[ConjugacyClass] = []
     index_class = np.empty(n, dtype=np.intp)
-    for i, g in enumerate(H.elements):
-        if g.form not in class_of:
-            at = _bfs([i], range(len(conj)), lambda x, a: conj[a][x])
-            orbit = [H.elements[x] for x in at]
-            class_of.update((x.form, len(classes)) for x in orbit)
-            index_class[at] = len(classes)
-            classes.append(ConjugacyClass(g, tuple(orbit), budget=n))
+    for k, at in enumerate(H.table.conj_orbits()):
+        orbit = tuple(H.elements[x] for x in at)
+        class_of.update((x.form, k) for x in orbit)
+        index_class[at] = k
+        classes.append(ConjugacyClass(orbit[0], orbit, budget=n))
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")

@@ -992,6 +992,16 @@ class IndexTable:
         back = self.right[self.inverse_letter]
         self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
 
+    def conj_orbits(self) -> list[list[int]]:
+        """The conjugacy classes as index lists, each seeded at the first index
+        no earlier class holds and listed in `_bfs` order over the rows of conj."""
+        conj, orbits, seen = self.conj.tolist(), [], set()
+        for i in range(len(self.inverse)):
+            if i not in seen:
+                orbits.append(_bfs([i], range(len(conj)), lambda x, a: conj[a][x]))
+                seen.update(orbits[-1])
+        return orbits
+
 
 class Subgroup:
     """A finite subgroup materialized as an ordered element list (identity first)."""

@@ -4,10 +4,10 @@ S(H) is identified with the group algebra of H carrying the trace that reads
 off the identity coefficient; for finite H the trace measure is purely atomic
 with one atom per irreducible character, weighted chi(1)^2 / |H|.  Measures
 stay exact rationals end to end.  A numerical oracle realizes the same
-decomposition inside the right regular representation (center from the linear
-commutation equations, eigenprojections of a seeded random self-adjoint
-central element, matrix units by compression onto each block) so the two
-routes can certify each other.
+decomposition inside the right regular representation (centre from the
+conjugation orbits, eigenprojections of a seeded random self-adjoint central
+element checked together on the blocks' stacked bases, matrix units by
+compression onto each block) so the two routes can certify each other.
 """
 
 from __future__ import annotations
@@ -287,8 +287,7 @@ class RegularRep:
     """Right regular representation of a finite subgroup on its coordinate space.
 
     rho(g) delta_x = delta_{x g^-1}, a permutation matrix, stored per g as
-    the index array x -> x g^-1: row i of `_perms` for the i-th element, and
-    `_right` maps each element's form to its row.
+    the index array x -> x g^-1: row i of `_perms` for the i-th element.
     """
 
     def __init__(self, subgroup: Subgroup):
@@ -309,11 +308,13 @@ class RegularRep:
         if len(_bfs([0], range(len(right)), step)) != n:
             raise ConsistencyError("the subgroup's generators do not reach all of its elements")
         self._perms = np.array(perms)
-        self._right = {g.form: perm for g, perm in zip(H.elements, self._perms)}
 
     def matrix(self, g: GroupElement) -> np.ndarray:
+        H = self.subgroup
+        if g.group is not H.handle or g not in H:
+            raise DomainMismatchError(f"element {g.describe()} is not in {H.describe()}")
         m = np.zeros((self.dimension, self.dimension))
-        m[self._right[g.form], np.arange(self.dimension)] = 1.0
+        m[self._perms[H._index[g.form]], np.arange(self.dimension)] = 1.0
         return m
 
     def _accumulate(self, coeffs: np.ndarray) -> np.ndarray:
@@ -421,13 +422,14 @@ def _random_selfadjoint(rep: RegularRep, coeffs: np.ndarray) -> np.ndarray:
 def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     """Brute-force factor decomposition in the right regular representation.
 
-    Independent of the character engine: the center is solved from the linear
-    commutation equations, central projections are eigenprojections of a
-    seeded random self-adjoint central element, block dimensions come from the
-    rank data, and matrix units are extracted per block.  Eigen-gaps below
-    `ORACLE_GAP_TOLERANCE` trigger a reseed, up to `ORACLE_MAX_ATTEMPTS` times.
-    Groups above `ORACLE_MAX_ORDER` are refused, a finite handle before it
-    is enumerated.
+    Independent of the character engine: the centre is spanned by the
+    conjugation-orbit indicators, central projections are eigenprojections of
+    a seeded random self-adjoint central element, block dimensions come from
+    the rank data, matrix units are extracted per block, and
+    `projection_residual` checks the blocks on their stacked bases.  Eigen-gaps
+    below `ORACLE_GAP_TOLERANCE` trigger a reseed, up to `ORACLE_MAX_ATTEMPTS`
+    times.  Groups above `ORACLE_MAX_ORDER` are refused, a finite handle
+    before it is enumerated.
     """
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_oracle_order(subject.order)
@@ -436,24 +438,17 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     _check_oracle_order(n)
     rep = RegularRep(H)
 
-    # center of the generated algebra: coefficient functions constant under
-    # h -> t h t^-1 for every letter t, solved as a linear system with one row
-    # e_h - e_{t h t^-1} per letter and element it moves
-    conj = H.table.conj
-    letter, i = np.nonzero(conj != np.arange(n))
-    if i.size:
-        _, s, vt = np.linalg.svd(np.eye(n)[i] - np.eye(n)[conj[letter, i]])
-        rank = int((s > 1e-10 * max(1.0, s[0])).sum())
-        center_basis = vt[rank:]
-    else:
-        center_basis = np.eye(n)
-    r = center_basis.shape[0]
+    # the class indicators span the centre (Serre, Linear Representations, 2.5)
+    orbits = H.table.conj_orbits()
+    r, label = len(orbits), np.empty(n, dtype=np.intp)
+    for k, orbit in enumerate(orbits):
+        label[orbit] = k
 
     last_error = "never ran"
     for attempt in range(ORACLE_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         alpha = rng.random(r) + 1j * rng.random(r)
-        z = _random_selfadjoint(rep, center_basis.T @ alpha)
+        z = _random_selfadjoint(rep, alpha[label])
         eigvals, eigvecs = np.linalg.eigh(z)
         scale = max(1.0, float(np.abs(eigvals).max()))
         clusters = _cluster(eigvals, ORACLE_GAP_TOLERANCE * scale)
@@ -470,7 +465,7 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
         except DegenerateSpectrumError as e:
             last_error = str(e)
             continue
-        proj_residual = _projection_residual(rep, blocks, H.table.letters)
+        proj_residual = _projection_residual(rep, blocks)
         return NumericalDecomposition(
             subgroup_order=n,
             blocks=blocks,
@@ -582,23 +577,22 @@ def _certify_units(system: MatrixUnitSystem):
     }
 
 
-def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock],
-                         gen_forms: list) -> float:
-    # p = V V^dagger, so p p - p = V (V^dagger V - I) V^dagger: n^2 d^2 flops, not n^3.
-    # rho(g) has its ones at (perm[c], c): p rho = p[:, perm], rho p = p[perm^-1, :]
+def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock]) -> float:
+    # W = the blocks' bases side by side.  The p_b = V_b V_b^dagger are projections
+    # summing to I iff W is square with W^dagger W = I, and then commute with rho(t)
+    # iff M_t = W^dagger rho(t) W is block diagonal.  Residual: max(|W^dagger W - I|,
+    # max_t |off-block M_t|) in Frobenius norm (inf unless W is square), at least
+    # 1/sqrt(2) of any entry of [p_b, rho(t)] since |[p_b, rho(t)]| <= sqrt(2)|off M_t|.
     n = rep.dimension
-    perms = [(perm, np.argsort(perm)) for perm in (rep._right[g] for g in gen_forms)]
-    residual = 0.0
-    total = np.zeros((n, n), dtype=complex)
-    for b in blocks:
-        v = b.basis
-        gram = v.conj().T @ v - np.eye(v.shape[1])
-        residual = max(residual, float(np.abs(v @ gram @ v.conj().T).max()))
-        p = b.projection
-        total += p
-        for perm, inverse in perms:
-            residual = max(residual, float(np.abs(p[:, perm] - p[inverse, :]).max()))
-    residual = max(residual, float(np.abs(total - np.eye(n)).max()))
+    w = np.concatenate([b.basis for b in blocks], axis=1)
+    if w.shape[1] != n:
+        return float("inf")
+    wh = w.conj().T
+    block_of = np.repeat(np.arange(len(blocks)), [b.basis.shape[1] for b in blocks])
+    off = block_of[:, None] != block_of[None, :]
+    residual = float(np.linalg.norm(wh @ w - np.eye(n)))
+    for row in rep.subgroup.table.right:  # rho(t_a) W = W[right[a]]
+        residual = max(residual, float(np.linalg.norm((wh @ w[row])[off])))
     return residual
 
 

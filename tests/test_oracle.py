@@ -1,13 +1,22 @@
 """Numerical regular-representation oracle vs the exact character route."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from corpus import SPEC_Q8, central_product_q8, spec_product, spec_symmetric
-from groupvna.errors import ParameterError
+from corpus import (
+    INDEX_TABLE_SUBGROUPS,
+    SPEC_Q8,
+    central_product_q8,
+    index_table_subgroup,
+    spec_product,
+    spec_symmetric,
+)
+from groupvna.characters import class_data
+from groupvna.errors import DomainMismatchError, ParameterError
 from groupvna.groups import Subgroup, as_subgroup, construct_group
 from groupvna.vn_spectrum import (
     RegularRep,
@@ -85,8 +94,7 @@ def test_indexed_commutator_matches_dense_permutation_product():
     rng = np.random.default_rng(0)
     p = rng.random((6, 6)) + 1j * rng.random((6, 6))  # not central
     assert any(np.abs(p @ rep.matrix(g) - rep.matrix(g) @ p).max() > 1e-6 for g in H.elements)
-    for g in H.elements:
-        perm = rep._right[g.form]
+    for g, perm in zip(H.elements, rep._perms):
         rho = rep.matrix(g)
         np.testing.assert_allclose(p[:, perm] - p[np.argsort(perm), :], p @ rho - rho @ p,
                                    rtol=0, atol=1e-12)
@@ -104,21 +112,38 @@ def test_regular_rep_from_generators_matches_all_products(spec):
     H = as_subgroup(construct_group(spec))
     fam, index = H.handle._family, H._index
     rep = RegularRep(H)
-    assert len(rep._right) == H.order
-    for g in H.elements:
+    assert rep._perms.shape == (H.order, H.order)
+    for g, perm in zip(H.elements, rep._perms):
         ginv = fam.inv(g.form)
         direct = [index[fam.mul(x.form, ginv)] for x in H.elements]
-        np.testing.assert_array_equal(rep._right[g.form], direct)
+        np.testing.assert_array_equal(perm, direct)
 
 
-def _dense_projection_residual(rep, projections, gen_forms):
-    # the full-space formula: idempotence, commutation with rho(g), sum to I
-    els = {g.form: g for g in rep.subgroup.elements}
-    rhos = [rep.matrix(els[f]) for f in gen_forms]
+def _letter_matrices(rep):
+    H = rep.subgroup
+    return [rep.matrix(H.handle.element(t)) for t in H.table.letters]
+
+
+def _dense_projection_residual(rep, projections):
+    # the earlier full-space formula: the largest entry of p p - p, of
+    # p rho(t) - rho(t) p over the letters t, and of sum p - I
     n = rep.dimension
     return max([float(np.abs(p @ p - p).max()) for p in projections]
-               + [float(np.abs(p @ rho - rho @ p).max()) for p in projections for rho in rhos]
+               + [float(np.abs(p @ rho - rho @ p).max())
+                  for p in projections for rho in _letter_matrices(rep)]
                + [float(np.abs(sum(projections) - np.eye(n)).max())])
+
+
+def _full_space_residual(rep, projections):
+    # the stacked-basis residual carried to the full space: with P = sum p_b
+    # (= W W^dagger), |P - I| and, per letter, |P rho P - sum_b p_b rho p_b|
+    # (= |W off(M) W^dagger|), in Frobenius norm; when P = I the second term
+    # is |rho - sum_b p_b rho p_b|
+    total = sum(projections)
+    terms = [np.linalg.norm(total - np.eye(rep.dimension))]
+    for rho in _letter_matrices(rep):
+        terms.append(np.linalg.norm(total @ rho @ total - sum(p @ rho @ p for p in projections)))
+    return float(max(terms))
 
 
 def test_projection_residual_sees_a_noncentral_projection():
@@ -130,25 +155,71 @@ def test_projection_residual_sees_a_noncentral_projection():
     w, u = np.linalg.eigh(e)
     blocks = [dataclasses.replace(block, basis=u[:, w > 0.5]),
               dataclasses.replace(block, basis=u[:, w < 0.5])]  # the ranges of e and I - e
-    dense = max(float(np.abs(e @ rep.matrix(g) - rep.matrix(g) @ e).max()) for g in H.elements)
-    got = _projection_residual(rep, blocks, [g.form for g in H.elements])
+    projections = [b.projection for b in blocks]
+    got = _projection_residual(rep, blocks)
     assert got > 1e-6
-    assert abs(got - dense) < 1e-12
+    assert abs(got - _full_space_residual(rep, projections)) < 1e-12
+    assert got >= _dense_projection_residual(rep, projections) / 2
 
 
 def test_projection_residual_sees_a_nonidempotent_projection():
-    # p p - p is computed as V (V^dagger V - I) V^dagger; a basis scaled off
-    # the unit sphere keeps p central, so the idempotence term must show
+    # a basis scaled off the unit sphere keeps p central, so the W^dagger W - I
+    # term must show
     H = as_subgroup(construct_group(spec_symmetric(3)))
     nd = numerical_decomposition(H, seed=0)
     rep = RegularRep(H)
     i = next(i for i, b in enumerate(nd.blocks) if b.dimension == 1)
     blocks = list(nd.blocks)
     blocks[i] = dataclasses.replace(blocks[i], basis=blocks[i].basis * (1 + 1e-3))
-    gens = H.table.letters
-    got = _projection_residual(rep, blocks, gens)
+    projections = [b.projection for b in blocks]
+    got = _projection_residual(rep, blocks)
     assert got > 1e-6
-    assert abs(got - _dense_projection_residual(rep, [b.projection for b in blocks], gens)) < 1e-12
+    assert abs(got - _full_space_residual(rep, projections)) < 1e-12
+    assert got >= _dense_projection_residual(rep, projections) / 2
+
+
+@pytest.mark.parametrize("spec", [
+    spec_symmetric(4),
+    spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12}),
+], ids=["S4", "C10xC12"])
+def test_letter_action_on_the_stacked_basis_is_a_row_permutation(spec):
+    # the residual reads rho(t_a) W as W[right[a]]
+    H = as_subgroup(construct_group(spec))
+    nd = numerical_decomposition(H, seed=0)
+    rep = RegularRep(H)
+    w = np.concatenate([b.basis for b in nd.blocks], axis=1)
+    assert w.shape == (H.order, H.order)
+    for rho, row in zip(_letter_matrices(rep), H.table.right):
+        assert np.array_equal(rho @ w, w[row])
+
+
+def test_projection_residual_fails_without_one_block():
+    H = as_subgroup(construct_group(spec_symmetric(4)))
+    nd = numerical_decomposition(H, seed=0)
+    rep = RegularRep(H)
+    assert _projection_residual(rep, nd.blocks) <= 1e-8
+    for i in range(len(nd.blocks)):
+        assert not _projection_residual(rep, nd.blocks[:i] + nd.blocks[i + 1:]) <= 1e-6
+
+
+@pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
+def test_oracle_on_index_table_subgroups(name):
+    H = index_table_subgroup(name)
+    nd = numerical_decomposition(H, seed=0)
+    assert nd.center_dimension == len(class_data(H).classes)
+    assert nd.dim_measure_multiset() == factor_spectrum(H).dim_measure_multiset()
+    assert nd.projection_residual <= 1e-8
+
+
+def test_regular_rep_matrix_refuses_an_element_it_does_not_own():
+    H = index_table_subgroup("s3-in-s4-elements")
+    rep = RegularRep(H)
+    outside = next(e for e in H.handle.all_elements() if e not in H)
+    twin = construct_group(spec_symmetric(4)).element(H.elements[1].form)  # same form, other handle
+    for g in (outside, twin):
+        with pytest.raises(DomainMismatchError, match=re.escape(g.describe())):
+            rep.matrix(g)
+    assert rep.matrix(H.elements[1]).shape == (H.order, H.order)
 
 
 @pytest.mark.parametrize("spec", [
