@@ -15,8 +15,9 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from numbers import Integral
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -789,14 +790,13 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
 # breadth-first search on canonical forms
 
 
-def _expand(frontier: list, alphabet: list, step: Callable, seen: set,
-            budget: Optional[int] = None) -> list:
-    """One BFS layer: the unseen forms step(u, a), u over the frontier, a over the alphabet.
+def _expand(frontier: Iterable, alphabet: list, step: Callable, seen: set,
+            budget: Optional[int] = None) -> Iterator:
+    """One BFS layer, lazily: each unseen form step(u, a), u over the frontier, a over the alphabet.
 
-    New forms are added to `seen`.  Raises BudgetExceededError with the
-    partial count instead of letting `seen` grow past `budget`.
+    A form is added to `seen` as it is yielded.  Raises BudgetExceededError
+    with the partial count instead of letting `seen` grow past `budget`.
     """
-    layer = []
     for u in frontier:
         for a in alphabet:
             w = step(u, a)
@@ -807,8 +807,7 @@ def _expand(frontier: list, alphabet: list, step: Callable, seen: set,
                         budget=budget, partial_count=len(seen),
                     )
                 seen.add(w)
-                layer.append(w)
-    return layer
+                yield w
 
 
 def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = None) -> list:
@@ -820,9 +819,36 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     seen = set(out)
     frontier = out
     while frontier:
-        frontier = _expand(frontier, alphabet, step, seen, budget)
+        frontier = list(_expand(frontier, alphabet, step, seen, budget))
         out.extend(frontier)
     return out
+
+
+def _fair_stages(family: _Family, enum: list) -> Iterator:
+    """The fair enumeration past `enum`'s identity, appending one form to `enum` per `next`.
+
+    Each stage admits the family's next alphabet block: the elements of
+    earlier stages meet only the new letters (they met the old ones before),
+    then the previous stage's elements meet the whole window.  The stream
+    ends at the first stage that has no new block and finds no new form.
+    """
+    seen = set(enum)
+    blocks = family.alphabet_blocks()
+    window: list = []
+    start = 0
+    while True:
+        block = next(blocks, None)  # None once the blocks have run out
+        letters = block or []
+        window += letters
+        snapshot = len(enum)
+        old = islice(enum, start) if letters else ()  # nothing new to meet otherwise
+        for part, alphabet in ((old, letters), (enum[start:snapshot], window)):
+            for w in _expand(part, alphabet, family.mul, seen):
+                enum.append(w)
+                yield w
+        if block is None and len(enum) == snapshot:
+            return
+        start = snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +859,11 @@ class GroupHandle:
     """A group oracle plus fair-enumerator state.
 
     Elements and the handle itself are immutable; only the enumeration cache
-    grows, and it grows append-only, so enumeration prefixes are stable.
+    grows, and it grows append-only, so enumeration prefixes are stable.  It
+    grows one form per read past its end, driven by one stage generator per
+    handle (`_extend_enumeration`, which perfbench/spans.py wraps by name);
+    advancing it from two threads raises `ValueError: generator already
+    executing`, so advance it from one thread at a time.
     """
 
     def __init__(self, family: _Family):
@@ -844,11 +874,7 @@ class GroupHandle:
         self.identity = GroupElement(self, family.identity)
         self.generators = [GroupElement(self, f) for f in family.generator_forms()]
         self._enum: list = [family.identity]  # canonical forms in enumeration order
-        self._enum_seen = {family.identity}
-        self._enum_blocks: list[list] = []
-        self._enum_block_iter: Optional[Iterator] = family.alphabet_blocks()
-        self._enum_frontier = 0
-        self._enum_exhausted = False
+        self._enum_stages = _fair_stages(family, self._enum)
 
     # -- basic facts ---------------------------------------------------------
 
@@ -893,45 +919,31 @@ class GroupHandle:
     # -- fair enumeration ------------------------------------------------------
 
     def _extend_enumeration(self) -> bool:
-        """Run one BFS stage; returns False once the group is exhausted."""
-        if self._enum_exhausted:
-            return False
-        fam = self._family
-        new_letters: list = []
-        if self._enum_block_iter is not None:
-            try:
-                block = next(self._enum_block_iter)
-            except StopIteration:
-                self._enum_block_iter = None
-            else:
-                self._enum_blocks.append(block)
-                new_letters = block
-        window = [a for blk in self._enum_blocks for a in blk]
-        start = self._enum_frontier
-        snapshot = len(self._enum)
-        # earlier stages already multiplied everything before the frontier by
-        # the old letters; it meets only the new ones
-        added = _expand(self._enum[:start], new_letters, fam.mul, self._enum_seen)
-        added += _expand(self._enum[start:snapshot], window, fam.mul, self._enum_seen)
-        self._enum.extend(added)
-        self._enum_frontier = snapshot
-        if not added and self._enum_block_iter is None:
-            self._enum_exhausted = True
-        return not self._enum_exhausted or bool(added)
+        """Append the next form of the fair enumeration; False once the group is exhausted.
+
+        perfbench/spans.py traces the enumeration by wrapping this method by name.
+        """
+        return next(self._enum_stages, None) is not None
 
     def iter_elements(self, limit: Optional[int] = None) -> Iterator[GroupElement]:
         """Prefix-stable fair enumeration; stops at `limit` or group exhaustion.
 
-        A finite group stops after its order, whatever its alphabet blocks do.
+        Every iterator on a handle reads its one cache, which grows by one
+        form (`_extend_enumeration`, which perfbench/spans.py wraps by name)
+        per element read past its end, so a reader that stops early leaves
+        the rest unbuilt.  The handle's one stage generator, advanced from two
+        threads at once, raises `ValueError: generator already executing`, so
+        iterate from one thread at a time.  A finite group stops after its
+        order, whatever its alphabet blocks do.
         """
         if self.is_finite:
             limit = self.order if limit is None else min(limit, self.order)
+        enum = self._enum
         i = 0
         while limit is None or i < limit:
-            while i >= len(self._enum):
-                if not self._extend_enumeration() and i >= len(self._enum):
-                    return
-            yield GroupElement(self, self._enum[i])
+            if i == len(enum) and not self._extend_enumeration():
+                return
+            yield GroupElement(self, enum[i])
             i += 1
 
     def all_elements(self) -> list[GroupElement]:

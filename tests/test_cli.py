@@ -1,6 +1,8 @@
 """Command-line interface: commands, exit codes, report formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -329,6 +331,41 @@ def test_fuzzed_subgroup_generators_never_crash(tmp_path_factory, h0):
     code = run(["lemma7", "--spec", str(path), "--h0", json.dumps(h0),
                 "--h1", "[[[0,1,2],[1,0,2]]]"])
     assert code in (0, 1, 2, 3)
+
+
+FAMILY_NAMES = ["symmetric", "cyclic", "dihedral", "dihedral_infinite", "quaternion8",
+                "heisenberg", "cayley", "product", "restricted_sum", "free", "no_such_family"]
+# sizes are small, so every group that is built is tiny or refused by max_order
+SPEC_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4)
+                | st.text(max_size=3) | st.sampled_from([10**6, 2**63, 10**40]))
+
+
+def _spec_documents(values):
+    # the field names of every family, and of the metadata object
+    fields = ("n", "p", "rank", "factor", "factors", "table", "metadata",
+              "fc_center", "abelian_by_finite", "index", "generators")
+    return st.fixed_dictionaries({"family": st.sampled_from(FAMILY_NAMES)},
+                                 optional={name: values for name in fields})
+
+
+SPEC_DOCUMENTS = st.recursive(
+    _spec_documents(SPEC_SCALARS),
+    lambda specs: _spec_documents(SPEC_SCALARS | specs | st.lists(SPEC_SCALARS | specs,
+                                                                  max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=SPEC_DOCUMENTS)
+def test_fuzzed_spec_documents_never_crash(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["spectrum"], ["fc", "--count", "3"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv + ["--spec", str(path)])
+        assert code in (0, 1, 2, 3), (argv, doc)
+        assert "Traceback" not in err.getvalue(), (argv, doc)
 
 
 def test_lemma10_command(specs, capsys):

@@ -203,6 +203,22 @@ def test_lemma10_scans_the_stream_once(monkeypatch):
     assert len(drawn) == positions[w.levels[-1].h.form] + 1
 
 
+@pytest.mark.parametrize("spec", [SPEC_S3SUM, SPEC_Q8SUM], ids=["s3sum", "q8sum"])
+def test_lemma10_builds_the_stream_only_up_to_the_last_pair(spec):
+    # the handle's enumeration cache ends at the last pair's later element
+    handle = construct_group(spec)
+    w = lemma10_sequence(handle, 5)
+    assert w.complete
+    assert len(handle._enum) == handle._enum.index(w.levels[-1].h.form) + 1
+
+
+def test_lemma10_stream_budget_bounds_the_enumeration():
+    handle = construct_group(SPEC_S3SUM)
+    w = lemma10_sequence(handle, 50, stream_budget=2000)
+    assert not w.complete
+    assert len(handle._enum) <= 2001
+
+
 def test_lemma10_needs_no_stability_proof(monkeypatch):
     # K is a union of whole classes, so the scan never re-proves it stable
     calls = []

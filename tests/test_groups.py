@@ -366,6 +366,114 @@ def test_enumeration_fairness():
         assert targets <= prefix
 
 
+def _expand_eagerly(frontier, alphabet, mul, seen):
+    layer = []
+    for u in frontier:
+        for a in alphabet:
+            w = mul(u, a)
+            if w not in seen:
+                seen.add(w)
+                layer.append(w)
+    return layer
+
+
+def _eager_enumeration(family, n):
+    """The first n forms of the fair enumeration, built a whole stage at a time:
+    old elements x the new block's letters, then the frontier x the window."""
+    enum, seen = [family.identity], {family.identity}
+    block_iter, blocks, start = family.alphabet_blocks(), [], 0
+    while len(enum) < n:
+        new_letters = []
+        if block_iter is not None:
+            try:
+                new_letters = next(block_iter)
+            except StopIteration:
+                block_iter = None
+            else:
+                blocks.append(new_letters)
+        window = [a for blk in blocks for a in blk]
+        snapshot = len(enum)
+        added = []
+        if new_letters:  # the old elements meet no letter otherwise
+            added = _expand_eagerly(enum[:start], new_letters, family.mul, seen)
+        added += _expand_eagerly(enum[start:snapshot], window, family.mul, seen)
+        enum.extend(added)
+        start = snapshot
+        if not added and block_iter is None:
+            break
+    return enum[:n]
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC_S3SUM,
+    {"family": "restricted_sum", "factor": SPEC_Q8},
+    DINF,
+    {"family": "free", "rank": 2},
+    spec_product(SPEC_S3SUM, spec_symmetric(3)),
+    spec_product(DINF, spec_cyclic(2)),
+], ids=["s3sum", "q8sum", "dinf", "free2", "s3sum-x-s3", "dinf-x-c2"])
+def test_lazy_enumeration_matches_the_eager_stage_order(spec):
+    handle = construct_group(spec)
+    got = [e.form for e in handle.iter_elements(20_000)]
+    assert got == _eager_enumeration(handle._family, 20_000)
+
+
+# the groups of the benchmark's chartab workload (perfbench/workloads.py)
+CHARTAB_GROUPS = [
+    spec_cyclic(72),
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_dihedral(20),
+    spec_product(spec_symmetric(5), spec_cyclic(2)),
+    spec_product(spec_symmetric(4), spec_symmetric(3)),
+    {"family": "heisenberg", "p": 3},
+    {"family": "heisenberg", "p": 7},
+    spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8),
+    spec_product(spec_dihedral(6), SPEC_Q8, spec_symmetric(3)),
+]
+
+
+@pytest.mark.parametrize("spec", CHARTAB_GROUPS)
+def test_a_finite_group_enumerates_its_order_distinct_forms(spec):
+    handle = construct_group(spec)
+    forms = [e.form for e in handle.all_elements()]
+    assert len(forms) == len(set(forms)) == handle.order
+    assert forms == _eager_enumeration(handle._family, handle.order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("spec", [SPEC_S3SUM, DINF, {"family": "free", "rank": 2}],
+                         ids=["s3sum", "dinf", "free2"])
+def test_the_stream_is_built_only_as_far_as_it_is_read(spec, n):
+    handle = construct_group(spec)
+    assert len(list(handle.iter_elements(n))) == n
+    assert len(handle._enum) == n
+
+
+def test_two_iterators_on_one_handle_share_one_stream():
+    expected = [e.form for e in construct_group(SPEC_S3SUM).iter_elements(2000)]
+    handle = construct_group(SPEC_S3SUM)
+    a, b = handle.iter_elements(2000), handle.iter_elements(2000)
+    got_a, got_b = [], []
+    for x, y in zip(a, b):  # advanced alternately
+        got_a.append(x.form)
+        got_b.append(y.form)
+    assert got_a == got_b == expected
+    late = construct_group(SPEC_S3SUM)
+    first = late.iter_elements(2000)
+    got_first = [next(first).form for _ in range(1000)]
+    got_late = [e.form for e in late.iter_elements(2000)]
+    got_first += [e.form for e in first]
+    assert got_first == got_late == expected
+
+
+def test_the_trivial_groups_restricted_sum_stops_after_one_element():
+    # its alphabet blocks never run out; the enumeration stops at the order
+    handle = construct_group({"family": "restricted_sum", "factor": spec_cyclic(1)})
+    assert handle.order == 1
+    assert [e.form for e in handle.iter_elements()] == [()]
+    assert handle.all_elements() == [handle.identity]
+
+
 def test_restricted_sum_enumeration_puts_low_coordinates_first():
     ss = construct_group(SPEC_S3SUM)
     els = enumerate_elements(ss, 7)
