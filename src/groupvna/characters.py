@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional
 
@@ -60,7 +59,6 @@ class ClassData:
 
     subgroup: Subgroup
     classes: list[ConjugacyClass]
-    class_of: dict  # canonical form -> class index
     index_class: np.ndarray  # element index -> class index
     sizes: list[int]
     inverse_class: list[int]
@@ -73,51 +71,27 @@ class ClassData:
 
     def class_combination(self, c) -> np.ndarray:
         """A_c = sum_i c_i A_i: (A_c)[j, k] sums c_class(x) over the x in H with
-        x^-1 z_k in C_j, for one z_k in each C_k.  Column k is one weighted
-        bincount over the permutation x -> x^-1 z_k, built from `inverse` by the
-        right-multiplication rows along a word for z_k; each sum is at most
-        c . |C| < 2^53, so the float weights stay exact (see `dixon_prime`)."""
-        table, r = self.subgroup.table, len(self.classes)
+        x^-1 z_k in C_j, z_k the representative of C_k (any element of C_k gives
+        the same counts).  Column k is one weighted bincount of the classes of
+        x^-1 z_k, read through the right-multiplication rows along z_k's path in
+        the index table's tree; each sum is at most c . |C| < 2^53, so the float
+        weights stay exact (see `dixon_prime`)."""
+        H, r = self.subgroup, len(self.classes)
+        table = H.table
+        tree = table.tree()
         c = np.asarray(c, dtype=np.int64)
         weights = c[self.index_class].astype(np.float64)
         out = np.empty((r, r), dtype=np.int64)
-        for k, word in enumerate(self._words()):
-            perm = table.inverse  # perm[x] is the index of x^-1 t_a1 ... t_ai
-            for a in word:
-                perm = table.right[a][perm]
-            out[:, k] = np.bincount(self.index_class[perm], weights, minlength=r)
+        for k, cls in enumerate(self.classes):
+            labels, z = self.index_class, H._index[cls.representative.form]
+            while z:  # z = x t_a, so y^-1 z = (y^-1 x) t_a: put right[a] in front
+                z, a = tree[z]
+                labels = labels[table.right[a]]
+            out[:, k] = np.bincount(labels[table.inverse], weights, minlength=r)
         sz = np.array(self.sizes, dtype=np.int64)
         if not np.array_equal(out @ sz, int(c @ sz) * sz):
             raise ConsistencyError("class combination violates sum_k a_ijk |C_k| = |C_i||C_j|")
         return out
-
-    def _words(self) -> list[list[int]]:
-        """For each class k, letters a_1, a_2, ... with t_a1 t_a2 ... = z_k, the
-        element of C_k met first by a breadth-first search over the letters."""
-        right, cls = self.subgroup.table.right.tolist(), self.index_class.tolist()
-        up = {0: (0, -1)}  # index -> (parent index, letter)
-        first = {0: 0}  # class -> its element met first
-        frontier = [0]
-        while len(first) < len(self.classes) and frontier:
-            nxt = []
-            for y in frontier:
-                for a, row in enumerate(right):
-                    z = row[y]
-                    if z not in up:
-                        up[z] = (y, a)
-                        nxt.append(z)
-                        first.setdefault(cls[z], z)
-            frontier = nxt
-        if len(first) < len(self.classes):
-            raise ConsistencyError("the index table's letters do not reach every class")
-        words = []
-        for k in range(len(self.classes)):
-            word, z = [], first[k]
-            while z:
-                z, a = up[z]
-                word.append(a)
-            words.append(word[::-1])
-        return words
 
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
@@ -128,24 +102,23 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     H = as_subgroup(subject)
     n = H.order
     _check_order(H.describe(), n, max_order)
-    fam = H.handle._family
-    class_of: dict = {}
+    fam, index = H.handle._family, H._index
     classes: list[ConjugacyClass] = []
     index_class = np.empty(n, dtype=np.intp)
     for k, at in enumerate(H.table.conj_orbits()):
         orbit = tuple(H.elements[x] for x in at)
-        class_of.update((x.form, k) for x in orbit)
         index_class[at] = k
         classes.append(ConjugacyClass(orbit[0], orbit, budget=n))
     sizes = [c.size for c in classes]
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")
+    cls = index_class.tolist()
     # A_0 = I exactly when C_0 = {e} and every representative lies in its own class
     if ([x.form for x in classes[0].elements] != [fam.identity]
-            or any(class_of[c.representative.form] != k for k, c in enumerate(classes))):
+            or any(cls[index[c.representative.form]] != k for k, c in enumerate(classes))):
         raise ConsistencyError("the identity's class is not the singleton class 0")
 
-    inverse_class = [class_of[fam.inv(c.representative.form)] for c in classes]
+    inverse_class = [cls[index[fam.inv(c.representative.form)]] for c in classes]
     power_classes = []
     for c in classes:
         cycle, g = [0], c.representative.form
@@ -153,12 +126,11 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
         while cur != fam.identity:
             if len(cycle) == n:
                 raise ConsistencyError("element order exceeds subgroup order")
-            cycle.append(class_of[cur])
+            cycle.append(cls[index[cur]])
             cur = fam.mul(cur, g)
         power_classes.append(cycle)
     exponent = lcm(*map(len, power_classes))
-    return ClassData(H, classes, class_of, index_class, sizes, inverse_class, exponent,
-                     power_classes)
+    return ClassData(H, classes, index_class, sizes, inverse_class, exponent, power_classes)
 
 
 def _check_order(what: str, order: int, max_order: int):
@@ -178,9 +150,15 @@ class CharacterRow:
 
 @dataclass
 class CharacterTable:
+    """The rows, and the power-basis coordinates their values were lifted to:
+    value j of row i is the distinct value index[i, j], whose coordinates in
+    Z[zeta_m] form row index[i, j] of the int64 array coords."""
+
     class_data: ClassData
     rows: list[CharacterRow]
     dixon_prime: int
+    index: np.ndarray
+    coords: np.ndarray
     orthogonality: Optional["OrthogonalityReport"] = None  # set once validated
 
     @property
@@ -188,9 +166,7 @@ class CharacterTable:
         return [row.degree for row in self.rows]
 
     def to_json(self) -> dict:
-        m = self.class_data.exponent
-        index, coords, _ = _coordinates(self.rows, m)
-        values = _evaluate(coords, m, 1)[index]
+        values = _evaluate(self.coords, self.class_data.exponent, 1)[self.index]
         return {
             "order": self.class_data.order,
             "class_sizes": list(self.class_data.sizes),
@@ -321,7 +297,7 @@ def character_table(cd: ClassData) -> CharacterTable:
 
     plan, phi = _lift_plan(cd, p), _reduction(m)[0]
     block = max(1, 2**16 // (r * m))  # rows lifted at once: a block's transforms hold <= 2^16 entries
-    distinct: dict = {}  # coordinates -> Cyclo; tables repeat few values many times
+    position: dict = {}  # coordinates -> row of coords; tables repeat few values many times
     built = []
     for start in range(0, r, block):
         chi, degs = rows_mod_p[start:start + block], deg[start:start + block, None]
@@ -340,17 +316,15 @@ def character_table(cd: ClassData) -> CharacterTable:
         for d, row_coords in zip(degs[:, 0].tolist(), coords):
             # re, im, re, im, ...: compares like the list of (re, im) pairs
             key = np.round(_evaluate(row_coords, m, 1), 10).view(np.float64).tolist()
-            values = []
-            for c in map(tuple, row_coords.tolist()):
-                v = distinct.get(c)
-                if v is None:
-                    v = distinct[c] = Cyclo(m, c)
-                values.append(v)
-            built.append(((d, key), d, tuple(values)))
+            at = [position.setdefault(c, len(position)) for c in map(tuple, row_coords.tolist())]
+            built.append((d, key, at))
 
-    built.sort(key=lambda item: item[0])
-    cdata_rows = [CharacterRow(f"chi{i}", d, values, cd) for i, (_, d, values) in enumerate(built)]
-    table = CharacterTable(cd, cdata_rows, p)
+    built.sort(key=lambda item: item[:2])
+    values = [Cyclo(m, c) for c in position]  # one shared object per distinct value
+    rows = [CharacterRow(f"chi{i}", d, tuple(values[k] for k in at), cd)
+            for i, (d, _, at) in enumerate(built)]
+    index = np.array([at for *_, at in built], dtype=np.intp)
+    table = CharacterTable(cd, rows, p, index, np.array(list(position), dtype=np.int64))
     report = validate_orthogonality(table, cd)
     if not report.passed:
         raise ConsistencyError(
@@ -413,30 +387,6 @@ class OrthogonalityReport:
     failed_relation: Optional[str] = None
 
 
-def _coordinates(rows: list[CharacterRow], m: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The rows' values as (index, coords, integral): value j of row i is the
-    distinct value index[i, j], whose power-basis coordinates in Q(zeta_m) form
-    row index[i, j] of coords; integral tells whether every coordinate is an integer.
-    """
-    index = np.empty((len(rows), len(rows[0].values)), dtype=np.intp)
-    position: dict = {}  # id of a value -> its row in coords
-    distinct = []
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row.values):
-            k = position.get(id(v))
-            if k is None:
-                k = position[id(v)] = len(distinct)
-                distinct.append(v)
-            index[i, j] = k
-    try:
-        flat = [x for v in distinct for x in v.lift(m).c]
-    except ValueError as e:
-        raise ConsistencyError(f"a character value lies outside Q(zeta_{m})") from e
-    coords = np.array(flat)  # int64 unless some coordinate is a Fraction or huge
-    integral = coords.dtype.kind == "i" or all(Fraction(x).denominator == 1 for x in flat)
-    return index, coords.astype(np.float64).reshape(len(distinct), -1), integral
-
-
 def _evaluate(coords: np.ndarray, m: int, k: int) -> np.ndarray:
     """The values with the given coordinates, under zeta_m -> exp(2 pi i k / m)."""
     return coords @ np.exp(2j * np.pi * k * np.arange(coords.shape[1]) / m)
@@ -453,16 +403,16 @@ def validate_orthogonality(table: CharacterTable, cd: ClassData) -> Orthogonalit
     smaller, every true conjugate has modulus < 1; the norm, their product, is
     then an integer of modulus < 1, hence 0, and so is the residual.  A passing
     report therefore carries residuals of exactly 0.0; a failing one the largest
-    residual measured.  A non-integer coordinate fails the check outright.
+    residual measured.  The values are read from the table's lifted
+    coordinates; an array of a non-integer dtype fails the check outright.
     """
-    rows = table.rows
-    r = len(rows)
+    r = len(cd.sizes)
     n = cd.order
     m = cd.exponent
-    if any(len(row.values) != r for row in rows) or len(cd.sizes) != r:
+    index, coords = table.index, table.coords
+    if index.shape != (r, r) or len(table.rows) != r:
         raise ConsistencyError("table and class data dimensions disagree")
     ks = [k for k in range(1, m // 2 + 1) if gcd(k, m) == 1] or [1]
-    index, coords, integral = _coordinates(rows, m)
     sizes = np.array(cd.sizes, dtype=np.float64)
     target = n * np.eye(r)
     max_row = 0.0
@@ -473,7 +423,7 @@ def validate_orthogonality(table: CharacterTable, cd: ClassData) -> Orthogonalit
         max_col = max(max_col, float(np.abs(sizes[:, None] * (v.T @ v.conj()) - target).max()))
 
     failed = None
-    if not integral:
+    if coords.dtype.kind not in "iu":
         failed = "integrality"
     elif max_row >= 0.5:
         failed = "row orthogonality"

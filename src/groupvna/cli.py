@@ -348,8 +348,15 @@ def _cmd_fc(args, handle: GroupHandle):
         "fc_center_note": handle.metadata.fc_center_note,
     }
     n_fc = sum(1 for v in verdicts if v.is_fc)
-    return results, EXIT_PASS, (
-        f"{n_fc} of {len(verdicts)} tested elements have certified finite classes")
+    summary = f"{n_fc} of {len(verdicts)} tested elements have certified finite classes"
+    # a finite class proves membership in G^fin; an exhausted budget is evidence only
+    member = handle.metadata.fc_member
+    refuted = [v for v in verdicts if v.is_fc and member is not None and not member(v.element.form)]
+    if refuted:
+        return results, EXIT_FAIL, (
+            f"{summary}; {refuted[0].element.describe()} is declared outside G^fin but has a "
+            f"finite class of size {refuted[0].class_size}")
+    return results, EXIT_PASS, summary
 
 
 def _cmd_icc(args, handle: GroupHandle):

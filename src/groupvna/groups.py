@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConsistencyError,
     DomainMismatchError,
     ParameterError,
     RequiresFiniteError,
@@ -466,7 +467,7 @@ class _Cayley(_Family):
         self.order = n
         self.spec_doc = {"family": "cayley", "table": [list(map(int, row)) for row in table]}
         self.metadata = _finite_metadata(n)
-        self._generators = self._greedy_generators()
+        self._generators = _greedy_generators(self, range(n), n)
 
     @staticmethod
     def _validate(table):
@@ -500,18 +501,6 @@ class _Cayley(_Family):
 
     def inv(self, a):
         return self._inv[a]
-
-    def _greedy_generators(self) -> tuple:
-        # deterministic generating set: greedily add the first element not yet generated
-        gens: list[int] = []
-        reached = {self.identity}
-        for x in range(self.n):
-            if len(reached) == self.n:
-                break
-            if x not in reached:
-                gens.append(x)
-                reached = set(_bfs([self.identity], self.alphabet_block(gens), self.mul))
-        return tuple(gens)
 
     def generator_forms(self):
         return self._generators
@@ -824,6 +813,23 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
+def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple:
+    """A deterministic generating set of `forms`: each form not yet generated is added.
+
+    Each closure is a `_bfs` under `budget`.  With `budget` = len(forms) (no
+    duplicates), a return means the last closure holds every form and no
+    more, so the forms are a subgroup; a set that is not closed raises
+    BudgetExceededError.
+    """
+    gens: list = []
+    reached = {family.identity}
+    for x in forms:
+        if x not in reached:
+            gens.append(x)
+            reached = set(_bfs([family.identity], family.alphabet_block(gens), family.mul, budget))
+    return tuple(gens)
+
+
 def _fair_stages(family: _Family, enum: list) -> Iterator:
     """The fair enumeration past `enum`'s identity, appending one form to `enum` per `next`.
 
@@ -871,12 +877,20 @@ class GroupHandle:
         self.family = family.tag
         self.spec = family.spec_doc
         self.metadata = family.metadata
-        self.identity = GroupElement(self, family.identity)
-        self.generators = [GroupElement(self, f) for f in family.generator_forms()]
         self._enum: list = [family.identity]  # canonical forms in enumeration order
         self._enum_stages = _fair_stages(family, self._enum)
 
     # -- basic facts ---------------------------------------------------------
+
+    # built on access: a handle holding elements that point back at it would
+    # be freed only by a cyclic garbage collection
+    @property
+    def identity(self) -> GroupElement:
+        return GroupElement(self, self._family.identity)
+
+    @property
+    def generators(self) -> list[GroupElement]:
+        return [GroupElement(self, f) for f in self._family.generator_forms()]
 
     @property
     def order(self) -> Optional[int]:
@@ -983,10 +997,10 @@ def _spec_label(spec: dict) -> str:
 class IndexTable:
     """A finite subgroup's letters acting on its element indices 0..n-1.
 
-    The letters are the alphabet block of the subgroup's generators, or of its
-    elements when it has none; a block is closed under inversion, and
-    inverse_letter[a] is the letter t_a^-1.  right[a, x] is the index of
-    x t_a, conj[a, x] that of t_a x t_a^-1, and inverse[x] that of x^-1.
+    The letters are the alphabet block of the subgroup's generators; a block is
+    closed under inversion, and inverse_letter[a] is the letter t_a^-1.
+    right[a, x] is the index of x t_a, conj[a, x] that of t_a x t_a^-1, and
+    inverse[x] that of x^-1.
     """
 
     __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj")
@@ -994,7 +1008,7 @@ class IndexTable:
     def __init__(self, H: "Subgroup"):
         fam, index = H.handle._family, H._index
         forms = [e.form for e in H.elements]
-        self.letters = fam.alphabet_block([g.form for g in H.generators or H.elements])
+        self.letters = fam.alphabet_block([g.form for g in H.generators])
         letter = {t: a for a, t in enumerate(self.letters)}
         self.inverse_letter = np.array([letter[fam.inv(t)] for t in self.letters], dtype=np.intp)
         self.inverse = np.array([index[fam.inv(x)] for x in forms], dtype=np.intp)
@@ -1003,6 +1017,25 @@ class IndexTable:
         # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
         back = self.right[self.inverse_letter]
         self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
+
+    def tree(self) -> dict:
+        """Each index y != 0 mapped to (x, a) with y = x t_a, where x is the index
+        from which a `_bfs` from the identity over the letters first met y.  The
+        keys come in that search's order, so every x is met before its children.
+        Raises ConsistencyError unless the letters reach every index."""
+        right, up = self.right.tolist(), {0: None}
+
+        def step(x, a):
+            y = right[a][x]
+            if y not in up:
+                up[y] = (x, a)
+            return y
+
+        _bfs([0], range(len(right)), step)
+        if len(up) != len(self.inverse):
+            raise ConsistencyError("the subgroup's letters do not reach all of its elements")
+        del up[0]
+        return up
 
     def conj_orbits(self) -> list[list[int]]:
         """The conjugacy classes as index lists, each seeded at the first index
@@ -1016,36 +1049,35 @@ class IndexTable:
 
 
 class Subgroup:
-    """A finite subgroup materialized as an ordered element list (identity first)."""
+    """A finite subgroup materialized as an ordered element list (identity first).
+
+    `generators`, when given, must generate the elements (a closure passes its
+    own).  Without them the list is checked for closure, at any size, and its
+    generators are picked from it.
+    """
 
     __slots__ = ("handle", "elements", "generators", "_index", "_table")
 
     def __init__(self, handle: GroupHandle, elements: list[GroupElement],
-                 generators: Optional[list[GroupElement]] = None, _trusted: bool = False):
+                 generators: Optional[list[GroupElement]] = None):
         self.handle = handle
         self.elements = tuple(elements)
-        self.generators = tuple(generators) if generators is not None else None
         self._index = {e.form: i for i, e in enumerate(self.elements)}
         self._table: Optional[IndexTable] = None
-        if not _trusted:
-            self._validate()
+        self.generators = tuple(generators) if generators is not None else self._validate()
 
-    def _validate(self):
+    def _validate(self) -> tuple:
+        """The list's greedy generators, once the list is shown to be a subgroup."""
         if not self.elements or not self.elements[0].is_identity:
             raise ParameterError("subgroup element list must start with the identity")
         if len(self._index) != len(self.elements):
             raise ParameterError("subgroup element list has duplicates")
-        fam = self.handle._family
-        for e in self.elements:
-            if fam.inv(e.form) not in self._index:
-                raise ParameterError(f"subgroup is not inverse-closed at {e.describe()}")
-        if len(self.elements) <= 300:
-            for a in self.elements:
-                for b in self.elements:
-                    if fam.mul(a.form, b.form) not in self._index:
-                        raise ParameterError(
-                            f"set is not closed: {a.describe()} * {b.describe()} escapes"
-                        )
+        try:
+            gens = _greedy_generators(self.handle._family, self._index, len(self.elements))
+        except BudgetExceededError as e:
+            raise ParameterError(f"the {len(self.elements)} listed elements are not closed "
+                                 "under multiplication and inversion") from e
+        return tuple(GroupElement(self.handle, f) for f in gens) or (self.elements[0],)
 
     @property
     def order(self) -> int:
@@ -1070,7 +1102,7 @@ class Subgroup:
 
     @staticmethod
     def whole_group(handle: GroupHandle) -> "Subgroup":
-        return Subgroup(handle, handle.all_elements(), list(handle.generators), _trusted=True)
+        return Subgroup(handle, handle.all_elements(), handle.generators or [handle.identity])
 
     def describe(self) -> str:
         return f"subgroup of {self.handle.describe()}, order {order_text(self.order)}"
@@ -1115,14 +1147,13 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     fam = handle._family
     forms = _bfs([fam.identity], fam.alphabet_block([g.form for g in gens]), fam.mul, budget)
     kept = [g for g in gens if not g.is_identity]
-    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity],
-                    _trusted=True)
+    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity])
 
 
 def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     gens: list[GroupElement] = []
     for part in parts:
-        gens.extend(part.generators if part.generators is not None else part.elements)
+        gens.extend(part.generators)
     return generate_closure(gens, budget)
 
 
@@ -1238,8 +1269,9 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
             m = replace(m, fc_center_note="all of G (declared)", fc_all=True, icc=False,
                         fc_member=lambda form: True)
         elif fc == "trivial":
+            identity = family.identity  # a lambda over `family` would tie it into a cycle
             m = replace(m, fc_center_note="trivial (declared icc)", fc_all=False, icc=True,
-                        fc_member=lambda form: form == family.identity)
+                        fc_member=lambda form: form == identity)
         else:
             raise SpecError(f'field "metadata.fc_center": expected "all" or "trivial", got {fc!r}')
     abf = meta_spec.get("abelian_by_finite")

@@ -43,7 +43,6 @@ from .groups import (
     GroupElement,
     GroupHandle,
     Subgroup,
-    _bfs,
     as_subgroup,
     closure_of_union,
     order_text,
@@ -272,7 +271,8 @@ def central_projection(H, chi: CharacterRow) -> AlgebraElement:
         raise ParameterError("character row does not belong to this subgroup")
     scale = Fraction(chi.degree, H.order)
     coeffs = [value.conj() * scale for value in chi.values]  # one per class
-    terms = {h: coeffs[cd.class_of[h.form]] for h in H.elements}
+    cls, index = cd.index_class.tolist(), cd.subgroup._index
+    terms = {h: coeffs[cls[index[h.form]]] for h in H.elements}
     p = AlgebraElement(H.handle, terms)
     if trace(p) != Fraction(chi.degree**2, H.order):
         raise ConsistencyError("central projection has the wrong trace")
@@ -294,20 +294,13 @@ class RegularRep:
         self.subgroup = H = as_subgroup(subgroup)
         n = self.dimension = H.order
         table = H.table
-        right, back = table.right.tolist(), table.right[table.inverse_letter]
-        # x (g t)^-1 = (x t^-1) g^-1, so r_{g t} = r_g[r_t]: a BFS over the
-        # letters costs n |letters| index steps instead of n^2 products
-        perms = [np.arange(n, dtype=np.int64)] + [None] * (n - 1)
-
-        def step(x, a):
-            y = right[a][x]
-            if perms[y] is None:
-                perms[y] = perms[x][back[a]]
-            return y
-
-        if len(_bfs([0], range(len(right)), step)) != n:
-            raise ConsistencyError("the subgroup's generators do not reach all of its elements")
-        self._perms = np.array(perms)
+        back = table.right[table.inverse_letter]
+        # x (g t)^-1 = (x t^-1) g^-1, so r_{g t} = r_g[r_t]: one pass down the
+        # index table's tree costs n index steps instead of n^2 products
+        self._perms = perms = np.empty((n, n), dtype=np.int64)
+        perms[0] = np.arange(n)
+        for y, (x, a) in table.tree().items():
+            perms[y] = perms[x][back[a]]
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         H = self.subgroup

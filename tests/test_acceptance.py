@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corpus import (
@@ -195,10 +196,9 @@ def test_criterion_9_character_engine():
 
         cd = class_data(construct_group(spec_symmetric(3)))
         table = character_table(cd)
-        row = table.rows[2]
-        values = list(row.values)
-        values[2] = -values[2]
-        row.values = tuple(values)
+        # flip the sign of value 2 of row 2 in the lifted coordinates
+        table.coords = np.vstack([table.coords, -table.coords[table.index[2, 2]]])
+        table.index[2, 2] = len(table.coords) - 1
         mutated = validate_orthogonality(table, cd)
         assert not mutated.passed
         assert max(mutated.max_row_residual, mutated.max_col_residual) >= 1.0

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +44,10 @@ def test_class_data_s3():
     assert cd.exponent == 6
 
 
+def _class_of(cd, form):
+    return cd.index_class[cd.subgroup._index[form]]
+
+
 def _conjugacy_orbit(fam, form, letters):
     """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first."""
     pairs = [(t, fam.inv(t)) for t in letters]
@@ -57,7 +60,7 @@ def test_class_data_matches_a_conjugacy_orbit_reference(name):
     fam = H.handle._family
     # the classes as orbits of canonical forms under conjugation by the
     # generators and their inverses, in order of first element
-    letters = fam.alphabet_block([g.form for g in H.generators or H.elements])
+    letters = fam.alphabet_block([g.form for g in H.generators])
     want, seen = [], set()
     for g in H.elements:
         if g.form not in seen:
@@ -68,7 +71,7 @@ def test_class_data_matches_a_conjugacy_orbit_reference(name):
     for c, cycle in zip(cd.classes, cd.power_classes):
         powers, x = [], H.handle.identity
         while not powers or not x.is_identity:
-            powers.append(cd.class_of[x.form])
+            powers.append(_class_of(cd, x.form))
             x = x * c.representative
         assert cycle == powers
 
@@ -107,7 +110,7 @@ def test_class_combination_matches_the_group_law(name):
     for k, cls in enumerate(cd.classes):
         z = cls.representative.form
         for x in cd.subgroup.elements:
-            want[cd.class_of[fam.mul(fam.inv(x.form), z)], k] += c[cd.class_of[x.form]]
+            want[_class_of(cd, fam.mul(fam.inv(x.form), z)), k] += c[_class_of(cd, x.form)]
     assert np.array_equal(cd.class_combination(c), want)
 
 
@@ -232,11 +235,11 @@ def test_linear_character_count_is_abelianization_order(name, spec):
 def test_mutated_table_fails_validation(spec):
     t = _table(spec)
     cd = t.class_data
-    bad_row = t.rows[-1]
-    j = next(j for j, v in enumerate(bad_row.values) if not v.is_zero() and j > 0)
-    bad_values = list(bad_row.values)
-    bad_values[j] = -bad_values[j]  # one flipped sign
-    bad_row.values = tuple(bad_values)
+    i = len(t.rows) - 1
+    j = next(j for j in range(1, len(cd.classes)) if t.coords[t.index[i, j]].any())
+    # one flipped sign: value j of the last row points at the negated coordinates
+    t.coords = np.vstack([t.coords, -t.coords[t.index[i, j]]])
+    t.index[i, j] = len(t.coords) - 1
     report = validate_orthogonality(t, cd)
     assert not report.passed
     # a nonzero residual in Z[zeta_m] has a Galois conjugate of modulus >= 1
@@ -245,8 +248,10 @@ def test_mutated_table_fails_validation(spec):
 
 def test_non_integer_value_fails_validation():
     t = _table({"family": "symmetric", "n": 3})
-    bad_row = t.rows[2]
-    bad_row.values = bad_row.values[:2] + (Cyclo.rational(Fraction(1, 2)),)
+    half = np.zeros((1, t.coords.shape[1]))
+    half[0, 0] = 0.5  # the value 1/2: a float array of coordinates, one not an integer
+    t.coords = np.vstack([t.coords, half])
+    t.index[2, 2] = len(t.coords) - 1
     report = validate_orthogonality(t, t.class_data)
     assert not report.passed
     assert report.failed_relation == "integrality"

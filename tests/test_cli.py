@@ -484,3 +484,18 @@ def test_console_entry_point(specs):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["bound_holds"]
+
+
+def test_fc_command_fails_when_a_finite_class_refutes_the_declaration(tmp_path, capsys):
+    # C3 declared icc: every element has a finite class, which proves it in G^fin
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"family": "cyclic", "n": 3, "metadata": {"fc_center": "trivial"}}))
+    code, report = _run_json(capsys, ["fc", "--spec", str(path), "--count", "3"])
+    assert code == 1 and not report["pass"]
+    assert "declared outside G^fin" in report["summary"]
+    # D-infinity declared all of G^fin: the reflection's exhausted budget is evidence only
+    path.write_text(json.dumps({"family": "dihedral_infinite", "metadata": {"fc_center": "all"}}))
+    code, report = _run_json(capsys, ["fc", "--spec", str(path), "--count", "10",
+                                      "--class-budget", "500"])
+    assert code == 0
+    assert "not_fc_evidence" in {v["verdict"] for v in report["results"]["verdicts"]}

@@ -55,6 +55,66 @@ def test_index_table_follows_the_group_law(name):
     assert H.table is table  # built once, then kept
 
 
+@pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
+def test_index_table_tree_reaches_every_index_by_its_letters(name):
+    H = index_table_subgroup(name)
+    table = H.table
+    tree = table.tree()
+    assert sorted(tree) == list(range(1, H.order))
+    met = {0}
+    for y, (x, a) in tree.items():
+        assert table.right[a][x] == y
+        assert x in met  # a parent comes before its children
+        met.add(y)
+
+
+def test_element_list_subgroups_are_checked_for_closure_at_any_size():
+    from groupvna.characters import class_data
+    from groupvna.groups import as_subgroup
+    s6 = construct_group(spec_symmetric(6))
+    # the identity, then whole inverse pairs: inverse-closed, and 400 does not divide 720
+    elements, forms = [], set()
+    for g in s6.all_elements():
+        pair = {g.form: g, g.inv().form: g.inv()}
+        if not forms & pair.keys() and len(forms) + len(pair) <= 400:
+            elements += pair.values()
+            forms |= pair.keys()
+    assert len(elements) == 400
+    with pytest.raises(ParameterError, match="not closed"):
+        as_subgroup(elements)
+    with pytest.raises(ParameterError, match="not closed"):
+        class_data(elements)
+    # a subgroup given by its elements gets generators picked from the list
+    H = index_table_subgroup("s3-in-s4-elements")
+    assert H.order == 6 and H.generators and all(g in H for g in H.generators)
+
+
+def test_the_trivial_whole_group_has_a_generator_for_a_closure_of_union():
+    from groupvna.groups import closure_of_union
+    H = index_table_subgroup("trivial")  # C1 has no generator forms
+    assert [g.is_identity for g in H.generators] == [True]
+    assert closure_of_union([H]).order == 1
+
+
+def test_a_dropped_handle_is_freed_without_a_cyclic_collection():
+    import gc
+    import weakref
+    specs = [SPEC_S3SUM, central_product_q8()[0],
+             {"family": "cyclic", "n": 3, "metadata": {"fc_center": "trivial"}}]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in specs:
+            handle = construct_group(spec)
+            list(handle.iter_elements(50))
+            refs = weakref.ref(handle), weakref.ref(handle._family)
+            del handle
+            assert [ref() for ref in refs] == [None, None], spec
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _perm(handle, *images):
     return handle.element(tuple(i - 1 for i in images))
 
@@ -169,17 +229,17 @@ def test_cayley_accepts_group_table():
 
 def test_cayley_generating_set_is_computed_once(monkeypatch):
     from corpus import central_product_q8
+    from groupvna import groups
     from groupvna.fc_center import fc_filter
-    from groupvna.groups import _Cayley
 
     calls = []
-    greedy = _Cayley._greedy_generators
+    greedy = groups._greedy_generators
 
-    def counted(self):
+    def counted(*args):
         calls.append(1)
-        return greedy(self)
+        return greedy(*args)
 
-    monkeypatch.setattr(_Cayley, "_greedy_generators", counted)
+    monkeypatch.setattr(groups, "_greedy_generators", counted)
     handle = construct_group(central_product_q8()[0])
     verdicts = fc_filter(handle, 32)
     assert len(verdicts) == 32 and all(v.is_fc for v in verdicts)
