@@ -3,26 +3,33 @@
 The class-multiplication matrices A_i with (A_i)[j, k] = a_ijk commute, and
 their joint eigenvectors, computed over a prime field F_p with p = 1 mod
 exponent(H), are exactly the central-character vectors
-w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  The whole class algebra
-is split at once by one random combination A_c = sum_i c_i A_i (Dixon, Numer.
-Math. 10 (1967); Schneider, J. Symbolic Comput. 9 (1990)): w_chi is an
-eigenvector of A_c with eigenvalue c . w_chi / |C|, and two distinct central
-characters share that eigenvalue with probability 1/p.  With r classes and
-p > r^2 the expected number of colliding pairs is below r^2 / 2p < 1/2, so
-one combination nearly always yields r simple eigenvalues; a collided space is
-split again by a fresh combination.  p > 2 sqrt(|H|) keeps the degrees
-recoverable, and the table's values are exact, so they do not depend on p.
-On each eigenspace, with B the action of A_c and chi its characteristic
-polynomial, a simple root lam gets its eigenvector as q(B) v for
-q = chi / (x - lam) and one Krylov sequence v, Bv, ..., B^(d-1) v: by
-Cayley-Hamilton (B - lam) q(B) v = chi(B) v = 0, so a nonzero q(B) v is an
-eigenvector whatever B is.  Only repeated roots, and a simple root whose
-q(B) v vanishes, cost a Gaussian elimination.  Degrees come from the second
-orthogonality relation, character values from root-of-unity multiplicities
-(a mod-p discrete Fourier transform over the power map, one per Galois orbit
-of classes), and every value is lifted to an exact element of Z[zeta_m], m the
-exponent.  Both orthogonality relations are checked exactly, at the Galois
-conjugates of zeta_m, before any table is returned.
+w_chi = (|C_j| chi(C_j) / chi(1))_j reduced mod p.  The centre Z splits first,
+without linear algebra (Dixon, Numer. Math. 10 (1967); Schneider, J. Symbolic
+Comput. 9 (1990)): for central z the matrix A_z permutes the classes, so
+w_chi[class of z g_j] = lam_chi(z) w_chi[j] with lam_chi the central character,
+and each character lam of Z owns a block V_lam, one basis row per Z-orbit of
+classes whose stabiliser lam kills.  A block of one row is an eigenvector; an
+abelian group has only such blocks.  The rest are split by one random
+combination A_c = sum_i c_i A_i: w_chi is an eigenvector of A_c with
+eigenvalue c . w_chi / |C|, and two distinct central characters share that
+eigenvalue with probability 1/p.  With r classes and p > r^2 the expected
+number of colliding pairs is below r^2 / 2p < 1/2, so one combination nearly
+always yields simple eigenvalues; a collided space is split again by a fresh
+combination.  p > 2 sqrt(|H|) keeps the degrees recoverable, and the table's
+values are exact, so they do not depend on p.  On each block, with B the
+action of A_c and chi its characteristic polynomial, a simple root lam gets
+its eigenvector as q(B) v for q = chi / (x - lam) and one Krylov sequence v,
+Bv, ..., B^(d-1) v: by Cayley-Hamilton (B - lam) q(B) v = chi(B) v = 0, so a
+nonzero q(B) v is an eigenvector whatever B is.  The seed v is the block's row
+on the classes of Z, |Z| times the projection eps_lam e_0 of the identity
+class, which has a nonzero part along every w_chi of the block.  Only repeated
+roots, and a simple root whose q(B) v vanishes, cost a Gaussian elimination.
+Degrees come from the second orthogonality relation, character values from
+root-of-unity multiplicities (a mod-p discrete Fourier transform over the
+power map, one per Galois orbit of classes), and every value is lifted to an
+exact element of Z[zeta_m], m the exponent.  Both orthogonality relations are
+checked exactly, at the Galois conjugates of zeta_m, before any table is
+returned.
 """
 
 from __future__ import annotations
@@ -198,17 +205,104 @@ def dixon_prime(order: int, exponent: int, classes: int) -> int:
     return p
 
 
+def _central_blocks(cd: ClassData, p: int) -> list[tuple[np.ndarray, list[int]]]:
+    """The joint eigenspaces V_lam of the central class matrices over F_p, one
+    (basis, pivots) pair per character lam of the centre Z, with basis[:, pivots]
+    the identity.
+
+    For central z the class matrix A_z permutes the classes: C_z C_j is the
+    class sum of z g_j, g_j the representative of C_j, whose index sigma_z(j)
+    is read by multiplying every representative by z along z's path in the
+    index table's tree.  So w_chi[sigma_z(j)] = lam_chi(z) w_chi[j], lam_chi the
+    central character of chi, and V_lam holds the vectors with that property.
+    On a Z-orbit of classes with first class j0 and stabiliser S, such a vector
+    is fixed by its entry at j0, and that entry may be nonzero exactly when lam
+    is trivial on S: V_lam has one basis row per such orbit, lam(z) at
+    sigma_z(j0) and pivot j0.  The orbit of class 0 has a trivial stabiliser,
+    so its row comes first in every block.  The characters of Z are rows of
+    exponents mod m, lam(z) = zeta^lam[z]; they are extended one cyclic step at
+    a time: for g outside the subgroup Z_k built so far and the least e with
+    g^e in Z_k, lam(g) = (lam(g^e) + j m) / e for j < e.  A trivial centre
+    leaves the one whole-space block.
+    """
+    r, m, H = len(cd.classes), cd.exponent, cd.subgroup
+    central = [j for j, size in enumerate(cd.sizes) if size == 1]
+    if len(central) == 1:
+        return [(np.eye(r, dtype=np.int64), list(range(r)))]
+    table, tree = H.table, H.table.tree()
+    reps = np.array([H._index[c.representative.form] for c in cd.classes])
+
+    def sigma(j):  # the classes of g_k z for the element z of central class j
+        labels, z = cd.index_class, reps[j]
+        while z:  # z = x t_a: put right[a] in front, as in `class_combination`
+            z, a = tree[z]
+            labels = labels[table.right[a]]
+        return labels[reps]
+
+    perms = np.arange(r)[None, :]  # row i: sigma of z_i, the i-th element of Z_k
+    lams = np.zeros((1, 1), dtype=np.int64)  # row: a character's exponents at z_0, z_1, ...
+    position = np.full(r, -1)  # central class -> i with z_i in it, -1 outside Z_k
+    position[0] = 0
+    for g in central:
+        if position[g] >= 0:
+            continue
+        step, layers = sigma(g), [perms]
+        while True:  # layer t: sigma_(z_i g^t) = sigma_(z_i) sigma_g^t, whose column 0 is z_i g^t
+            power = layers[-1][:, step]
+            if position[power[0, 0]] >= 0:
+                break
+            layers.append(power)
+        e, at = len(layers), lams[:, position[power[0, 0]]]  # lam(g^e)
+        if (at % e).any():
+            raise ConsistencyError("a character of the centre does not extend")
+        roots = (at[:, None] + m * np.arange(e)) // e  # the e choices of lam(g)
+        # lam'(z_i g^t) = lam(z_i) + t lam'(g), columns ordered like the layers
+        lams = ((lams[:, None, None, :] + roots[:, :, None, None] * np.arange(e)[:, None]) % m
+                ).reshape(len(roots) * e, e * len(perms))
+        perms = np.concatenate(layers)
+        position[perms[:, 0]] = np.arange(len(perms))
+    if len(perms) != len(central):
+        raise ConsistencyError("the central classes do not form a group")
+
+    zeta = pow(modp.primitive_root_mod(p), (p - 1) // m, p)
+    zpow = np.array([pow(zeta, t, p) for t in range(m)], dtype=np.int64)
+    rows: list[list] = [[] for _ in lams]
+    pivots: list[list[int]] = [[] for _ in lams]
+    for j0 in np.flatnonzero(perms.min(axis=0) == np.arange(r)).tolist():
+        orbit = perms[:, j0]
+        held = np.flatnonzero(~lams[:, orbit == j0].any(axis=1))  # lam trivial on the stabiliser
+        vecs = np.zeros((len(held), r), dtype=np.int64)
+        vecs[:, orbit] = zpow[lams[held]]
+        for i, vec in zip(held.tolist(), vecs):
+            rows[i].append(vec)
+            pivots[i].append(j0)
+    return [(np.array(basis), piv) for basis, piv in zip(rows, pivots)]
+
+
 def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
     """Joint one-dimensional eigenspaces of the class matrices over F_p.
 
-    Each round splits the spaces left by the one before with a combination
-    A_c of random coefficients c; the generator has a fixed seed, so a table's
-    splitting is reproducible.  Round 0 splits the whole space; the later
-    rounds see only the rare spaces whose eigenvalues collided.
+    The split starts from the blocks of `_central_blocks`; a block of one row
+    is already an eigenvector.  Each round splits the blocks left by the one
+    before with a combination A_c of random coefficients c, which preserves
+    every block because the class algebra is commutative; the generator has a
+    fixed seed, so a table's splitting is reproducible.  Round 0 splits the
+    central blocks; the later rounds see only the rare spaces whose eigenvalues
+    collided.
+
+    Round 0 seeds each block's Krylov sequence with its first coordinate, the
+    row u_lam of class 0's orbit, which has lam(z) at the class of z.  It has a
+    nonzero component along every w_chi of its block: e_0 = sum_chi c_chi w_chi
+    with c_chi = chi(1)^2 / |H| != 0 mod p, and the projection of e_0 onto V_lam
+    along the other blocks, by eps_lam = (1/|Z|) sum_z lam(z)^-1 A_z, is both
+    sum_(chi in V_lam) c_chi w_chi and, as A_z e_0 = e_(class of z^-1),
+    u_lam / |Z|.  So the seed finds the vector of every simple root.
     """
     r = len(cd.classes)
     rng = random.Random(0)
-    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    spaces = _central_blocks(cd, p)
+    if sum(basis.shape[0] for basis, _ in spaces) != r:
+        raise ConsistencyError("the central split lost dimensions mod p")
     for round_ in range(SPLIT_ROUNDS):
         if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
@@ -223,10 +317,7 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
             b_op = images[:, pivots].T % p  # coords act as columns
             chi = modp.charpoly_mod(b_op, p)
             roots = modp.poly_roots_mod(chi, p)
-            if round_ == 0:
-                # on the whole space, the identity class's coordinate has the
-                # component chi(1)^2 / |H| != 0 along every w_chi, so it finds
-                # the vector of every simple root
+            if round_ == 0:  # the block's row u_lam: see the docstring
                 seed = np.zeros(d, dtype=np.int64)
                 seed[0] = 1
             else:

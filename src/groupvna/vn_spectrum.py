@@ -771,6 +771,9 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     trivial the product is direct: dimensions multiply and so do measures
     (Serre, Linear Representations of Finite Groups, 3.2).  Otherwise the
     prefix closure, already known to be within the limits, is decomposed.
+    A level whose index table has the same right-multiplication rows as an
+    earlier one generates the same permutation group of indices, so it is
+    isomorphic to that level and reuses its spectrum.
 
     Each level's generators must commute with every earlier level's
     (PreconditionError otherwise): a list or tuple is checked whole before the
@@ -799,6 +802,7 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     else:
         levels = map(admit, levels)
     order, spectrum, centre = 1, {1: Fraction(1)}, None
+    level_spectra: dict = {}  # right-multiplication table -> that level's spectrum
     for n, H in enumerate(levels, start=1):
         fam, conj = H.handle._family, H.table.conj
         level_centre = [H.elements[i].form
@@ -814,7 +818,11 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
         if order > max_order:
             raise RequiresFiniteError(f"{too_big} max_order = {max_order}")
         if len(meet) == 1:
-            level = factor_spectrum(H, max_order).measure_by_dimension()
+            right = H.table.right
+            key = (right.shape, right.tobytes())
+            if key not in level_spectra:
+                level_spectra[key] = factor_spectrum(H, max_order).measure_by_dimension()
+            level = level_spectra[key]
             step: dict[int, Fraction] = {}
             for d1, m1 in spectrum.items():
                 for d2, m2 in level.items():

@@ -394,6 +394,16 @@ PINNED_REPORTS = [
     ("S6", spec_symmetric(6),
      "9fa0a93530e516f9fa6ebae0948e7ed7a6db878c2b67c2daa3c02f27aea19309",
      "3e2938f8b43835071a91e198e64be00532fd2d471d61a70d2e7fcc56b36e14f9"),
+    # measured before the split started from the centre's blocks
+    ("Q8xQ8xC4", spec_product(SPEC_Q8, SPEC_Q8, spec_cyclic(4)),
+     "d02389a09e8ef9fb047b3a46f832378875cdf127b36c8c1de175f199216e8172",
+     "df353870940cb5cd9c55c24d0e9cdf41fa8647e6373965de4808bf6a4d2854dd"),
+    ("D15xC6", spec_product(spec_dihedral(15), spec_cyclic(6)),
+     "56b9d9ba68525773eaa7937aa4105fb1b90ab51c7e5f8aa4d660c31614d73959",
+     "6eeb50f747c6b897fc4e54d1a83d77e48f4f71508aa9af985e4794e47410da2a"),
+    ("C2^6", spec_product(*[spec_cyclic(2)] * 6),
+     "0c6ea10ccb1e439d7171cf2488b31ac990729b08932c1597851ce7b7163e47ff",
+     "14aa42abe57322644ba66cb8ab2ac77b0b5388cc22b335cbcc70e0d0b0110440"),
 ]
 
 
@@ -410,7 +420,7 @@ def test_character_engine_bytes_pinned(tmp_path, capsys, name, spec, chartab, sp
 
 
 def test_cyclic_splitting_needs_no_elimination(monkeypatch):
-    # C72's first class combination has 72 simple eigenvalues: Krylov vectors cover them all
+    # C72's central split leaves 72 blocks of one class each: no elimination at all
     calls = []
     original = modp.nullspace_mod
 
@@ -425,12 +435,14 @@ def test_cyclic_splitting_needs_no_elimination(monkeypatch):
 
 @pytest.mark.parametrize("spec", [
     spec_product(spec_heisenberg(3), SPEC_Q8),
-    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_product(spec_symmetric(3), spec_cyclic(12)),
     spec_dihedral(20),
-], ids=["Heis3xQ8", "C10xC12", "D20"])
+], ids=["Heis3xQ8", "S3xC12", "D20"])
 def test_colliding_eigenvalues_give_the_same_table(monkeypatch, spec):
     # below r^2 the prime makes a random combination's eigenvalues collide:
-    # repeated roots go through the nullspace and later rounds split them
+    # repeated roots go through the nullspace and later rounds split them.
+    # Abelian groups never reach a combination, so each case has a nonabelian
+    # factor and central blocks of more than one class.
     want = _table(spec).to_json()
     original_prime, original_combination = characters.dixon_prime, ClassData.class_combination
     combinations, nullspaces = [], []
@@ -455,3 +467,81 @@ def test_splitting_gives_up_after_its_rounds(monkeypatch):
     monkeypatch.setattr(characters, "SPLIT_ROUNDS", 1)
     with pytest.raises(ConsistencyError, match="did not split"):
         _table(spec_dihedral(20))
+
+
+def _whole_space(cd, p):
+    r = len(cd.classes)
+    return [(np.eye(r, dtype=np.int64), list(range(r)))]
+
+
+CENTRAL_SPLIT_SPECS = [
+    ("C6", spec_cyclic(6)),
+    ("S3", spec_symmetric(3)),
+    ("D4", spec_dihedral(4)),
+    ("Q8", SPEC_Q8),
+    ("Heis3", spec_heisenberg(3)),
+    ("Q8xC4", spec_product(SPEC_Q8, spec_cyclic(4))),
+    ("D6xC3", spec_product(spec_dihedral(6), spec_cyclic(3))),
+    ("S3xQ8", spec_product(spec_symmetric(3), SPEC_Q8)),
+    ("Heis3xC2", spec_product(spec_heisenberg(3), spec_cyclic(2))),
+    ("D5xS3", spec_product(spec_dihedral(5), spec_symmetric(3))),
+    ("Q8xQ8", spec_product(SPEC_Q8, SPEC_Q8)),
+    ("D4xC2xC2", spec_product(spec_dihedral(4), spec_cyclic(2), spec_cyclic(2))),
+    ("Heis3xS3", spec_product(spec_heisenberg(3), spec_symmetric(3))),
+]
+
+
+@pytest.mark.parametrize("name,spec", CENTRAL_SPLIT_SPECS, ids=[n for n, _ in CENTRAL_SPLIT_SPECS])
+def test_central_split_gives_the_whole_space_table(monkeypatch, name, spec):
+    cd = class_data(construct_group(spec))
+    t = character_table(cd)
+    # one block per character of the centre, and the rows of each are pivoted
+    blocks = characters._central_blocks(cd, t.dixon_prime)
+    assert len(blocks) == cd.sizes.count(1)
+    assert sum(basis.shape[0] for basis, _ in blocks) == len(cd.classes)
+    for basis, pivots in blocks:
+        assert pivots[0] == 0
+        assert np.array_equal(basis[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    monkeypatch.setattr(characters, "_central_blocks", _whole_space)
+    assert character_table(cd).to_json() == t.to_json()
+
+
+@pytest.mark.parametrize("spec", [
+    spec_cyclic(72),
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_product(*[spec_cyclic(2)] * 6),
+], ids=["C72", "C10xC12", "C2^6"])
+def test_abelian_tables_need_no_class_combination(monkeypatch, spec):
+    calls = []
+    combination, charpoly = ClassData.class_combination, modp.charpoly_mod
+    monkeypatch.setattr(ClassData, "class_combination",
+                        lambda cd, c: calls.append("class_combination") or combination(cd, c))
+    monkeypatch.setattr(modp, "charpoly_mod",
+                        lambda a, p: calls.append("charpoly_mod") or charpoly(a, p))
+    t = _table(spec)
+    assert t.orthogonality.passed and len(t.rows) == t.class_data.order
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [spec_cyclic(12), spec_dihedral(20)], ids=["C12", "D20"])
+def test_a_dropped_central_block_raises(monkeypatch, spec):
+    original = characters._central_blocks
+    monkeypatch.setattr(characters, "_central_blocks", lambda cd, p: original(cd, p)[1:])
+    with pytest.raises(ConsistencyError, match="central split lost dimensions"):
+        _table(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    spec_heisenberg(7),
+    spec_product(SPEC_Q8, SPEC_Q8, spec_cyclic(4)),
+    spec_product(spec_dihedral(15), spec_cyclic(6)),
+], ids=["Heis7", "Q8xQ8xC4", "D15xC6"])
+def test_central_blocks_split_without_elimination(monkeypatch, spec):
+    # each block's first row seeds its Krylov sequence: at the Dixon prime every
+    # eigenvalue is simple and every eigenvector comes from that one sequence
+    calls = []
+    original = modp.nullspace_mod
+    monkeypatch.setattr(modp, "nullspace_mod", lambda a, p: calls.append(p) or original(a, p))
+    t = _table(spec)
+    assert len(t.rows) == len(t.class_data.classes)
+    assert calls == []

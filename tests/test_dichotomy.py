@@ -292,6 +292,19 @@ def test_classify_restricted_sum_s3():
     assert cert.commuting_witness.checks.passed
 
 
+def test_classify_builds_one_table_for_isomorphic_levels(monkeypatch):
+    # the three S3 levels share one right-multiplication table, so the growth
+    # evaluation builds S3's character table once, not once per level
+    from groupvna import vn_spectrum
+    orders = []
+    original = vn_spectrum.character_table
+    monkeypatch.setattr(vn_spectrum, "character_table",
+                        lambda cd: orders.append(cd.order) or original(cd))
+    cert = classify(SPEC_S3SUM, ClassifyOptions(k=2))
+    assert cert.growth.levels_required == 3
+    assert orders == [6]
+
+
 def test_classify_restricted_sum_q8():
     cert = classify(SPEC_Q8SUM)
     assert cert.verdict == "not_type_I"
