@@ -102,7 +102,13 @@ class ClassData:
 
 
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
-    """Partition a finite subgroup into conjugacy classes; walk each representative's powers."""
+    """Partition a finite subgroup into conjugacy classes; walk each representative's powers.
+
+    Both read the subgroup's index table: the classes are orbits of its conj
+    rows, and rep^(t+1) = rep^t t_a1 ... t_ak follows right rows along rep's
+    word in the table's tree, so no group product is computed here.  A handle
+    is closed by `Subgroup.whole_group`, which leaves its fair-enumeration
+    cache as it was."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
                      subject.order, max_order)  # before enumerating anything
@@ -125,16 +131,23 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
             or any(cls[index[c.representative.form]] != k for k, c in enumerate(classes))):
         raise ConsistencyError("the identity's class is not the singleton class 0")
 
-    inverse_class = [cls[index[fam.inv(c.representative.form)]] for c in classes]
+    table = H.table
+    right, tree, inverse = table.right.tolist(), table.tree(), table.inverse.tolist()
+    reps = [index[c.representative.form] for c in classes]
+    inverse_class = [cls[inverse[x]] for x in reps]
     power_classes = []
-    for c in classes:
-        cycle, g = [0], c.representative.form
-        cur = g
-        while cur != fam.identity:
+    for g in reps:
+        word, x = [], g  # the letters of g's path from the identity in the tree
+        while x:
+            x, a = tree[x]
+            word.append(right[a])
+        cycle, cur = [0], g
+        while cur:
             if len(cycle) == n:
                 raise ConsistencyError("element order exceeds subgroup order")
-            cycle.append(cls[index[cur]])
-            cur = fam.mul(cur, g)
+            cycle.append(cls[cur])
+            for row in reversed(word):  # cur g = cur t_a1 ... t_ak
+                cur = row[cur]
         power_classes.append(cycle)
     exponent = lcm(*map(len, power_classes))
     return ClassData(H, classes, index_class, sizes, inverse_class, exponent, power_classes)

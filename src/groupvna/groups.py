@@ -813,6 +813,33 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
+def _closure(family: _Family, letters: list, budget: Optional[int] = None) -> tuple:
+    """The forms the identity reaches by right multiplication by `letters`, in
+    `_bfs` order, and the index of every product: right[a, x] is the index of
+    forms[x] letters[a].
+
+    The search runs on indices, numbering each form the first time it meets
+    it, so each product is computed once.  Raises BudgetExceededError past
+    `budget` forms.
+    """
+    forms, index, flat = [family.identity], {family.identity: 0}, []
+    mul, record = family.mul, flat.append
+
+    def step(x, a):
+        w = mul(forms[x], letters[a])
+        y = index.get(w)
+        if y is None:
+            y = index[w] = len(forms)
+            forms.append(w)
+        record(y)
+        return y
+
+    _bfs([0], range(len(letters)), step, budget)
+    # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
+    right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
+    return forms, right
+
+
 def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple:
     """A deterministic generating set of `forms`: each form not yet generated is added.
 
@@ -1000,29 +1027,33 @@ class IndexTable:
     The letters are the alphabet block of the subgroup's generators; a block is
     closed under inversion, and inverse_letter[a] is the letter t_a^-1.
     right[a, x] is the index of x t_a, conj[a, x] that of t_a x t_a^-1, and
-    inverse[x] that of x^-1.
+    inverse[x] that of x^-1.  The right rows are the products of the closure
+    that listed the subgroup (`_closure`), so building a table multiplies
+    nothing; its tree is kept once built.  `index` maps each element's form to
+    its index, in index order.
     """
 
-    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj")
+    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj", "_tree")
 
-    def __init__(self, H: "Subgroup"):
-        fam, index = H.handle._family, H._index
-        forms = [e.form for e in H.elements]
-        self.letters = fam.alphabet_block([g.form for g in H.generators])
-        letter = {t: a for a, t in enumerate(self.letters)}
-        self.inverse_letter = np.array([letter[fam.inv(t)] for t in self.letters], dtype=np.intp)
-        self.inverse = np.array([index[fam.inv(x)] for x in forms], dtype=np.intp)
-        self.right = np.array([[index[fam.mul(x, t)] for x in forms] for t in self.letters],
-                              dtype=np.intp).reshape(len(self.letters), len(forms))
+    def __init__(self, family: _Family, index: dict, letters: list, right: np.ndarray):
+        self.letters = letters
+        letter = {t: a for a, t in enumerate(letters)}
+        self.inverse_letter = np.array([letter[family.inv(t)] for t in letters], dtype=np.intp)
+        self.inverse = np.array([index[family.inv(x)] for x in index], dtype=np.intp)
+        self.right = right
         # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
         back = self.right[self.inverse_letter]
         self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
+        self._tree: Optional[dict] = None
 
     def tree(self) -> dict:
         """Each index y != 0 mapped to (x, a) with y = x t_a, where x is the index
         from which a `_bfs` from the identity over the letters first met y.  The
         keys come in that search's order, so every x is met before its children.
-        Raises ConsistencyError unless the letters reach every index."""
+        Built on the first call and then kept.  Raises ConsistencyError unless
+        the letters reach every index."""
+        if self._tree is not None:
+            return self._tree
         right, up = self.right.tolist(), {0: None}
 
         def step(x, a):
@@ -1035,6 +1066,7 @@ class IndexTable:
         if len(up) != len(self.inverse):
             raise ConsistencyError("the subgroup's letters do not reach all of its elements")
         del up[0]
+        self._tree = up
         return up
 
     def conj_orbits(self) -> list[list[int]]:
@@ -1053,17 +1085,22 @@ class Subgroup:
 
     `generators`, when given, must generate the elements (a closure passes its
     own).  Without them the list is checked for closure, at any size, and its
-    generators are picked from it.
+    generators are picked from it.  `right`, when given, holds the products
+    of the `_closure` that listed the elements from the generators' letters;
+    they become the index table's rows, so a finite subgroup's table comes
+    from the closure that listed it.
     """
 
-    __slots__ = ("handle", "elements", "generators", "_index", "_table")
+    __slots__ = ("handle", "elements", "generators", "_index", "_table", "_right")
 
     def __init__(self, handle: GroupHandle, elements: list[GroupElement],
-                 generators: Optional[list[GroupElement]] = None):
+                 generators: Optional[list[GroupElement]] = None,
+                 right: Optional[np.ndarray] = None):
         self.handle = handle
         self.elements = tuple(elements)
         self._index = {e.form: i for i, e in enumerate(self.elements)}
         self._table: Optional[IndexTable] = None
+        self._right = right
         self.generators = tuple(generators) if generators is not None else self._validate()
 
     def _validate(self) -> tuple:
@@ -1085,9 +1122,22 @@ class Subgroup:
 
     @property
     def table(self) -> IndexTable:
-        """The subgroup's index table, built on first use and then kept."""
+        """The subgroup's index table, built on first use and then kept.
+
+        An element list without its closure's rows runs that closure over its
+        letters and renumbers the rows into the list's order."""
         if self._table is None:
-            self._table = IndexTable(self)
+            fam, n = self.handle._family, len(self.elements)
+            letters = fam.alphabet_block([g.form for g in self.generators])
+            right = self._right
+            if right is None:
+                forms, rows = _closure(fam, letters, n)
+                if len(forms) != n:
+                    raise ConsistencyError("the subgroup's letters do not reach its elements")
+                at = np.array([self._index[f] for f in forms], dtype=np.intp)
+                right = np.empty_like(rows)
+                right[:, at] = at[rows]
+            self._table = IndexTable(fam, self._index, letters, right)
         return self._table
 
     def __len__(self):
@@ -1102,7 +1152,16 @@ class Subgroup:
 
     @staticmethod
     def whole_group(handle: GroupHandle) -> "Subgroup":
-        return Subgroup(handle, handle.all_elements(), handle.generators or [handle.identity])
+        """A finite handle's elements, as the closure of its generators.
+
+        A finite family admits all of its letters at the first stage of its
+        fair enumeration, so that enumeration is this closure and the elements
+        come in `all_elements()` order; the handle's enumeration cache is not
+        advanced.
+        """
+        if not handle.is_finite:
+            raise RequiresFiniteError(f"{handle.describe()} is not finite")
+        return generate_closure(handle.generators or [handle.identity], handle.order)
 
     def describe(self) -> str:
         return f"subgroup of {self.handle.describe()}, order {order_text(self.order)}"
@@ -1134,8 +1193,10 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     """Breadth-first closure of `gens` under multiplication and inversion.
 
     Deterministic insertion order (identity first, then BFS by word length over
-    the generators and their inverses).  Raises BudgetExceededError with the
-    partial count when the closure grows past `budget` elements.
+    the generators and their inverses).  Each product x t is computed once,
+    and the subgroup's index table is built from those products.  Raises
+    BudgetExceededError with the partial count when the closure grows past
+    `budget` elements.
     """
     gens = list(gens)
     if budget < 1:
@@ -1145,9 +1206,10 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     handle = gens[0].group
     handle._check(*gens)
     fam = handle._family
-    forms = _bfs([fam.identity], fam.alphabet_block([g.form for g in gens]), fam.mul, budget)
+    forms, right = _closure(fam, fam.alphabet_block([g.form for g in gens]), budget)
     kept = [g for g in gens if not g.is_identity]
-    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity])
+    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity],
+                    right)
 
 
 def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:

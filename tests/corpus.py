@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from groupvna.groups import GroupHandle, Subgroup, as_subgroup, construct_group, generate_closure
@@ -74,7 +76,7 @@ def central_product_handle_and_subgroups() -> tuple[GroupHandle, Subgroup, Subgr
 
 def index_table_subgroup(name: str) -> Subgroup:
     """One of INDEX_TABLE_SUBGROUPS: whole groups, a closure inside an infinite
-    group, a subgroup given only by its elements, and the trivial group."""
+    group, subgroups given only by their elements, and the trivial group."""
     if name == "s3sum-closure":
         s3sum = construct_group(SPEC_S3SUM)
         return generate_closure([s3sum.element(((0, (1, 0, 2)),)),
@@ -82,6 +84,10 @@ def index_table_subgroup(name: str) -> Subgroup:
     if name == "s3-in-s4-elements":
         s4 = construct_group(spec_symmetric(4))
         return as_subgroup([e for e in s4.all_elements() if e.form[3] == 3])
+    if name == "s4-shuffled-elements":  # its table's rows are renumbered into this order
+        elements = construct_group(spec_symmetric(4)).all_elements()
+        random.Random(4).shuffle(elements)
+        return as_subgroup(elements)
     return as_subgroup(construct_group({
         "s4": spec_symmetric(4),
         "q8xc2": spec_product(SPEC_Q8, spec_cyclic(2)),
@@ -92,7 +98,7 @@ def index_table_subgroup(name: str) -> Subgroup:
 
 
 INDEX_TABLE_SUBGROUPS = ["s4", "q8xc2", "heis3", "cayley-q8oq8", "s3sum-closure",
-                         "s3-in-s4-elements", "trivial"]
+                         "s3-in-s4-elements", "s4-shuffled-elements", "trivial"]
 
 
 # finite families of order <= 64 exercised by the exact trace-axiom checks

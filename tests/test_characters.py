@@ -18,7 +18,7 @@ from corpus import (
     spec_product,
     spec_symmetric,
 )
-from groupvna import characters, cli, modp
+from groupvna import characters, cli, groups, modp
 from groupvna.characters import (
     CharacterTable,
     ClassData,
@@ -112,6 +112,22 @@ def test_class_combination_matches_the_group_law(name):
         for x in cd.subgroup.elements:
             want[_class_of(cd, fam.mul(fam.inv(x.form), z)), k] += c[_class_of(cd, x.form)]
     assert np.array_equal(cd.class_combination(c), want)
+
+
+@pytest.mark.parametrize("spec", [spec_dihedral(20),
+                                  spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8)],
+                         ids=["D20", "Heis3xQ8"])
+def test_the_table_tree_is_searched_once(monkeypatch, spec):
+    # class_data's power walk, _central_blocks and class_combination all read it
+    searches = []
+
+    def recording(seeds, alphabet, step, budget=None):
+        if step.__qualname__.startswith("IndexTable.tree."):
+            searches.append(seeds)
+        return _bfs(seeds, alphabet, step, budget)
+    monkeypatch.setattr(groups, "_bfs", recording)
+    character_table(class_data(construct_group(spec)))
+    assert len(searches) == 1
 
 
 def test_class_data_allocates_no_structure_constant_tensor():

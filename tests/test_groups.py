@@ -26,6 +26,7 @@ from groupvna.errors import (
     UnsupportedFamilyError,
 )
 from groupvna.groups import (
+    _spec_label,
     commutator,
     conjugate,
     construct_group,
@@ -498,6 +499,65 @@ def test_a_finite_group_enumerates_its_order_distinct_forms(spec):
     forms = [e.form for e in handle.all_elements()]
     assert len(forms) == len(set(forms)) == handle.order
     assert forms == _eager_enumeration(handle._family, handle.order)
+
+
+# the groups of the benchmark's oracle workload, lemma7 included (perfbench/workloads.py)
+ORACLE_GROUPS = [
+    spec_symmetric(5),
+    spec_product(spec_symmetric(4), spec_cyclic(3)),
+    spec_product({"family": "heisenberg", "p": 3}, spec_cyclic(3)),
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_dihedral(40),
+    spec_product(SPEC_Q8, spec_cyclic(2)),
+    spec_product(spec_symmetric(3), spec_symmetric(3)),
+    spec_product(SPEC_Q8, SPEC_Q8),
+]
+
+
+def _shuffled_s3_table():
+    """S3 as a Cayley table on a shuffled labelling, the identity not at 0."""
+    s3 = construct_group(spec_symmetric(3)).all_elements()
+    random.Random(6).shuffle(s3)
+    label = {g.form: i for i, g in enumerate(s3)}
+    return {"family": "cayley", "table": [[label[(a * b).form] for b in s3] for a in s3]}
+
+
+C1SUM = {"family": "restricted_sum", "factor": spec_cyclic(1)}
+WHOLE_GROUPS = CHARTAB_GROUPS + ORACLE_GROUPS + [
+    spec_cyclic(1), spec_symmetric(1), C1SUM, spec_product(C1SUM, spec_cyclic(3)),
+    spec_dihedral(1), spec_dihedral(2), spec_symmetric(6), {"family": "heisenberg", "p": 5},
+    spec_product(SPEC_Q8, SPEC_Q8, spec_cyclic(2)), _shuffled_s3_table(),
+]
+
+
+@pytest.mark.parametrize("spec", WHOLE_GROUPS, ids=[_spec_label(s) for s in WHOLE_GROUPS])
+def test_the_whole_group_closure_lists_the_fair_enumeration(spec):
+    # class_data numbers classes by element index, so its output bytes rest on this order
+    from groupvna.groups import Subgroup
+    handle = construct_group(spec)
+    H = Subgroup.whole_group(handle)
+    assert len(handle._enum) == 1  # the closure leaves the enumeration cache alone
+    assert [e.form for e in H.elements] == [e.form for e in construct_group(spec).all_elements()]
+
+
+@pytest.mark.parametrize("spec", [
+    spec_product(spec_dihedral(6), SPEC_Q8, spec_symmetric(3)),
+    spec_product(spec_symmetric(5), spec_cyclic(2)),
+    {"family": "heisenberg", "p": 7},
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+], ids=["D6xQ8xS3", "S5xC2", "Heis7", "C10xC12"])
+def test_class_data_computes_each_product_once(spec):
+    from groupvna.characters import class_data
+    handle = construct_group(spec)
+    fam, calls = handle._family, []
+    mul = fam.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+    fam.mul = counting
+    cd = class_data(handle)
+    assert len(calls) == cd.order * len(cd.subgroup.table.letters)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
