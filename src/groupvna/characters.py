@@ -59,14 +59,16 @@ class ClassData:
     for one fixed z in C_k (the count is independent of the choice of z).
     `class_combination(c)` builds the r x r matrix sum_i c_i A_i of the slices
     (A_i)[j, k] = a_ijk from the subgroup's index table, one column at a time.
-    `index_class[x]` is the class of element index x.  `power_classes[j]`
-    holds the classes of rep_j^0, rep_j^1, ... up to the order of rep_j; the
-    exponent is the lcm of their lengths.
+    `index_class[x]` is the class of element index x, and `reps[j]` the index
+    of rep_j, the representative of class j.  `power_classes[j]` holds the
+    classes of rep_j^0, rep_j^1, ... up to the order of rep_j; the exponent is
+    the lcm of their lengths.
     """
 
     subgroup: Subgroup
     classes: list[ConjugacyClass]
     index_class: np.ndarray  # element index -> class index
+    reps: list[int]
     sizes: list[int]
     inverse_class: list[int]
     exponent: int
@@ -80,20 +82,15 @@ class ClassData:
         """A_c = sum_i c_i A_i: (A_c)[j, k] sums c_class(x) over the x in H with
         x^-1 z_k in C_j, z_k the representative of C_k (any element of C_k gives
         the same counts).  Column k is one weighted bincount of the classes of
-        x^-1 z_k, read through the right-multiplication rows along z_k's path in
-        the index table's tree; each sum is at most c . |C| < 2^53, so the float
-        weights stay exact (see `dixon_prime`)."""
-        H, r = self.subgroup, len(self.classes)
-        table = H.table
-        tree = table.tree()
+        x^-1 z_k, read through the index table's permutation y -> y z_k; each
+        sum is at most c . |C| < 2^53, so the float weights stay exact (see
+        `dixon_prime`)."""
+        table, r = self.subgroup.table, len(self.classes)
         c = np.asarray(c, dtype=np.int64)
         weights = c[self.index_class].astype(np.float64)
         out = np.empty((r, r), dtype=np.int64)
-        for k, cls in enumerate(self.classes):
-            labels, z = self.index_class, H._index[cls.representative.form]
-            while z:  # z = x t_a, so y^-1 z = (y^-1 x) t_a: put right[a] in front
-                z, a = tree[z]
-                labels = labels[table.right[a]]
+        for k, z in enumerate(self.reps):
+            labels = self.index_class[table.times(z)]
             out[:, k] = np.bincount(labels[table.inverse], weights, minlength=r)
         sz = np.array(self.sizes, dtype=np.int64)
         if not np.array_equal(out @ sz, int(c @ sz) * sz):
@@ -106,9 +103,9 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
 
     Both read the subgroup's index table: the classes are orbits of its conj
     rows, and rep^(t+1) = rep^t t_a1 ... t_ak follows right rows along rep's
-    word in the table's tree, so no group product is computed here.  A handle
-    is closed by `Subgroup.whole_group`, which leaves its fair-enumeration
-    cache as it was."""
+    path in the table's search tree, so no group product is computed here.  A
+    handle is closed by `Subgroup.whole_group`, which leaves its
+    fair-enumeration cache as it was."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
                      subject.order, max_order)  # before enumerating anything
@@ -126,21 +123,22 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     if sum(sizes) != n:
         raise ConsistencyError("conjugacy classes do not partition the subgroup")
     cls = index_class.tolist()
+    reps = [index[c.representative.form] for c in classes]
     # A_0 = I exactly when C_0 = {e} and every representative lies in its own class
     if ([x.form for x in classes[0].elements] != [fam.identity]
-            or any(cls[index[c.representative.form]] != k for k, c in enumerate(classes))):
+            or any(cls[x] != k for k, x in enumerate(reps))):
         raise ConsistencyError("the identity's class is not the singleton class 0")
 
     table = H.table
-    right, tree, inverse = table.right.tolist(), table.tree(), table.inverse.tolist()
-    reps = [index[c.representative.form] for c in classes]
+    right, inverse = table.right.tolist(), table.inverse.tolist()
+    parent, letter = table.parent.tolist(), table.letter.tolist()
     inverse_class = [cls[inverse[x]] for x in reps]
     power_classes = []
     for g in reps:
-        word, x = [], g  # the letters of g's path from the identity in the tree
+        word, x = [], g  # the rows of g's path from the identity in the tree
         while x:
-            x, a = tree[x]
-            word.append(right[a])
+            word.append(right[letter[x]])
+            x = parent[x]
         cycle, cur = [0], g
         while cur:
             if len(cycle) == n:
@@ -150,7 +148,8 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
                 cur = row[cur]
         power_classes.append(cycle)
     exponent = lcm(*map(len, power_classes))
-    return ClassData(H, classes, index_class, sizes, inverse_class, exponent, power_classes)
+    return ClassData(H, classes, index_class, reps, sizes, inverse_class, exponent,
+                     power_classes)
 
 
 def _check_order(what: str, order: int, max_order: int):
@@ -225,9 +224,8 @@ def _central_blocks(cd: ClassData, p: int) -> list[tuple[np.ndarray, list[int]]]
 
     For central z the class matrix A_z permutes the classes: C_z C_j is the
     class sum of z g_j, g_j the representative of C_j, whose index sigma_z(j)
-    is read by multiplying every representative by z along z's path in the
-    index table's tree.  So w_chi[sigma_z(j)] = lam_chi(z) w_chi[j], lam_chi the
-    central character of chi, and V_lam holds the vectors with that property.
+    is read off the index table's permutation y -> y z.  So w_chi[sigma_z(j)]
+    = lam_chi(z) w_chi[j], lam_chi the central character of chi, and V_lam holds the vectors with that property.
     On a Z-orbit of classes with first class j0 and stabiliser S, such a vector
     is fixed by its entry at j0, and that entry may be nonzero exactly when lam
     is trivial on S: V_lam has one basis row per such orbit, lam(z) at
@@ -238,20 +236,11 @@ def _central_blocks(cd: ClassData, p: int) -> list[tuple[np.ndarray, list[int]]]
     g^e in Z_k, lam(g) = (lam(g^e) + j m) / e for j < e.  A trivial centre
     leaves the one whole-space block.
     """
-    r, m, H = len(cd.classes), cd.exponent, cd.subgroup
+    r, m = len(cd.classes), cd.exponent
     central = [j for j, size in enumerate(cd.sizes) if size == 1]
     if len(central) == 1:
         return [(np.eye(r, dtype=np.int64), list(range(r)))]
-    table, tree = H.table, H.table.tree()
-    reps = np.array([H._index[c.representative.form] for c in cd.classes])
-
-    def sigma(j):  # the classes of g_k z for the element z of central class j
-        labels, z = cd.index_class, reps[j]
-        while z:  # z = x t_a: put right[a] in front, as in `class_combination`
-            z, a = tree[z]
-            labels = labels[table.right[a]]
-        return labels[reps]
-
+    times, reps = cd.subgroup.table.times, np.array(cd.reps)
     perms = np.arange(r)[None, :]  # row i: sigma of z_i, the i-th element of Z_k
     lams = np.zeros((1, 1), dtype=np.int64)  # row: a character's exponents at z_0, z_1, ...
     position = np.full(r, -1)  # central class -> i with z_i in it, -1 outside Z_k
@@ -259,7 +248,7 @@ def _central_blocks(cd: ClassData, p: int) -> list[tuple[np.ndarray, list[int]]]
     for g in central:
         if position[g] >= 0:
             continue
-        step, layers = sigma(g), [perms]
+        step, layers = cd.index_class[times(reps[g])[reps]], [perms]  # sigma of g's element
         while True:  # layer t: sigma_(z_i g^t) = sigma_(z_i) sigma_g^t, whose column 0 is z_i g^t
             power = layers[-1][:, step]
             if position[power[0, 0]] >= 0:

@@ -299,15 +299,16 @@ def _cmd_lemma7(args, handle: GroupHandle):
 
 def _cmd_growth(args, handle: GroupHandle):
     if handle.family == "restricted_sum":
-        tower = [coordinate_subgroup(handle, i, args.budget) for i in range(args.levels)]
+        level, cap = coordinate_subgroup, args.levels
     elif handle.family == "product":
-        tower = [factor_subgroup(handle, i, args.budget)
-                 for i in range(min(args.levels, len(handle.spec["factors"])))]
+        level, cap = factor_subgroup, min(args.levels, len(handle.spec["factors"]))
     else:
         raise SpecError("growth needs a commuting tower; supported specs: "
                         "restricted_sum (coordinate subgroups) or product (factors)")
+    # one level at a time: the search stops building at the first prefix that clears
+    tower = (level(handle, i, args.budget) for i in range(cap))
     result = growth_search(tower, k=args.k, epsilon=args.epsilon,
-                           closure_budget=args.budget)
+                           closure_budget=args.budget, cap=cap)
     results = {"growth": result.to_json()}
     if result.found:
         return results, EXIT_PASS, (

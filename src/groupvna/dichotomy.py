@@ -13,6 +13,7 @@ the search path that produced them.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -163,6 +164,15 @@ class WitnessChecks:
         return (self.noncommuting_pairs and self.classes_conjugation_stable
                 and self.pairwise_commuting)
 
+    def to_json(self) -> dict:
+        return {
+            "noncommuting_pairs": self.noncommuting_pairs,
+            "classes_conjugation_stable": self.classes_conjugation_stable,
+            "pairwise_commuting": self.pairwise_commuting,
+            "commutation_matrix": self.commutation_matrix,
+            "failures": list(self.failures),
+        }
+
 
 @dataclass
 class CommutingWitness:
@@ -178,13 +188,7 @@ class CommutingWitness:
             "requested": self.requested,
             "complete": self.complete,
             "levels": [lv.to_json() for lv in self.levels],
-            "checks": None if self.checks is None else {
-                "noncommuting_pairs": self.checks.noncommuting_pairs,
-                "classes_conjugation_stable": self.checks.classes_conjugation_stable,
-                "pairwise_commuting": self.checks.pairwise_commuting,
-                "commutation_matrix": self.checks.commutation_matrix,
-                "failures": list(self.checks.failures),
-            },
+            "checks": None if self.checks is None else self.checks.to_json(),
             "diagnostics": list(self.diagnostics),
         }
 
@@ -565,12 +569,19 @@ def _field(doc, *keys, parse=None):
         raise _Malformed(f"{path}: {e}") from None
 
 
+def _json_text(value) -> str:
+    """`value` as JSON text with sorted keys, so that true and 1 differ; a value
+    JSON cannot hold is written as its repr, so no document makes it raise."""
+    return json.dumps(value, sort_keys=True, default=repr)
+
+
 def replay_certificate(cert: dict) -> ReplayReport:
     """Re-run every check a certificate claims, from its serialized form alone.
 
     Growth thresholds and size limits are taken from the certificate's
-    options, never read from its growth report.  A field replay cannot read
-    fails the replay and is named in its failures.
+    options, never read from its growth report; the growth report and the
+    witness's checks are recomputed and compared whole.  A field replay
+    cannot read fails the replay and is named in its failures.
     """
     if not isinstance(cert, dict) or cert.get("format") != "groupvna-certificate/1":
         raise ParameterError("not a recognized certificate document")
@@ -635,33 +646,40 @@ def _replay_claims(cert: dict, verdict, record) -> None:
             levels.append(WitnessLevel(lv_idx, g, h, *classes))
         wchecks = verify_witness_levels(handle, levels)
         record("witness_invariants", wchecks.passed, "; ".join(wchecks.failures))
+        claimed_checks = _field(cert, "commuting_witness", "checks")
+        record("witness_checks_match", _json_text(wchecks.to_json()) == _json_text(claimed_checks),
+               "commuting_witness.checks differ from the checks recomputed on its levels")
 
         n_req = _field(cert, "growth", "levels_required", parse=_json_int)
         in_range = 1 <= n_req <= len(levels)
         record("levels_required_in_range", in_range,
                f"levels_required {n_req} is not between 1 and {len(levels)}")
+        complete = _field(cert, "commuting_witness", "complete")
+        requested = _field(cert, "commuting_witness", "requested")
+        record("witness_complete", complete is True and _json_text(requested) == _json_text(n_req),
+               f"commuting_witness is not complete with requested = levels_required = {n_req}")
         try:
             o = cert["options"]
             opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]),
                                    closure_budget=o.get("closure_budget"),
-                                   max_order=o.get("max_order"))
+                                   max_order=o.get("max_order"), max_levels=o["max_levels"])
             record("options_valid", True)
         except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError,
                 AttributeError) as e:
             opts = None
             record("options_valid", False, f"certificate options: {e}")
-        prefix = None
+        spectra = None
         if in_range and opts is not None:
             try:
-                # the measure at exactly n_req levels, even if a shorter prefix clears
-                *_, prefix = _growth_spectra(levels[:n_req], opts)
+                # every prefix up to n_req levels, even past a shorter one that clears
+                spectra = list(_growth_spectra(levels[:n_req], opts))
                 record("growth_closure_within_limits", True)
             except (BudgetExceededError, RequiresFiniteError):
                 record("growth_closure_within_limits", False, _growth_refusal(opts, n_req))
             except PreconditionError as e:
                 record("growth_levels_commute", False, str(e))
-        if prefix is not None:
-            growth = evaluate_growth([prefix], opts.k, opts.epsilon, n_req)
+        if spectra is not None:
+            growth = evaluate_growth(spectra[-1:], opts.k, opts.epsilon, n_req)
             claims = (_field(cert, "growth", "k"), _field(cert, "growth", "dim_threshold"),
                       _field(cert, "growth", "epsilon", parse=jsonutil.fraction_from_json),
                       _field(cert, "growth", "measure_threshold",
@@ -677,6 +695,10 @@ def _replay_claims(cert: dict, verdict, record) -> None:
                    f"recomputed measure {measure} != claimed {claimed}")
             record("growth_measure_clears_threshold", growth.found,
                    f"measure {measure} does not exceed {growth.measure_threshold}")
+            report = evaluate_growth(spectra, opts.k, opts.epsilon, opts.max_levels).to_json()
+            record("growth_report_matches",
+                   _json_text(report) == _json_text(_field(cert, "growth")),
+                   "growth report differs from the one classify derives from the witness levels")
     elif verdict == "inconclusive":
         record("inconclusive_makes_no_claims", True)
     else:

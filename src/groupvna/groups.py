@@ -17,13 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from numbers import Integral
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    ConsistencyError,
     DomainMismatchError,
     ParameterError,
     RequiresFiniteError,
@@ -467,7 +466,7 @@ class _Cayley(_Family):
         self.order = n
         self.spec_doc = {"family": "cayley", "table": [list(map(int, row)) for row in table]}
         self.metadata = _finite_metadata(n)
-        self._generators = _greedy_generators(self, range(n), n)
+        self._generators = _greedy_generators(self, range(n), n).generators
 
     @staticmethod
     def _validate(table):
@@ -813,16 +812,42 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
-def _closure(family: _Family, letters: list, budget: Optional[int] = None) -> tuple:
-    """The forms the identity reaches by right multiplication by `letters`, in
-    `_bfs` order, and the index of every product: right[a, x] is the index of
-    forms[x] letters[a].
+class _Closure(NamedTuple):
+    """A finite subgroup's closure: the forms that the identity reaches by
+    right multiplication by the `letters`, the alphabet block of `generators`,
+    in `_bfs` order, and on element indices the products and search tree:
+    right[a, x] is the index of x t_a, the search first met y != 0 as
+    parent[y] t_letter[y], and order[k] is the index of forms[k], so it lists
+    every parent before its children.
+    """
+
+    generators: tuple  # forms, without the identity
+    forms: list
+    letters: list
+    right: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+    order: np.ndarray
+
+    def renumbered(self, index: dict) -> "_Closure":
+        """The same closure with each form's index read from `index`."""
+        at = np.array([index[f] for f in self.forms], dtype=np.intp)
+        back = np.argsort(at)  # new index -> old index
+        return self._replace(right=at[self.right[:, back]], parent=at[self.parent[back]],
+                             letter=self.letter[back], order=at)
+
+
+def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> _Closure:
+    """The closure of the forms `gens` under multiplication and inversion,
+    indexed by the order in which its one `_bfs` meets the forms.
 
     The search runs on indices, numbering each form the first time it meets
-    it, so each product is computed once.  Raises BudgetExceededError past
-    `budget` forms.
+    it and recording where it met it, so each product is computed once and
+    parent[y] < y.  A subgroup keeps these arrays, and its `IndexTable` is
+    built from them.  Raises BudgetExceededError past `budget` forms.
     """
-    forms, index, flat = [family.identity], {family.identity: 0}, []
+    letters = family.alphabet_block(gens)
+    forms, index, flat, parent, letter = [family.identity], {family.identity: 0}, [], [0], [0]
     mul, record = family.mul, flat.append
 
     def step(x, a):
@@ -831,30 +856,36 @@ def _closure(family: _Family, letters: list, budget: Optional[int] = None) -> tu
         if y is None:
             y = index[w] = len(forms)
             forms.append(w)
+            parent.append(x)
+            letter.append(a)
         record(y)
         return y
 
     _bfs([0], range(len(letters)), step, budget)
     # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
     right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
-    return forms, right
+    return _Closure(tuple(g for g in gens if g != family.identity), forms, letters, right,
+                    np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp),
+                    np.arange(len(forms)))
 
 
-def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple:
-    """A deterministic generating set of `forms`: each form not yet generated is added.
+def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> _Closure:
+    """The closure of a deterministic generating set of `forms`: each form not
+    yet generated is added, and the generators are closed again.
 
-    Each closure is a `_bfs` under `budget`.  With `budget` = len(forms) (no
-    duplicates), a return means the last closure holds every form and no
-    more, so the forms are a subgroup; a set that is not closed raises
-    BudgetExceededError.
+    Each closure is a `_closure` under `budget`.  With `budget` = len(forms)
+    (no duplicates), a return means the last closure, the one returned, holds
+    every form and no more, so the forms are a subgroup; a set that is not
+    closed raises BudgetExceededError.  An element-list `Subgroup` keeps the
+    returned closure, so the list is closed once, when it is constructed.
     """
-    gens: list = []
+    closed = _closure(family, [], budget)
     reached = {family.identity}
     for x in forms:
         if x not in reached:
-            gens.append(x)
-            reached = set(_bfs([family.identity], family.alphabet_block(gens), family.mul, budget))
-    return tuple(gens)
+            closed = _closure(family, [*closed.generators, x], budget)
+            reached = set(closed.forms)
+    return closed
 
 
 def _fair_stages(family: _Family, enum: list) -> Iterator:
@@ -1027,47 +1058,35 @@ class IndexTable:
     The letters are the alphabet block of the subgroup's generators; a block is
     closed under inversion, and inverse_letter[a] is the letter t_a^-1.
     right[a, x] is the index of x t_a, conj[a, x] that of t_a x t_a^-1, and
-    inverse[x] that of x^-1.  The right rows are the products of the closure
-    that listed the subgroup (`_closure`), so building a table multiplies
-    nothing; its tree is kept once built.  `index` maps each element's form to
-    its index, in index order.
+    inverse[x] that of x^-1.  The right rows and the search tree (parent,
+    letter, order: see `_Closure`) are the arrays of the closure that listed
+    the subgroup, which the subgroup keeps after the table is built; so
+    building a table multiplies nothing and searches nothing.  `index` maps
+    each element's form to its index, in index order.
     """
 
-    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj", "_tree")
+    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj", "parent", "letter",
+                 "order")
 
-    def __init__(self, family: _Family, index: dict, letters: list, right: np.ndarray):
-        self.letters = letters
-        letter = {t: a for a, t in enumerate(letters)}
-        self.inverse_letter = np.array([letter[family.inv(t)] for t in letters], dtype=np.intp)
+    def __init__(self, family: _Family, index: dict, closure: _Closure):
+        self.letters, self.right, self.parent, self.letter, self.order = closure[2:]
+        letter = {t: a for a, t in enumerate(self.letters)}
+        self.inverse_letter = np.array([letter[family.inv(t)] for t in letter], dtype=np.intp)
         self.inverse = np.array([index[family.inv(x)] for x in index], dtype=np.intp)
-        self.right = right
         # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
         back = self.right[self.inverse_letter]
         self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
-        self._tree: Optional[dict] = None
 
-    def tree(self) -> dict:
-        """Each index y != 0 mapped to (x, a) with y = x t_a, where x is the index
-        from which a `_bfs` from the identity over the letters first met y.  The
-        keys come in that search's order, so every x is met before its children.
-        Built on the first call and then kept.  Raises ConsistencyError unless
-        the letters reach every index."""
-        if self._tree is not None:
-            return self._tree
-        right, up = self.right.tolist(), {0: None}
+    def times(self, x: int) -> np.ndarray:
+        """The permutation y -> index of y g_x, g_x the element of index x.
 
-        def step(x, a):
-            y = right[a][x]
-            if y not in up:
-                up[y] = (x, a)
-            return y
-
-        _bfs([0], range(len(right)), step)
-        if len(up) != len(self.inverse):
-            raise ConsistencyError("the subgroup's letters do not reach all of its elements")
-        del up[0]
-        self._tree = up
-        return up
+        It walks up the search tree from x: g_x = g_parent t_letter, so
+        y g_x = (y g_parent) t_letter puts right[letter] in front of the rest."""
+        perm = np.arange(len(self.inverse))
+        while x:
+            perm = perm[self.right[self.letter[x]]]
+            x = self.parent[x]
+        return perm
 
     def conj_orbits(self) -> list[list[int]]:
         """The conjugacy classes as index lists, each seeded at the first index
@@ -1083,38 +1102,40 @@ class IndexTable:
 class Subgroup:
     """A finite subgroup materialized as an ordered element list (identity first).
 
-    `generators`, when given, must generate the elements (a closure passes its
-    own).  Without them the list is checked for closure, at any size, and its
-    generators are picked from it.  `right`, when given, holds the products
-    of the `_closure` that listed the elements from the generators' letters;
-    they become the index table's rows, so a finite subgroup's table comes
-    from the closure that listed it.
+    `closure`, when given, is the `_closure` that listed the elements in this
+    order (`generate_closure` passes its own).  Without it the list is closed
+    once, here, at any size: its greedy generators' last closure proves the
+    list a subgroup and is kept, renumbered into the list's order.  Either
+    way the kept closure gives the generators and, on first use, the index
+    table; reading the table runs no closure.  The arrays stay kept after the
+    table is built, so two threads racing to build it read the same arrays.
     """
 
-    __slots__ = ("handle", "elements", "generators", "_index", "_table", "_right")
+    __slots__ = ("handle", "elements", "generators", "_index", "_table", "_closure")
 
     def __init__(self, handle: GroupHandle, elements: list[GroupElement],
-                 generators: Optional[list[GroupElement]] = None,
-                 right: Optional[np.ndarray] = None):
+                 closure: Optional[_Closure] = None):
         self.handle = handle
         self.elements = tuple(elements)
         self._index = {e.form: i for i, e in enumerate(self.elements)}
         self._table: Optional[IndexTable] = None
-        self._right = right
-        self.generators = tuple(generators) if generators is not None else self._validate()
+        self._closure = closure if closure is not None else self._validate()
+        self.generators = (tuple(GroupElement(handle, f) for f in self._closure.generators)
+                           or (self.elements[0],))
 
-    def _validate(self) -> tuple:
-        """The list's greedy generators, once the list is shown to be a subgroup."""
+    def _validate(self) -> _Closure:
+        """The list's greedy generators' last closure, in the list's order, once
+        the list is shown to be a subgroup."""
         if not self.elements or not self.elements[0].is_identity:
             raise ParameterError("subgroup element list must start with the identity")
         if len(self._index) != len(self.elements):
             raise ParameterError("subgroup element list has duplicates")
         try:
-            gens = _greedy_generators(self.handle._family, self._index, len(self.elements))
+            closed = _greedy_generators(self.handle._family, self._index, len(self.elements))
         except BudgetExceededError as e:
             raise ParameterError(f"the {len(self.elements)} listed elements are not closed "
                                  "under multiplication and inversion") from e
-        return tuple(GroupElement(self.handle, f) for f in gens) or (self.elements[0],)
+        return closed.renumbered(self._index)
 
     @property
     def order(self) -> int:
@@ -1122,22 +1143,9 @@ class Subgroup:
 
     @property
     def table(self) -> IndexTable:
-        """The subgroup's index table, built on first use and then kept.
-
-        An element list without its closure's rows runs that closure over its
-        letters and renumbers the rows into the list's order."""
+        """The subgroup's index table, built from its closure on first use and then kept."""
         if self._table is None:
-            fam, n = self.handle._family, len(self.elements)
-            letters = fam.alphabet_block([g.form for g in self.generators])
-            right = self._right
-            if right is None:
-                forms, rows = _closure(fam, letters, n)
-                if len(forms) != n:
-                    raise ConsistencyError("the subgroup's letters do not reach its elements")
-                at = np.array([self._index[f] for f in forms], dtype=np.intp)
-                right = np.empty_like(rows)
-                right[:, at] = at[rows]
-            self._table = IndexTable(fam, self._index, letters, right)
+            self._table = IndexTable(self.handle._family, self._index, self._closure)
         return self._table
 
     def __len__(self):
@@ -1205,11 +1213,8 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
         raise ParameterError("need at least one generator (use the identity for the trivial subgroup)")
     handle = gens[0].group
     handle._check(*gens)
-    fam = handle._family
-    forms, right = _closure(fam, fam.alphabet_block([g.form for g in gens]), budget)
-    kept = [g for g in gens if not g.is_identity]
-    return Subgroup(handle, [GroupElement(handle, f) for f in forms], kept or [handle.identity],
-                    right)
+    closed = _closure(handle._family, [g.form for g in gens], budget)
+    return Subgroup(handle, [GroupElement(handle, f) for f in closed.forms], closed)
 
 
 def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:

@@ -296,11 +296,13 @@ class RegularRep:
         table = H.table
         back = table.right[table.inverse_letter]
         # x (g t)^-1 = (x t^-1) g^-1, so r_{g t} = r_g[r_t]: one pass down the
-        # index table's tree costs n index steps instead of n^2 products
+        # index table's tree, in its search order, costs n index steps instead
+        # of n^2 products
         self._perms = perms = np.empty((n, n), dtype=np.int64)
         perms[0] = np.arange(n)
-        for y, (x, a) in table.tree().items():
-            perms[y] = perms[x][back[a]]
+        parent, letter = table.parent.tolist(), table.letter.tolist()
+        for y in table.order[1:].tolist():
+            perms[y] = perms[parent[y]][back[letter[y]]]
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         H = self.subgroup
@@ -861,23 +863,29 @@ def evaluate_growth(spectra: Iterable[tuple[int, int, dict[int, Fraction]]], k: 
                         k, epsilon, history, cap)
 
 
-def growth_search(tower: list, k: int = 2, epsilon: Fraction = Fraction(1, 20), *,
-                  closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> GrowthResult:
+def growth_search(tower: Iterable[Subgroup], k: int = 2, epsilon: Fraction = Fraction(1, 20),
+                  *, closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+                  cap: Optional[int] = None) -> GrowthResult:
     """Smallest N with measure{dim >= 2^(2^(k-1))} > 1/2 - epsilon in S(G_1...G_N).
 
-    `tower` is a list of pairwise-commuting finite subgroups (`tower_spectra`
-    checks it on their generators).  Reaching the cap without a witness is
-    reported, not raised.
+    `tower` holds pairwise-commuting finite subgroups (`tower_spectra` checks
+    them on their generators): without `cap` it is read whole and checked
+    before the first prefix, and the cap is its length; with `cap` it is an
+    iterable of that many levels, read and checked one level at a time and
+    no further than the first prefix that clears.  Reaching the cap without
+    a witness is reported, not raised.
     """
     epsilon = exact_fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
     if not 1 <= k <= MAX_GROWTH_K:
         raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
-    tower = list(tower)
-    if not tower:
+    if cap is None:
+        tower = list(tower)
+        cap = len(tower)
+    if cap < 1:
         raise ParameterError("tower is empty")
-    return evaluate_growth(tower_spectra(tower, closure_budget), k, epsilon, len(tower))
+    return evaluate_growth(tower_spectra(tower, closure_budget), k, epsilon, cap)
 
 
 # ---------------------------------------------------------------------------

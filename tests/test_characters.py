@@ -118,16 +118,17 @@ def test_class_combination_matches_the_group_law(name):
                                   spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8)],
                          ids=["D20", "Heis3xQ8"])
 def test_the_table_tree_is_searched_once(monkeypatch, spec):
-    # class_data's power walk, _central_blocks and class_combination all read it
+    # the closure that lists the group is the one search for its tree, which
+    # class_data's power walk, _central_blocks and class_combination all read
     searches = []
 
     def recording(seeds, alphabet, step, budget=None):
-        if step.__qualname__.startswith("IndexTable.tree."):
-            searches.append(seeds)
+        searches.append(step.__qualname__.split(".<locals>")[0])
         return _bfs(seeds, alphabet, step, budget)
     monkeypatch.setattr(groups, "_bfs", recording)
-    character_table(class_data(construct_group(spec)))
-    assert len(searches) == 1
+    cd = class_data(construct_group(spec))
+    character_table(cd)
+    assert searches == ["_closure"] + ["IndexTable.conj_orbits"] * len(cd.classes)
 
 
 def test_class_data_allocates_no_structure_constant_tensor():

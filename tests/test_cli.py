@@ -170,6 +170,23 @@ def test_growth_no_witness_is_inconclusive(specs):
     assert run(["growth", "--spec", specs["s3sum"], "--k", "3", "--levels", "2"]) == 3
 
 
+def test_growth_builds_levels_only_up_to_the_witness(specs, capsys, monkeypatch):
+    _, expected = _run_json(capsys, ["growth", "--spec", specs["s3sum"], "--k", "2"])
+    built = []
+    original = cli.coordinate_subgroup
+
+    def counting(handle, coord, budget=groups.DEFAULT_CLOSURE_BUDGET):
+        built.append(coord)
+        return original(handle, coord, budget)
+    monkeypatch.setattr(cli, "coordinate_subgroup", counting)
+    code, report = _run_json(capsys, ["growth", "--spec", specs["s3sum"], "--k", "2",
+                                      "--levels", "100000"])
+    assert code == 0 and built == [0, 1, 2]
+    got, want = report["results"]["growth"], expected["results"]["growth"]
+    assert (got.pop("cap"), want.pop("cap")) == (100000, 5)
+    assert got == want and report["summary"] == expected["summary"]
+
+
 def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monkeypatch):
     # Q8^5 has 32768 elements: its order is computed from the levels and
     # refused by max_order without closing anything larger than one level

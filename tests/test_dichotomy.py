@@ -499,6 +499,18 @@ _LEVEL0 = ("commuting_witness", "levels", 0)
                           base=(SPEC_S3SUM, 1)), id="levels_required-bool"),
     pytest.param(_replace(("type_i_witness", "index"), True, "type_i_witness.index",
                           base=(_FREE1_INDEX1, 2)), id="index-bool"),
+    # the growth report and the witness checks are compared whole with their recomputation
+    pytest.param(_replace(("growth", "found"), False, "growth report"), id="found-false"),
+    pytest.param(_replace(("growth", "history"), [], "growth report"), id="history-empty"),
+    pytest.param(_replace(("growth", "cap"), 99, "growth report"), id="cap-99"),
+    pytest.param(_replace(("commuting_witness", "complete"), False,
+                          "commuting_witness is not complete"), id="complete-false"),
+    pytest.param(_replace(("commuting_witness", "requested"), 77,
+                          "commuting_witness is not complete"), id="requested-77"),
+    pytest.param(_replace(("commuting_witness", "checks", "pairwise_commuting"), False,
+                          "commuting_witness.checks"), id="pairwise_commuting-false"),
+    pytest.param(_replace(("commuting_witness", "checks", "commutation_matrix"), [[5]],
+                          "commuting_witness.checks"), id="commutation_matrix-5"),
 ])
 def test_replay_rejects_forged_claims(forge):
     spec, k = getattr(forge, "base", None) or (SPEC_S3SUM, 2)

@@ -60,12 +60,12 @@ def test_index_table_follows_the_group_law(name):
 def test_index_table_tree_reaches_every_index_by_its_letters(name):
     H = index_table_subgroup(name)
     table = H.table
-    tree = table.tree()
-    assert sorted(tree) == list(range(1, H.order))
+    parent, letter, order = table.parent, table.letter, table.order
+    assert sorted(order) == list(range(H.order)) and order[0] == 0
     met = {0}
-    for y, (x, a) in tree.items():
-        assert table.right[a][x] == y
-        assert x in met  # a parent comes before its children
+    for y in order[1:]:
+        assert table.right[letter[y]][parent[y]] == y
+        assert parent[y] in met  # a parent comes before its children
         met.add(y)
 
 
@@ -558,6 +558,25 @@ def test_class_data_computes_each_product_once(spec):
     fam.mul = counting
     cd = class_data(handle)
     assert len(calls) == cd.order * len(cd.subgroup.table.letters)
+
+
+def test_an_element_list_is_closed_once_when_it_is_constructed():
+    from groupvna.groups import as_subgroup
+    handle = construct_group(spec_symmetric(5))
+    elements = handle.all_elements()
+    random.Random(5).shuffle(elements)
+    fam, calls = handle._family, []
+    mul = fam.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+    fam.mul = counting
+    H = as_subgroup(elements)
+    built = len(calls)
+    table = H.table
+    assert len(calls) == built  # the table comes from the closure that checked the list
+    assert sorted(table.order) == list(range(120)) and H.table is table
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
