@@ -106,9 +106,7 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     path in the table's search tree, so no group product is computed here.  A
     handle is closed by `Subgroup.whole_group`, which leaves its
     fair-enumeration cache as it was."""
-    if isinstance(subject, GroupHandle) and subject.is_finite:
-        _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
-                     subject.order, max_order)  # before enumerating anything
+    check_handle_order(subject, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order
     _check_order(H.describe(), n, max_order)
@@ -150,6 +148,13 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     exponent = lcm(*map(len, power_classes))
     return ClassData(H, classes, index_class, reps, sizes, inverse_class, exponent,
                      power_classes)
+
+
+def check_handle_order(subject, max_order: int):
+    """Refuse a finite handle whose order exceeds max_order, before anything of it is built."""
+    if isinstance(subject, GroupHandle) and subject.is_finite:
+        _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
+                     subject.order, max_order)
 
 
 def _check_order(what: str, order: int, max_order: int):

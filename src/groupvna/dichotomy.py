@@ -614,7 +614,11 @@ def _replay_claims(cert: dict, verdict, record) -> None:
         record("witness_generators_commute", fam.noncommuting_pair(forms, forms) is None,
                "witness generators do not commute")
         index = _field(cert, "type_i_witness", "index", parse=_json_int)
-        if _field(cert, "type_i_witness", "kind") == "finite_group":
+        kind = _field(cert, "type_i_witness", "kind")
+        want = "finite_group" if handle.is_finite else "family_metadata"
+        record("witness_kind_matches", kind == want,
+               f"type_i_witness.kind is {kind!r}, not {want!r} for this spec")
+        if kind == "finite_group":
             record("index_matches_order", handle.is_finite and index == handle.order,
                    "declared index does not equal the group order")
         else:

@@ -25,6 +25,7 @@ from .characters import (
     CharacterRow,
     CharacterTable,
     character_table,
+    check_handle_order,
     class_data,
 )
 from .cyclotomic import Cyclo
@@ -47,6 +48,7 @@ from .groups import (
     closure_of_union,
     order_text,
 )
+from .jsonutil import canonical_dumps
 
 ORACLE_MAX_ORDER = 200
 # eigenvalues closer than this (relative to the spectral radius) form one
@@ -247,15 +249,51 @@ class FactorSpectrum:
 
 
 def factor_spectrum(subject, max_order: int = DEFAULT_MAX_ORDER) -> FactorSpectrum:
-    """One atom (label, chi(1), chi(1)^2/|H|) per irreducible character of H."""
-    # class_data refuses a group above max_order before enumerating it
-    table = character_table(class_data(subject, max_order))
-    n = table.class_data.order
-    atoms = [SpectrumAtom(row.label, row.degree, Fraction(row.degree**2, n)) for row in table.rows]
+    """One atom (label, chi(1), chi(1)^2/|H|) per irreducible character of H,
+    in the table's row order (by degree first), atom i labelled chi<i>.
+
+    The atoms read nothing of a row but its degree.  The irreducibles of a
+    direct product G x K are the chi (x) psi (Serre, Linear Representations of
+    Finite Groups, 3.2), so a finite `product` handle builds no table of the
+    product: its spectrum is the `_fold` of its distinct factors' spectra, each
+    from that factor's own validated table (or fold, for a nested product).
+    Its order is refused above max_order all the same, before any factor is
+    built.
+    """
+    check_handle_order(subject, max_order)
+    if isinstance(subject, GroupHandle) and subject.is_finite and subject.family == "product":
+        n, spectrum, by_spec = subject.order, {1: Fraction(1)}, {}
+        for f in subject._family.factors:
+            key = canonical_dumps(f.spec_doc)
+            if key not in by_spec:
+                by_spec[key] = factor_spectrum(GroupHandle(f), max_order).measure_by_dimension()
+            spectrum = _fold(spectrum, by_spec[key])
+        degrees = []
+        for d in sorted(spectrum):
+            count = spectrum[d] * n / (d * d)
+            if count.denominator != 1:
+                raise ConsistencyError(
+                    f"measure {spectrum[d]} of dimension {d} is not a whole number of atoms")
+            degrees += [d] * count.numerator
+    else:
+        table = character_table(class_data(subject, max_order))
+        n, degrees = table.class_data.order, [row.degree for row in table.rows]
+    atoms = [SpectrumAtom(f"chi{i}", d, Fraction(d * d, n)) for i, d in enumerate(degrees)]
     total = sum((a.measure for a in atoms), Fraction(0))
     if total != 1:
         raise ConsistencyError(f"atom measures sum to {total}, not 1")
     return FactorSpectrum(n, atoms)
+
+
+def _fold(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """{dimension: measure} of G x K from those of G and K: dimensions multiply
+    and so do measures (Serre 3.2).  The one direct-product fold, shared by
+    `factor_spectrum` and `tower_spectra`."""
+    out: dict[int, Fraction] = {}
+    for d1, m1 in a.items():
+        for d2, m2 in b.items():
+            out[d1 * d2] = out.get(d1 * d2, Fraction(0)) + m1 * m2
+    return out
 
 
 def nonabelian_measure(subject) -> Fraction:
@@ -770,9 +808,10 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     |H_1...H_n| = |H_1...H_{n-1}| |H_n| / |D_n| is known, and refused by
     `closure_budget` (BudgetExceededError) before `max_order`
     (RequiresFiniteError), without enumerating the product.  When D_n is
-    trivial the product is direct: dimensions multiply and so do measures
-    (Serre, Linear Representations of Finite Groups, 3.2).  Otherwise the
-    prefix closure, already known to be within the limits, is decomposed.
+    trivial the product is direct, and `_fold`, the direct-product fold that
+    `factor_spectrum` also uses, folds the level into the spectrum.
+    Otherwise the prefix closure, already known to be within the limits, is
+    decomposed.
     A level whose index table has the same right-multiplication rows as an
     earlier one generates the same permutation group of indices, so it is
     isomorphic to that level and reuses its spectrum.
@@ -824,12 +863,7 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
             key = (right.shape, right.tobytes())
             if key not in level_spectra:
                 level_spectra[key] = factor_spectrum(H, max_order).measure_by_dimension()
-            level = level_spectra[key]
-            step: dict[int, Fraction] = {}
-            for d1, m1 in spectrum.items():
-                for d2, m2 in level.items():
-                    step[d1 * d2] = step.get(d1 * d2, Fraction(0)) + m1 * m2
-            spectrum = step
+            spectrum = _fold(spectrum, level_spectra[key])
         else:
             closure = closure_of_union(subs[:n], closure_budget)
             if closure.order != order:

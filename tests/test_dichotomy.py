@@ -499,6 +499,11 @@ _LEVEL0 = ("commuting_witness", "levels", 0)
                           base=(SPEC_S3SUM, 1)), id="levels_required-bool"),
     pytest.param(_replace(("type_i_witness", "index"), True, "type_i_witness.index",
                           base=(_FREE1_INDEX1, 2)), id="index-bool"),
+    # a finite group's witness is the group itself, whatever metadata it declares
+    pytest.param(_replace(("type_i_witness", "kind"), "family_metadata", "type_i_witness.kind",
+                          base=(spec_symmetric(4), 2)), id="kind-family_metadata"),
+    pytest.param(_replace(("type_i_witness", "kind"), "finite_group", "type_i_witness.kind",
+                          base=(_FREE1_INDEX1, 2)), id="kind-finite_group"),
     # the growth report and the witness checks are compared whole with their recomputation
     pytest.param(_replace(("growth", "found"), False, "growth report"), id="found-false"),
     pytest.param(_replace(("growth", "history"), [], "growth report"), id="history-empty"),

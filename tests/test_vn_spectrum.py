@@ -1,6 +1,8 @@
 """Group algebra trace, central projections, spectra, and lemma verifiers."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,9 +13,12 @@ from corpus import (
     SPEC_Q8SUM,
     SPEC_S3SUM,
     central_product_handle_and_subgroups,
+    spec_cyclic,
+    spec_dihedral,
     spec_product,
     spec_symmetric,
 )
+from groupvna import cli, vn_spectrum
 from groupvna.characters import character_table, class_data
 from groupvna.errors import (
     BudgetExceededError,
@@ -31,6 +36,7 @@ from groupvna.groups import (
     factor_subgroup,
     generate_closure,
 )
+from groupvna.jsonutil import canonical_dumps
 from groupvna.vn_spectrum import (
     AlgebraElement,
     RegularRep,
@@ -227,6 +233,94 @@ def test_nonabelian_measure_values(s3):
     assert nonabelian_measure(s3) == Fraction(2, 3)
     assert nonabelian_measure(construct_group(SPEC_Q8)) == Fraction(1, 2)
     assert nonabelian_measure(construct_group({"family": "cyclic", "n": 8})) == 0
+
+
+_D6xQ8xS3 = spec_product(spec_dihedral(6), SPEC_Q8, spec_symmetric(3))
+
+
+@pytest.mark.parametrize("spec", [
+    spec_product(spec_cyclic(10), spec_cyclic(12)),
+    spec_product(spec_symmetric(4), spec_symmetric(3)),
+    spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8),
+    _D6xQ8xS3,
+    spec_product(SPEC_Q8, SPEC_Q8, spec_cyclic(4)),  # a repeated factor
+    spec_product(spec_symmetric(3), spec_cyclic(1)),  # a trivial factor
+    spec_product(spec_product(spec_symmetric(3), spec_cyclic(2)), spec_dihedral(4)),
+], ids=["C10xC12", "S4xS3", "Heis3xQ8", "D6xQ8xS3", "Q8xQ8xC4", "S3xC1", "nested"])
+def test_product_fold_matches_the_product_table(spec):
+    # a handle folds its factors' spectra; as a subgroup it keeps the table path
+    handle = construct_group(spec)
+    assert factor_spectrum(handle).to_json() == factor_spectrum(as_subgroup(handle)).to_json()
+
+
+def test_lemma6_on_a_folded_product_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "d6xq8xs3.json"
+    path.write_text(json.dumps(_D6xQ8xS3))
+    assert cli.run(["lemma6", "--spec", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_ms"]
+    assert report["results"]["nonabelian_measure"] == {"num": 17, "den": 18}
+    assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == (
+        "4d75dee7e401fe285deaf4d02e12d7cacdcebc58a083985ce5280360856694d4")
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    calls = []
+
+    def counted(cd):
+        calls.append(cd.order)
+        return character_table(cd)
+
+    monkeypatch.setattr(vn_spectrum, "character_table", counted)
+    return calls
+
+
+def test_product_above_max_order_is_refused_before_any_factor_table(table_calls, tmp_path,
+                                                                     capsys):
+    spec = spec_product(spec_symmetric(5), spec_symmetric(5))  # order 14400
+    with pytest.raises(RequiresFiniteError, match="order 14400 exceeds the configured maximum"):
+        factor_spectrum(construct_group(spec))
+    path = tmp_path / "s5xs5.json"
+    path.write_text(json.dumps(spec))
+    assert cli.run(["spectrum", "--spec", str(path)]) == 2
+    assert "exceeds the configured maximum 5000" in capsys.readouterr().err
+    assert table_calls == []
+
+
+def test_product_with_an_infinite_factor_is_not_folded(table_calls):
+    spec = spec_product({"family": "dihedral_infinite"}, spec_symmetric(3))
+    with pytest.raises(RequiresFiniteError, match="is not finite"):
+        factor_spectrum(construct_group(spec))
+    assert table_calls == []
+
+
+def test_product_fold_builds_each_distinct_factor_table_once(table_calls):
+    factor_spectrum(construct_group(spec_product(SPEC_Q8, SPEC_Q8, spec_cyclic(4))))
+    assert sorted(table_calls) == [4, 8]
+
+
+def test_product_fold_refuses_a_fractional_atom_count(monkeypatch):
+    # measure 1/2 at dimension 2 of an order-2 group would be a quarter of an atom
+    monkeypatch.setattr(vn_spectrum, "_fold", lambda a, b: {1: Fraction(1, 2), 2: Fraction(1, 2)})
+    with pytest.raises(ConsistencyError, match="not a whole number of atoms"):
+        factor_spectrum(construct_group(spec_product(spec_cyclic(2), spec_cyclic(1))))
+
+
+@pytest.mark.parametrize("factors", [
+    [spec_cyclic(10)] * 3,  # 1000 classes
+    [spec_cyclic(10), spec_cyclic(12), spec_symmetric(3), spec_cyclic(2)],  # 720 classes
+], ids=["C10^3", "C10xC12xS3xC2"])
+def test_many_class_product_spectrum_is_the_product_of_factor_degrees(factors):
+    handle = construct_group(spec_product(*factors))
+    degrees = [1]
+    for f in factors:
+        degrees = [d * e for d in degrees
+                   for e in (a.dimension for a in factor_spectrum(construct_group(f)).atoms)]
+    atoms = factor_spectrum(handle).atoms
+    assert [a.dimension for a in atoms] == sorted(degrees)
+    assert all(a.measure == Fraction(a.dimension ** 2, handle.order) for a in atoms)
+    assert [a.label for a in atoms] == [f"chi{i}" for i in range(len(degrees))]
 
 
 # ---------------------------------------------------------------------------
