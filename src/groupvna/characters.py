@@ -27,9 +27,10 @@ roots, and a simple root whose q(B) v vanishes, cost a Gaussian elimination.
 Degrees come from the second orthogonality relation, character values from
 root-of-unity multiplicities (a mod-p discrete Fourier transform over the
 power map, one per Galois orbit of classes), and every value is lifted to an
-exact element of Z[zeta_m], m the exponent.  Both orthogonality relations are
+exact element of Z[zeta_m], m the exponent.  The row orthogonality relation is
 checked exactly, at the Galois conjugates of zeta_m, before any table is
-returned.
+returned; the character table is square, so the row relation implies the
+column relation.
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ def character_table(cd: ClassData) -> CharacterTable:
 
     Raises ConsistencyError (never returns silently) if any of the validation
     tripwires fail: degree recovery, sum of squared degrees, degree
-    divisibility, or either orthogonality relation.
+    divisibility, or the row orthogonality relation (which implies the column
+    relation, see `validate_orthogonality`).
     """
     r = len(cd.classes)
     n = cd.order
@@ -491,18 +493,22 @@ def _evaluate(coords: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def validate_orthogonality(table: CharacterTable, cd: ClassData) -> OrthogonalityReport:
-    """Exact check of both orthogonality relations.
+    """Exact check of the row orthogonality relation, which implies the column one.
 
-    With integer coordinates every residual, sum_j |C_j| chi_i(C_j) conj(chi_i2(C_j))
-    - |H| delta and |C_j| sum_i chi_i(C_j) conj(chi_i(C_j2)) - |H| delta, lies in
-    Z[zeta_m].  Its Galois conjugates come from zeta -> zeta^k for k coprime to m
-    (k and m - k give complex-conjugate values, so k <= m/2 suffices).  If every
-    conjugate measures below 1/2 in floating point, whose rounding error is far
-    smaller, every true conjugate has modulus < 1; the norm, their product, is
-    then an integer of modulus < 1, hence 0, and so is the residual.  A passing
-    report therefore carries residuals of exactly 0.0; a failing one the largest
-    residual measured.  The values are read from the table's lifted
-    coordinates; an array of a non-integer dtype fails the check outright.
+    With integer coordinates the row residual sum_j |C_j| chi_i(C_j)
+    conj(chi_i2(C_j)) - |H| delta lies in Z[zeta_m].  Its Galois conjugates come
+    from zeta -> zeta^k for k coprime to m (k and m - k give complex-conjugate
+    values, so k <= m/2 suffices).  If every conjugate measures below 1/2 in
+    floating point, whose rounding error is far smaller, every true conjugate
+    has modulus < 1; the norm, their product, is then an integer of modulus
+    < 1, hence 0, and so is the residual.  The row relation then says that the
+    square r x r matrix X[i, j] = chi_i(C_j) sqrt(|C_j| / |H|) has X X^dagger = I,
+    so X^dagger X = I as well, and that is the column relation
+    sum_i chi_i(C_j) conj(chi_i(C_j2)) = (|H| / |C_j|) delta.  A passing report
+    therefore carries residuals of exactly 0.0; a failing one the largest row
+    residual measured, and the column residual measured only then, to report
+    it.  The values are read from the table's lifted coordinates; an array of a
+    non-integer dtype fails the check outright.
     """
     r = len(cd.sizes)
     n = cd.order
@@ -513,20 +519,16 @@ def validate_orthogonality(table: CharacterTable, cd: ClassData) -> Orthogonalit
     ks = [k for k in range(1, m // 2 + 1) if gcd(k, m) == 1] or [1]
     sizes = np.array(cd.sizes, dtype=np.float64)
     target = n * np.eye(r)
-    max_row = 0.0
-    max_col = 0.0
-    for k in ks:  # one Galois conjugate at a time
-        v = _evaluate(coords, m, k)[index]
-        max_row = max(max_row, float(np.abs((v * sizes) @ v.conj().T - target).max()))
-        max_col = max(max_col, float(np.abs(sizes[:, None] * (v.T @ v.conj()) - target).max()))
 
-    failed = None
+    def worst(residual) -> float:  # the largest entry of residual(v) over the Galois conjugates
+        return max(float(np.abs(residual(_evaluate(coords, m, k)[index])).max()) for k in ks)
+
+    max_row = worst(lambda v: (v * sizes) @ v.conj().T - target)
     if coords.dtype.kind not in "iu":
         failed = "integrality"
     elif max_row >= 0.5:
         failed = "row orthogonality"
-    elif max_col >= 0.5:
-        failed = "column orthogonality"
-    if failed is None:
-        max_row = max_col = 0.0  # proven zero above
-    return OrthogonalityReport(max_row, max_col, failed is None, True, failed)
+    else:
+        return OrthogonalityReport(0.0, 0.0, True, True)  # both proven zero above
+    max_col = worst(lambda v: sizes[:, None] * (v.T @ v.conj()) - target)
+    return OrthogonalityReport(max_row, max_col, False, True, failed)

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import jsonutil
 from .characters import character_table, class_data
-from .characters import validate_orthogonality  # noqa: F401  perfbench traces it under this name
 from .dichotomy import (
     DEFAULT_STREAM_BUDGET,
     ClassifyOptions,

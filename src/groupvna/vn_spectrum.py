@@ -418,22 +418,6 @@ class NumericalDecomposition:
     def max_unit_residual(self) -> float:
         return max((b.units.max_residual() for b in self.blocks), default=0.0)
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.subgroup_order,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "center_dimension": self.center_dimension,
-            "projection_residual": self.projection_residual,
-            "max_unit_residual": self.max_unit_residual(),
-            "blocks": [
-                {"dim": b.dimension, "multiplicity": b.multiplicity,
-                 "measure_num": b.measure.numerator, "measure_den": b.measure.denominator,
-                 "unit_residual": b.units.max_residual()}
-                for b in sorted(self.blocks, key=lambda b: (b.dimension, b.measure))
-            ],
-        }
-
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
     """Split sorted eigenvalues into runs separated by more than `gap`."""
@@ -459,10 +443,13 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
     conjugation-orbit indicators, central projections are eigenprojections of
     a seeded random self-adjoint central element, block dimensions come from
     the rank data, matrix units are extracted per block, and
-    `projection_residual` checks the blocks on their stacked bases.  Eigen-gaps
-    below `ORACLE_GAP_TOLERANCE` trigger a reseed, up to `ORACLE_MAX_ATTEMPTS`
-    times.  Groups above `ORACLE_MAX_ORDER` are refused, a finite handle
-    before it is enumerated.
+    `projection_residual` checks the blocks on their stacked bases.  Attempt t
+    draws everything from the generator seeded [seed, t]; a degenerate draw
+    (eigen-gaps below `ORACLE_GAP_TOLERANCE` at the centre or inside a block,
+    or a vanishing partial isometry) reseeds the whole attempt, up to
+    `ORACLE_MAX_ATTEMPTS` times.  This is the oracle's one retry loop.  Groups
+    above `ORACLE_MAX_ORDER` are refused, a finite handle before it is
+    enumerated.
     """
     if isinstance(subject, GroupHandle) and subject.is_finite:
         _check_oracle_order(subject.order)
@@ -520,80 +507,71 @@ def _check_oracle_order(n: int):
 
 def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
                     dims: list[int], rng: np.random.Generator) -> list[NumericalBlock]:
+    """The blocks of one attempt.  A generic self-adjoint y and a generic a are
+    drawn once, and only when some block has d >= 2; each such block compresses
+    both.  The 1 x 1 unit e_11 = 1 of a d = 1 block is certified once."""
     n = rep.dimension
+    if max(dims) >= 2:
+        y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
+        a = rep._accumulate(rng.random(n) + 1j * rng.random(n))
+    one = np.ones((1, 1, 1, 1), dtype=complex)
+    one_residuals = _unit_residuals(one)
     blocks = []
     for sl, d in zip(clusters, dims):
         v = eigvecs[:, sl]  # (n, d^2) orthonormal
-        m = d * d
         if d == 1:
-            system = MatrixUnitSystem(1, v, np.eye(1, dtype=complex).reshape(1, 1, 1, 1))
-            _certify_units(system)
+            system = MatrixUnitSystem(1, v, one.copy(), dict(one_residuals))
         else:
-            system = _matrix_units_for_block(rep, v, d, rng)
+            system = _matrix_units_for_block(v, y, a, d)
         blocks.append(NumericalBlock(
             dimension=d,
-            multiplicity=m,
-            measure=Fraction(m, n),
+            multiplicity=d * d,
+            measure=Fraction(d * d, n),
             basis=v,
             units=system,
         ))
     return blocks
 
 
-def _matrix_units_for_block(rep: RegularRep, v: np.ndarray, d: int,
-                            rng: np.random.Generator) -> MatrixUnitSystem:
-    """Extract a d x d system of matrix units inside one block.
+def _matrix_units_for_block(v: np.ndarray, y: np.ndarray, a: np.ndarray,
+                            d: int) -> MatrixUnitSystem:
+    """Extract a d x d system of matrix units inside the block with basis v.
 
-    Compressed to the block, a generic self-adjoint algebra element looks like
-    y0 (x) I_d, so its spectral projections are d minimal projections e_jj of
-    the block algebra; partial isometries e_j1 come from polar-normalizing
-    E_j a E_1 for a generic algebra element a (E_j a E_1 spans a line, so the
-    normalization is a scalar).
+    Compressed to the block, the generic self-adjoint y looks like y0 (x) I_d,
+    so its spectral projections are d minimal projections e_jj of the block
+    algebra; partial isometries e_j1 come from polar-normalizing E_j a E_1 for
+    the generic a (E_j a E_1 spans a line, so the normalization is a scalar).
+    A draw that is not generic on this block (a y spectrum without d clusters
+    of size d, or a vanishing E_j a E_1) raises DegenerateSpectrumError, and
+    `numerical_decomposition` reseeds the whole attempt.
     """
-    n = rep.dimension
-    m = d * d
-    for _ in range(ORACLE_MAX_ATTEMPTS):
-        y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
-        yc = v.conj().T @ y @ v
-        yc = (yc + yc.conj().T) / 2
-        w, u = np.linalg.eigh(yc)
-        scale = max(1.0, float(np.abs(w).max()))
-        clusters = _cluster(w, ORACLE_GAP_TOLERANCE * scale)
-        if len(clusters) != d or any(sl.stop - sl.start != d for sl in clusters):
-            continue
-        minimal = [u[:, sl] @ u[:, sl].conj().T for sl in clusters]  # compressed E_j
-        a = rep._accumulate(rng.random(n) + 1j * rng.random(n))
-        ac = v.conj().T @ a @ v
-        comp = np.empty((d, d, m, m), dtype=complex)
-        ok = True
-        isoms = [minimal[0]]
-        for j in range(1, d):
-            c = minimal[j] @ ac @ minimal[0]
-            s = float(np.sqrt(max(np.einsum("ij,ij->", c.conj(), c).real, 0.0) / d))
-            if s < 1e-10:
-                ok = False
-                break
-            isoms.append(c / s)
-        if not ok:
-            continue
-        for j in range(d):
-            for k in range(d):
-                comp[j, k] = isoms[j] @ isoms[k].conj().T
-        system = MatrixUnitSystem(d, v, comp)
-        _certify_units(system)
-        return system
-    raise DegenerateSpectrumError(
-        f"could not isolate {d} minimal projections in a dimension-{d} block"
-    )
+    yc = v.conj().T @ y @ v
+    w, u = np.linalg.eigh((yc + yc.conj().T) / 2)
+    clusters = _cluster(w, ORACLE_GAP_TOLERANCE * max(1.0, float(np.abs(w).max())))
+    if len(clusters) != d or any(sl.stop - sl.start != d for sl in clusters):
+        raise DegenerateSpectrumError(
+            f"could not isolate {d} minimal projections in a dimension-{d} block")
+    minimal = [u[:, sl] @ u[:, sl].conj().T for sl in clusters]  # compressed E_j
+    ac = v.conj().T @ a @ v
+    isoms = [minimal[0]]
+    for j in range(1, d):
+        c = minimal[j] @ ac @ minimal[0]
+        s = float(np.sqrt(max(np.einsum("ij,ij->", c.conj(), c).real, 0.0) / d))
+        if s < 1e-10:
+            raise DegenerateSpectrumError(f"E_{j + 1} a E_1 vanishes in a dimension-{d} block")
+        isoms.append(c / s)
+    isoms = np.array(isoms)
+    comp = isoms[:, None] @ isoms.conj().swapaxes(-1, -2)[None]  # e_jk = e_j1 e_k1^dagger
+    return MatrixUnitSystem(d, v, comp, _unit_residuals(comp))
 
 
-def _certify_units(system: MatrixUnitSystem):
+def _unit_residuals(comp: np.ndarray) -> dict:
     """Frobenius residuals of the matrix-unit relations, in compressed coordinates;
     each step holds d^2 matrices, never all d^4 products at once."""
     def fro(stack):  # the largest Frobenius norm in a stack of matrices
         return float(np.linalg.norm(stack, axis=(-2, -1)).max())
 
-    d, comp = system.size, system.comp
+    d = len(comp)
     adj = comp.conj().swapaxes(-1, -2)  # adj[j, k] = comp[j, k]^dagger
     diag = comp[np.arange(d), np.arange(d)]  # diag[j] = comp[j, j]
     product = 0.0
@@ -602,7 +580,7 @@ def _certify_units(system: MatrixUnitSystem):
             prod = comp[j, k] @ comp  # e_jk e_lm, which is e_jm when k == l, else 0
             prod[k] -= comp[j]
             product = max(product, fro(prod))
-    system.residuals = {
+    return {
         "product": product,
         "adjoint": fro(adj - comp.swapaxes(0, 1)),
         "murray_von_neumann": max(fro(adj @ comp - diag[None]), fro(comp @ adj - diag[:, None])),
@@ -687,6 +665,11 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
 
     p_i sums the central projections of S(H_i) over characters of degree at
     least n_i.  Commutation of the two subgroups is checked exhaustively.
+    The weight of p = p_0 p_1 on the atom of an irreducible psi of
+    H = H_0 H_1 is read off psi's row: p_psi = (psi(1)/|H|) sum_g
+    conj(psi(g)) u_g (Serre, Linear Representations of Finite Groups, 2.6),
+    so tau(p p_psi) = (psi(1)/|H|) sum over g in supp p of p_g psi(g), and
+    no projection of H is built.
     """
     H0, H1 = as_subgroup(h0), as_subgroup(h1)
     if H0.handle is not H1.handle:
@@ -715,14 +698,17 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
         p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
 
     H = closure_of_union([H0, H1], closure_budget)
-    table = character_table(class_data(H))
+    cd = class_data(H)
+    table = character_table(cd)
     tr_frac = trace(p).as_fraction()
+    terms = [(c, cd.index_class[H._index[g.form]]) for g, c in p.terms.items()]  # (p_g, class of g)
 
     supported: list[tuple[str, int, Fraction]] = []
     consistent = True
     all_big = True
     for row in table.rows:
-        weight = trace_of_product(p, central_projection(H, row))
+        weight = Fraction(row.degree, H.order) * sum((c * row.values[j] for c, j in terms),
+                                                      Cyclo.zero())
         if weight.is_zero():
             continue
         if not weight.is_rational():

@@ -201,4 +201,5 @@ def test_criterion_9_character_engine():
         table.index[2, 2] = len(table.coords) - 1
         mutated = validate_orthogonality(table, cd)
         assert not mutated.passed
+        assert mutated.failed_relation == "row orthogonality"
         assert max(mutated.max_row_residual, mutated.max_col_residual) >= 1.0

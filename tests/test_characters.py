@@ -250,17 +250,26 @@ def test_linear_character_count_is_abelianization_order(name, spec):
     {"family": "dihedral", "n": 33},  # exponent 66
 ], ids=["S3", "Heis7", "D33"])
 def test_mutated_table_fails_validation(spec):
-    t = _table(spec)
-    cd = t.class_data
-    i = len(t.rows) - 1
-    j = next(j for j in range(1, len(cd.classes)) if t.coords[t.index[i, j]].any())
-    # one flipped sign: value j of the last row points at the negated coordinates
-    t.coords = np.vstack([t.coords, -t.coords[t.index[i, j]]])
-    t.index[i, j] = len(t.coords) - 1
-    report = validate_orthogonality(t, cd)
-    assert not report.passed
-    # a nonzero residual in Z[zeta_m] has a Galois conjugate of modulus >= 1
-    assert max(report.max_row_residual, report.max_col_residual) >= 1.0
+    # the table is square, so an exact row relation would imply the column one:
+    # no mutation can fail on the columns alone
+    for kind in ("negate", "zero", "double", "swap_degrees"):
+        t = _table(spec)
+        cd = t.class_data
+        i = len(t.rows) - 1
+        if kind == "swap_degrees":  # the first row (degree 1) and the last (the largest degree)
+            t.index[[0, i], 0] = t.index[[i, 0], 0]
+        else:  # value j of the last row points at the changed coordinates
+            j = next(j for j in range(1, len(cd.classes)) if t.coords[t.index[i, j]].any())
+            factor = {"negate": -1, "zero": 0, "double": 2}[kind]
+            t.coords = np.vstack([t.coords, factor * t.coords[t.index[i, j]]])
+            t.index[i, j] = len(t.coords) - 1
+        report = validate_orthogonality(t, cd)
+        assert not report.passed, kind
+        assert report.failed_relation == "row orthogonality", kind
+        # a nonzero residual in Z[zeta_m] has a Galois conjugate of modulus >= 1;
+        # the column residual, measured once the rows failed, is nonzero too,
+        # since X X^dagger != I for the square X means X^dagger X != I
+        assert report.max_row_residual >= 1.0 and report.max_col_residual >= 1.0, kind
 
 
 def test_non_integer_value_fails_validation():

@@ -108,9 +108,8 @@ def test_chartab_validates_once(specs, capsys, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    # counted under every name a caller could look it up by
-    for module in (characters, cli):
-        monkeypatch.setattr(module, "validate_orthogonality", counted)
+    # character_table looks it up as a characters global, its only caller
+    monkeypatch.setattr(characters, "validate_orthogonality", counted)
     code, report = _run_json(capsys, ["chartab", "--spec", specs["s3"]])
     assert code == 0 and report["results"]["orthogonality"]["exact"]
     assert len(calls) == 1

@@ -15,10 +15,12 @@ from corpus import (
     spec_product,
     spec_symmetric,
 )
+from groupvna import vn_spectrum
 from groupvna.characters import class_data
-from groupvna.errors import DomainMismatchError, ParameterError
+from groupvna.errors import DegenerateSpectrumError, DomainMismatchError, ParameterError
 from groupvna.groups import Subgroup, as_subgroup, construct_group
 from groupvna.vn_spectrum import (
+    ORACLE_MAX_ATTEMPTS,
     RegularRep,
     _projection_residual,
     factor_spectrum,
@@ -301,3 +303,63 @@ def test_oracle_order_limit():
     assert big.order == 216
     with pytest.raises(ParameterError, match="200"):
         numerical_decomposition(big)
+
+
+# Each attempt draws, in this order, the central element z and, when some
+# block has dimension >= 2, the self-adjoint y and then a: z and y through
+# _random_selfadjoint (calls 1 and 2 of an attempt), all three through
+# RegularRep._accumulate (calls 1, 2 and 3).  Replacing one draw by the
+# identity makes it degenerate on every block: a scalar y has one eigenvalue
+# cluster, and E_j 1 E_1 = 0 for j != 1.
+def _spoil(monkeypatch, owner, name, every, spoiled):
+    """owner.name returns the identity on its calls at the (attempt, position)
+    pairs in `spoiled`: attempts count from 0, and positions from 1 within an
+    attempt of `every` calls."""
+    original, calls = getattr(owner, name), []
+
+    def draw(*args):
+        calls.append(None)
+        out = original(*args)
+        attempt, position = divmod(len(calls) - 1, every)
+        return np.eye(len(out)) if (attempt, position + 1) in spoiled else out
+    monkeypatch.setattr(owner, name, draw)
+
+
+DEGENERATE_DRAWS = pytest.mark.parametrize("owner,name,every,position,failure", [
+    # y: one cluster where d are needed
+    (vn_spectrum, "_random_selfadjoint", 2, 2, "could not isolate 2 minimal projections"),
+    # a: every partial isometry E_j a E_1 vanishes
+    (RegularRep, "_accumulate", 3, 3, "E_2 a E_1 vanishes"),
+], ids=["y-clusters", "vanishing-isometry"])
+
+
+@DEGENERATE_DRAWS
+def test_a_degenerate_first_draw_reseeds_once(monkeypatch, owner, name, every, position,
+                                              failure):
+    handle = construct_group(SPEC_Q8)
+    want = numerical_decomposition(handle).dim_measure_multiset()
+    _spoil(monkeypatch, owner, name, every, {(0, position)})
+    nd = numerical_decomposition(handle)
+    assert nd.attempts == 2
+    assert nd.dim_measure_multiset() == want
+    assert nd.max_unit_residual() <= 1e-6 and nd.projection_residual <= 1e-6
+
+
+@DEGENERATE_DRAWS
+def test_degenerate_draws_on_every_attempt_raise(monkeypatch, owner, name, every, position,
+                                                 failure):
+    _spoil(monkeypatch, owner, name, every, {(t, position) for t in range(ORACLE_MAX_ATTEMPTS)})
+    with pytest.raises(DegenerateSpectrumError,
+                       match=f"after {ORACLE_MAX_ATTEMPTS} seeds .last failure: {failure}"):
+        numerical_decomposition(construct_group(SPEC_Q8))
+
+
+def test_an_abelian_group_draws_only_the_central_element(monkeypatch):
+    calls = []
+    original = vn_spectrum._random_selfadjoint
+    monkeypatch.setattr(vn_spectrum, "_random_selfadjoint",
+                        lambda *args: calls.append(None) or original(*args))
+    nd = numerical_decomposition(construct_group(
+        spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12})))
+    assert nd.attempts == 1 and len(calls) == 1
+    assert len({id(block.units.comp) for block in nd.blocks}) == len(nd.blocks)

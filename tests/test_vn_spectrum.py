@@ -50,6 +50,7 @@ from groupvna.vn_spectrum import (
     tau_inner_product,
     tower_spectra,
     trace,
+    trace_of_product,
     unitary,
 )
 
@@ -374,6 +375,38 @@ def test_lemma7_central_product():
     label, dim, weight = report.supported_atoms[0]
     assert dim == 4 and weight == Fraction(1, 2)
     assert sorted(a.dimension for a in factor_spectrum(handle).atoms) == [1] * 16 + [4]
+
+
+def _lemma7_pair(name):
+    if name == "central":
+        return central_product_handle_and_subgroups()[1:]
+    factor = {"S3xS3": spec_symmetric(3), "Q8xQ8": SPEC_Q8}[name]
+    prod = construct_group(spec_product(factor, factor))
+    return factor_subgroup(prod, 0), factor_subgroup(prod, 1)
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 1), (2, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("name", ["S3xS3", "Q8xQ8", "central"])
+def test_lemma7_weights_are_traces_against_the_central_projections(name, n0, n1):
+    # the reference takes the long way: p = p_0 p_1 and every p_psi of H_0 H_1
+    # built as exact algebra elements, each weight tau(p p_psi) summed term by term
+    h0, h1 = _lemma7_pair(name)
+
+    def threshold_projection(sub, threshold):
+        rows = character_table(class_data(sub)).rows
+        return sum((central_projection(sub, row) for row in rows if row.degree >= threshold),
+                   AlgebraElement.zero(sub.handle))
+
+    p = threshold_projection(h0, n0) * threshold_projection(h1, n1)
+    H = closure_of_union([h0, h1])
+    want = []
+    for row in character_table(class_data(H)).rows:
+        weight = trace_of_product(p, central_projection(H, row))
+        if not weight.is_zero():
+            want.append((row.label, row.degree, weight.as_fraction()))
+    report = product_projection_spectrum(h0, h1, n0, n1)
+    assert report.supported_atoms == want
+    assert report.passed and report.trace_of_projection == trace(p).as_fraction()
 
 
 def test_lemma7_trivial_thresholds():
