@@ -102,11 +102,11 @@ class ClassData:
 def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     """Partition a finite subgroup into conjugacy classes; walk each representative's powers.
 
-    Both read the subgroup's index table: the classes are orbits of its conj
-    rows, and rep^(t+1) = rep^t t_a1 ... t_ak follows right rows along rep's
-    path in the table's search tree, so no group product is computed here.  A
-    handle is closed by `Subgroup.whole_group`, which leaves its
-    fair-enumeration cache as it was."""
+    Both read the index table the subgroup was built with: the classes are
+    orbits of its conj rows, and rep^(t+1) = rep^t t_a1 ... t_ak follows right
+    rows along rep's path in the table's search tree, so no group product is
+    computed here.  A handle is closed by `Subgroup.whole_group`, which leaves
+    its fair-enumeration cache as it was."""
     check_handle_order(subject, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order

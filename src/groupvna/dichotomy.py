@@ -348,7 +348,8 @@ class ClassifyOptions:
             raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
         if type(self.k) is not int or not 1 <= self.k <= MAX_GROWTH_K:
             raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
-        for name in ("closure_budget", "max_order"):
+        for name in ("closure_budget", "class_budget", "stream_budget", "max_levels",
+                     "max_order"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
@@ -499,7 +500,7 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
     search = itertools.islice(_witness_levels(handle, levels, search_notes,
                                               stream_budget=opts.stream_budget,
                                               class_budget=opts.class_budget),
-                              max(opts.max_levels, 0))
+                              opts.max_levels)
     growth: Optional[GrowthResult] = None
     try:
         growth = evaluate_growth(_growth_spectra(search, opts), opts.k, opts.epsilon,

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from numbers import Integral
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -433,8 +433,10 @@ class _Heisenberg(_Family):
         return list(form)
 
     def form_from_json(self, data):
-        a, b, c = (_json_int(v) % self.p for v in _json_list(data, 3))
-        return (a, b, c)
+        form = tuple(_json_int(v) for v in _json_list(data, 3))
+        if not all(0 <= v < self.p for v in form):
+            raise SpecError(f"heisenberg form out of range: {data}")
+        return form
 
 
 class _Cayley(_Family):
@@ -466,7 +468,7 @@ class _Cayley(_Family):
         self.order = n
         self.spec_doc = {"family": "cayley", "table": [list(map(int, row)) for row in table]}
         self.metadata = _finite_metadata(n)
-        self._generators = _greedy_generators(self, range(n), n).generators
+        self._generators = _greedy_generators(self, range(n), n)[1].generators
 
     @staticmethod
     def _validate(table):
@@ -812,39 +814,14 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
-class _Closure(NamedTuple):
-    """A finite subgroup's closure: the forms that the identity reaches by
-    right multiplication by the `letters`, the alphabet block of `generators`,
-    in `_bfs` order, and on element indices the products and search tree:
-    right[a, x] is the index of x t_a, the search first met y != 0 as
-    parent[y] t_letter[y], and order[k] is the index of forms[k], so it lists
-    every parent before its children.
-    """
-
-    generators: tuple  # forms, without the identity
-    forms: list
-    letters: list
-    right: np.ndarray
-    parent: np.ndarray
-    letter: np.ndarray
-    order: np.ndarray
-
-    def renumbered(self, index: dict) -> "_Closure":
-        """The same closure with each form's index read from `index`."""
-        at = np.array([index[f] for f in self.forms], dtype=np.intp)
-        back = np.argsort(at)  # new index -> old index
-        return self._replace(right=at[self.right[:, back]], parent=at[self.parent[back]],
-                             letter=self.letter[back], order=at)
-
-
-def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> _Closure:
-    """The closure of the forms `gens` under multiplication and inversion,
-    indexed by the order in which its one `_bfs` meets the forms.
+def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> tuple[list, IndexTable]:
+    """The closure of the forms `gens` under multiplication and inversion: its
+    forms, in the order in which its one `_bfs` meets them, and its index table.
 
     The search runs on indices, numbering each form the first time it meets
     it and recording where it met it, so each product is computed once and
-    parent[y] < y.  A subgroup keeps these arrays, and its `IndexTable` is
-    built from them.  Raises BudgetExceededError past `budget` forms.
+    parent[y] < y; the right rows and the search tree of the table are those
+    records.  Raises BudgetExceededError past `budget` forms.
     """
     letters = family.alphabet_block(gens)
     forms, index, flat, parent, letter = [family.identity], {family.identity: 0}, [], [0], [0]
@@ -864,28 +841,35 @@ def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> _Clos
     _bfs([0], range(len(letters)), step, budget)
     # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
     right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
-    return _Closure(tuple(g for g in gens if g != family.identity), forms, letters, right,
-                    np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp),
-                    np.arange(len(forms)))
+    letter_of = {t: a for a, t in enumerate(letters)}
+    inverse_letter = np.array([letter_of[family.inv(t)] for t in letters], dtype=np.intp)
+    inverse = np.array([index[family.inv(x)] for x in forms], dtype=np.intp)
+    # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
+    back = right[inverse_letter]
+    conj = inverse[np.take_along_axis(back, inverse[back], axis=1)]
+    return forms, IndexTable(tuple(g for g in gens if g != family.identity), letters,
+                             inverse_letter, right, conj, inverse, np.array(parent, dtype=np.intp),
+                             np.array(letter, dtype=np.intp), np.arange(len(forms)))
 
 
-def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> _Closure:
-    """The closure of a deterministic generating set of `forms`: each form not
-    yet generated is added, and the generators are closed again.
+def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple[list, IndexTable]:
+    """The closure (forms, table) of a deterministic generating set of `forms`:
+    each form not yet generated is added, and the generators are closed again.
 
     Each closure is a `_closure` under `budget`.  With `budget` = len(forms)
     (no duplicates), a return means the last closure, the one returned, holds
     every form and no more, so the forms are a subgroup; a set that is not
-    closed raises BudgetExceededError.  An element-list `Subgroup` keeps the
-    returned closure, so the list is closed once, when it is constructed.
+    closed raises BudgetExceededError.  An element-list `Subgroup` renumbers
+    the returned table into the list's order, so the list is closed once,
+    when it is constructed.
     """
-    closed = _closure(family, [], budget)
+    closed, table = _closure(family, [], budget)
     reached = {family.identity}
     for x in forms:
         if x not in reached:
-            closed = _closure(family, [*closed.generators, x], budget)
-            reached = set(closed.forms)
-    return closed
+            closed, table = _closure(family, [*table.generators, x], budget)
+            reached = set(closed)
+    return closed, table
 
 
 def _fair_stages(family: _Family, enum: list) -> Iterator:
@@ -1052,30 +1036,36 @@ def _spec_label(spec: dict) -> str:
 # subgroups and closures
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class IndexTable:
     """A finite subgroup's letters acting on its element indices 0..n-1.
 
-    The letters are the alphabet block of the subgroup's generators; a block is
-    closed under inversion, and inverse_letter[a] is the letter t_a^-1.
-    right[a, x] is the index of x t_a, conj[a, x] that of t_a x t_a^-1, and
-    inverse[x] that of x^-1.  The right rows and the search tree (parent,
-    letter, order: see `_Closure`) are the arrays of the closure that listed
-    the subgroup, which the subgroup keeps after the table is built; so
-    building a table multiplies nothing and searches nothing.  `index` maps
-    each element's form to its index, in index order.
+    The letters are the alphabet block of `generators` (forms, without the
+    identity); a block is closed under inversion, and inverse_letter[a] is the
+    letter t_a^-1.  right[a, x] is the index of x t_a, conj[a, x] that of
+    t_a x t_a^-1, and inverse[x] that of x^-1.  The search tree lists each
+    element once: the element of index y != 0 was first met as
+    parent[y] t_letter[y], and order[k] is the index of the k-th element met,
+    so `order` lists every parent before its children.  `_closure` builds the
+    table from the products its search computed, each once.
     """
 
-    __slots__ = ("letters", "inverse_letter", "inverse", "right", "conj", "parent", "letter",
-                 "order")
+    generators: tuple
+    letters: list
+    inverse_letter: np.ndarray
+    right: np.ndarray
+    conj: np.ndarray
+    inverse: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+    order: np.ndarray
 
-    def __init__(self, family: _Family, index: dict, closure: _Closure):
-        self.letters, self.right, self.parent, self.letter, self.order = closure[2:]
-        letter = {t: a for a, t in enumerate(self.letters)}
-        self.inverse_letter = np.array([letter[family.inv(t)] for t in letter], dtype=np.intp)
-        self.inverse = np.array([index[family.inv(x)] for x in index], dtype=np.intp)
-        # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
-        back = self.right[self.inverse_letter]
-        self.conj = self.inverse[np.take_along_axis(back, self.inverse[back], axis=1)]
+    def renumbered(self, at: np.ndarray) -> "IndexTable":
+        """The same table with each index x renumbered at[x]."""
+        back = np.argsort(at)  # new index -> old index
+        return replace(self, right=at[self.right[:, back]], conj=at[self.conj[:, back]],
+                       inverse=at[self.inverse[back]], parent=at[self.parent[back]],
+                       letter=self.letter[back], order=at[self.order])
 
     def times(self, x: int) -> np.ndarray:
         """The permutation y -> index of y g_x, g_x the element of index x.
@@ -1102,51 +1092,41 @@ class IndexTable:
 class Subgroup:
     """A finite subgroup materialized as an ordered element list (identity first).
 
-    `closure`, when given, is the `_closure` that listed the elements in this
-    order (`generate_closure` passes its own).  Without it the list is closed
-    once, here, at any size: its greedy generators' last closure proves the
-    list a subgroup and is kept, renumbered into the list's order.  Either
-    way the kept closure gives the generators and, on first use, the index
-    table; reading the table runs no closure.  The arrays stay kept after the
-    table is built, so two threads racing to build it read the same arrays.
+    `table`, when given, is the index table of the `_closure` that listed the
+    elements in this order (`generate_closure` passes its own).  Without it
+    the list is closed once, here, at any size: its greedy generators' last
+    closure proves the list a subgroup, and its table is renumbered into the
+    list's order.  A subgroup is built whole and never changes after.
     """
 
-    __slots__ = ("handle", "elements", "generators", "_index", "_table", "_closure")
+    __slots__ = ("handle", "elements", "generators", "_index", "table")
 
     def __init__(self, handle: GroupHandle, elements: list[GroupElement],
-                 closure: Optional[_Closure] = None):
+                 table: Optional[IndexTable] = None):
         self.handle = handle
         self.elements = tuple(elements)
         self._index = {e.form: i for i, e in enumerate(self.elements)}
-        self._table: Optional[IndexTable] = None
-        self._closure = closure if closure is not None else self._validate()
-        self.generators = (tuple(GroupElement(handle, f) for f in self._closure.generators)
+        self.table = table if table is not None else self._validate()
+        self.generators = (tuple(GroupElement(handle, f) for f in self.table.generators)
                            or (self.elements[0],))
 
-    def _validate(self) -> _Closure:
-        """The list's greedy generators' last closure, in the list's order, once
-        the list is shown to be a subgroup."""
+    def _validate(self) -> IndexTable:
+        """The list's greedy generators' last closure's table, in the list's
+        order, once the list is shown to be a subgroup."""
         if not self.elements or not self.elements[0].is_identity:
             raise ParameterError("subgroup element list must start with the identity")
         if len(self._index) != len(self.elements):
             raise ParameterError("subgroup element list has duplicates")
         try:
-            closed = _greedy_generators(self.handle._family, self._index, len(self.elements))
+            forms, table = _greedy_generators(self.handle._family, self._index, len(self._index))
         except BudgetExceededError as e:
             raise ParameterError(f"the {len(self.elements)} listed elements are not closed "
                                  "under multiplication and inversion") from e
-        return closed.renumbered(self._index)
+        return table.renumbered(np.array([self._index[f] for f in forms], dtype=np.intp))
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def table(self) -> IndexTable:
-        """The subgroup's index table, built from its closure on first use and then kept."""
-        if self._table is None:
-            self._table = IndexTable(self.handle._family, self._index, self._closure)
-        return self._table
 
     def __len__(self):
         return len(self.elements)
@@ -1213,15 +1193,8 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
         raise ParameterError("need at least one generator (use the identity for the trivial subgroup)")
     handle = gens[0].group
     handle._check(*gens)
-    closed = _closure(handle._family, [g.form for g in gens], budget)
-    return Subgroup(handle, [GroupElement(handle, f) for f in closed.forms], closed)
-
-
-def closure_of_union(parts: list[Subgroup], budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
-    gens: list[GroupElement] = []
-    for part in parts:
-        gens.extend(part.generators)
-    return generate_closure(gens, budget)
+    forms, table = _closure(handle._family, [g.form for g in gens], budget)
+    return Subgroup(handle, [GroupElement(handle, f) for f in forms], table)
 
 
 def _require_finite_factor(factor: _Family, name: str):

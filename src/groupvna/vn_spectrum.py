@@ -45,10 +45,10 @@ from .groups import (
     GroupHandle,
     Subgroup,
     as_subgroup,
-    closure_of_union,
+    generate_closure,
     order_text,
 )
-from .jsonutil import canonical_dumps
+from .jsonutil import canonical_dumps, fraction_json
 
 ORACLE_MAX_ORDER = 200
 # eigenvalues closer than this (relative to the spectral radius) form one
@@ -697,7 +697,7 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
     projection_residual = 0.0 if is_projection else max(
         p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
 
-    H = closure_of_union([H0, H1], closure_budget)
+    H = generate_closure([*H0.generators, *H1.generators], closure_budget)
     cd = class_data(H)
     table = character_table(cd)
     tr_frac = trace(p).as_fraction()
@@ -770,16 +770,12 @@ class GrowthResult:
             "levels_required": self.levels_required,
             "k": self.k,
             "dim_threshold": self.dim_threshold,
-            "epsilon": {"num": self.epsilon.numerator, "den": self.epsilon.denominator},
-            "measure_threshold": {"num": self.measure_threshold.numerator,
-                                  "den": self.measure_threshold.denominator},
-            "achieved_measure": None if self.achieved_measure is None else {
-                "num": self.achieved_measure.numerator,
-                "den": self.achieved_measure.denominator},
-            "history": [
-                {"levels": lv, "order": od, "measure": {"num": ms.numerator, "den": ms.denominator}}
-                for lv, od, ms in self.history
-            ],
+            "epsilon": fraction_json(self.epsilon),
+            "measure_threshold": fraction_json(self.measure_threshold),
+            "achieved_measure": None if self.achieved_measure is None
+            else fraction_json(self.achieved_measure),
+            "history": [{"levels": lv, "order": od, "measure": fraction_json(ms)}
+                        for lv, od, ms in self.history],
             "cap": self.cap,
         }
 
@@ -851,7 +847,8 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
                 level_spectra[key] = factor_spectrum(H, max_order).measure_by_dimension()
             spectrum = _fold(spectrum, level_spectra[key])
         else:
-            closure = closure_of_union(subs[:n], closure_budget)
+            closure = generate_closure([g for lv in subs[:n] for g in lv.generators],
+                                       closure_budget)
             if closure.order != order:
                 raise ConsistencyError(
                     f"the closure of {n} levels has {closure.order} elements, not {order}")

@@ -79,6 +79,17 @@ def test_classify_inconclusive_exit_code(specs):
     assert run(["classify", "--spec", specs["free2"]]) == 3
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--max-levels", "0", "max_levels"),
+    ("--max-levels", "-1", "max_levels"),
+    ("--stream-budget", "0", "stream_budget"),
+    ("--class-budget", "0", "class_budget"),
+])
+def test_classify_rejects_a_non_positive_limit(specs, capsys, flag, value, field):
+    assert run(["classify", "--spec", specs["s3sum"], flag, value]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_spectrum_command(specs, capsys):
     code, report = _run_json(capsys, ["spectrum", "--spec", specs["s3"]])
     assert code == 0

@@ -570,6 +570,7 @@ def test_replay_of_a_randomly_forged_field_never_raises(path, value):
     ({"max_order": True}, "options_valid"),
     ({"epsilon": "x"}, "options_valid"),
     ({"epsilon": {"num": 1, "den": 0}}, "options_valid"),
+    ({"max_levels": 0}, "options_valid"),
 ])
 def test_replay_honours_certificate_size_limits(limits, failed):
     # the witness needs the 216-element closure of three levels

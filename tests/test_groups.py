@@ -90,11 +90,10 @@ def test_element_list_subgroups_are_checked_for_closure_at_any_size():
     assert H.order == 6 and H.generators and all(g in H for g in H.generators)
 
 
-def test_the_trivial_whole_group_has_a_generator_for_a_closure_of_union():
-    from groupvna.groups import closure_of_union
+def test_the_trivial_whole_group_has_a_generator_to_close_again():
     H = index_table_subgroup("trivial")  # C1 has no generator forms
     assert [g.is_identity for g in H.generators] == [True]
-    assert closure_of_union([H]).order == 1
+    assert generate_closure(H.generators).order == 1
 
 
 def test_a_dropped_handle_is_freed_without_a_cyclic_collection():
@@ -171,13 +170,14 @@ FORM_SPECS = [spec_symmetric(3), spec_cyclic(5), spec_dihedral(4), DINF, SPEC_Q8
     (spec_dihedral(4), [1, 1, 0]),
     (SPEC_Q8, [1.0, 0]),
     ({"family": "heisenberg", "p": 3}, [1, 2]),
+    ({"family": "heisenberg", "p": 3}, [5, -1, 7]),
     ({"family": "free", "rank": 2}, ""),
     ({"family": "restricted_sum", "factor": spec_cyclic(2)}, {}),
     ({"family": "restricted_sum", "factor": spec_cyclic(2)}, [[0, 1, 5]]),
     (spec_product(spec_cyclic(3), spec_dihedral(3)), "ab"),
 ], ids=["dinf-string", "s3-string", "c5-float", "c5-bool", "d4-float-bool", "d4-long",
-        "q8-float", "heis3-short", "free2-empty-string", "c2sum-object", "c2sum-long-pair",
-        "product-string"])
+        "q8-float", "heis3-short", "heis3-out-of-range", "free2-empty-string", "c2sum-object",
+        "c2sum-long-pair", "product-string"])
 def test_only_json_ints_and_arrays_are_canonical_forms(spec, data):
     handle = construct_group(spec)
     with pytest.raises(SpecError, match="element"):
@@ -577,6 +577,22 @@ def test_an_element_list_is_closed_once_when_it_is_constructed():
     table = H.table
     assert len(calls) == built  # the table comes from the closure that checked the list
     assert sorted(table.order) == list(range(120)) and H.table is table
+
+
+@pytest.mark.parametrize("name", ["s3sum-closure", "s4", "s4-shuffled-elements"])
+def test_a_subgroup_is_unchanged_by_every_reader(name):
+    from groupvna.characters import character_table, class_data
+    from groupvna.groups import Subgroup
+    from groupvna.vn_spectrum import (RegularRep, factor_spectrum, numerical_decomposition,
+                                      tower_spectra)
+    H = index_table_subgroup(name)
+    before = {s: getattr(H, s) for s in Subgroup.__slots__}
+    character_table(class_data(H))
+    factor_spectrum(H)
+    numerical_decomposition(H)
+    RegularRep(H)
+    list(tower_spectra([H]))
+    assert all(getattr(H, s) is v for s, v in before.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])

@@ -298,8 +298,8 @@ def test_oracle_rank_data_gives_dimensions():
 
 def test_oracle_order_limit():
     s3sum = construct_group({"family": "restricted_sum", "factor": spec_symmetric(3)})
-    from groupvna.groups import coordinate_subgroup, closure_of_union
-    big = closure_of_union([coordinate_subgroup(s3sum, i) for i in range(3)])
+    from groupvna.groups import coordinate_subgroup, generate_closure
+    big = generate_closure([g for i in range(3) for g in coordinate_subgroup(s3sum, i).generators])
     assert big.order == 216
     with pytest.raises(ParameterError, match="200"):
         numerical_decomposition(big)

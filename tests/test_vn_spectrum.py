@@ -29,7 +29,6 @@ from groupvna.errors import (
 )
 from groupvna.groups import (
     as_subgroup,
-    closure_of_union,
     construct_group,
     coordinate_subgroup,
     enumerate_elements,
@@ -398,7 +397,7 @@ def test_lemma7_weights_are_traces_against_the_central_projections(name, n0, n1)
                    AlgebraElement.zero(sub.handle))
 
     p = threshold_projection(h0, n0) * threshold_projection(h1, n1)
-    H = closure_of_union([h0, h1])
+    H = generate_closure([*h0.generators, *h1.generators])
     want = []
     for row in character_table(class_data(H)).rows:
         weight = trace_of_product(p, central_projection(H, row))
@@ -474,7 +473,7 @@ def test_growth_parameter_validation(s3sum_tower):
 def _assert_fold_matches_enumeration(levels):
     orders = []
     for n, order, spectrum in tower_spectra(levels):
-        closure = closure_of_union(levels[:n])
+        closure = generate_closure([g for lv in levels[:n] for g in lv.generators])
         assert order == closure.order
         assert spectrum == factor_spectrum(closure).measure_by_dimension()
         orders.append(order)
