@@ -141,12 +141,19 @@ def _render_value(v, indent: str, lines: list[str], key: str = ""):
         if not v:
             lines.append(f"{indent}{label}[]")
         elif all(not isinstance(x, (dict, list)) for x in v):
-            lines.append(f"{indent}{label}{', '.join(str(x) for x in v)}")
+            lines.append(f"{indent}{label}{', '.join(map(str, v))}")
         else:
             if key:
                 lines.append(f"{indent}{key}:")
+            inner = indent + "  "
+            if all(type(x) is list for x in v) and not any(
+                    isinstance(y, (dict, list)) for x in v for y in x):
+                # a list of scalar lists (a character table's [re, im] values), one line each
+                lines.extend(f"{inner}[{i}]: {', '.join(map(str, x)) if x else '[]'}"
+                             for i, x in enumerate(v))
+                return
             for i, x in enumerate(v):
-                _render_value(x, indent + "  ", lines, f"[{i}]")
+                _render_value(x, inner, lines, f"[{i}]")
     else:
         lines.append(f"{indent}{label}{v}")
 

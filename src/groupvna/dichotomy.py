@@ -33,7 +33,6 @@ from .groups import (
     DEFAULT_CLOSURE_BUDGET,
     GroupElement,
     GroupHandle,
-    _json_int,
     construct_group,
     generate_closure,
 )
@@ -348,6 +347,8 @@ class ClassifyOptions:
             raise ParameterError("epsilon must satisfy 0 < epsilon < 1")
         if type(self.k) is not int or not 1 <= self.k <= MAX_GROWTH_K:
             raise ParameterError(f"k must satisfy 1 <= k <= {MAX_GROWTH_K}")
+        if type(self.seed) is not int:
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         for name in ("closure_budget", "class_budget", "stream_budget", "max_levels",
                      "max_order"):
             value = getattr(self, name)
@@ -366,6 +367,17 @@ class ClassifyOptions:
             "max_order": self.max_order,
             "tolerance": 1e-9,  # a fixed field of the certificate bytes
         }
+
+    @classmethod
+    def from_json(cls, doc) -> ClassifyOptions:
+        """The options `to_json` wrote, ignoring keys that name no option; ParameterError
+        if `doc` holds no valid set."""
+        try:
+            fields = {name: doc[name] for name in cls.__dataclass_fields__}
+            fields["epsilon"] = jsonutil.fraction_from_json(fields["epsilon"])
+        except (KeyError, TypeError, ZeroDivisionError) as e:
+            raise ParameterError(f"unreadable options ({type(e).__name__}: {e})") from None
+        return cls(**fields)
 
 
 @dataclass
@@ -396,23 +408,23 @@ class DichotomyCertificate:
         return jsonutil.canonical_dumps(self.to_json()).encode("utf-8")
 
 
-def _growth_refusal(opts: ClassifyOptions, n_levels: int) -> str:
-    limit, name = ((opts.max_order, "max_order") if opts.max_order <= opts.closure_budget
-                   else (opts.closure_budget, "closure_budget"))
-    return f"the closure of {n_levels} levels has more than {name} = {limit} elements"
-
-
-def _growth_spectra(levels: Iterable[WitnessLevel], opts: ClassifyOptions):
-    """`tower_spectra` over each witness level's own closure.
+def _tower_growth(levels: Iterable[WitnessLevel], opts: ClassifyOptions,
+                  notes: list[str]) -> Optional[GrowthResult]:
+    """The growth report of `tower_spectra` over each witness level's own closure.
 
     `class_data` refuses any order above `max_order`, so a level closure
-    stops at `min(closure_budget, max_order)` elements; every refusal, of a
-    level or of a product of levels, is a BudgetExceededError or a
-    RequiresFiniteError (`_growth_refusal` words it).
+    stops at `min(closure_budget, max_order)` elements.  A refusal, of a level
+    or of a product of levels, or levels that do not commute, stop the
+    evaluation: None, with the error's own message appended to `notes`.
     """
     limit = min(opts.closure_budget, opts.max_order)
     subgroups = (generate_closure(lv.generator_set(), limit) for lv in levels)
-    return tower_spectra(subgroups, opts.closure_budget, opts.max_order)
+    try:
+        return evaluate_growth(tower_spectra(subgroups, opts.closure_budget, opts.max_order),
+                               opts.k, opts.epsilon, opts.max_levels)
+    except (BudgetExceededError, RequiresFiniteError, ConsistencyError, PreconditionError) as e:
+        notes.append(f"growth evaluation stopped: {e}")
+        return None
 
 
 def _metadata_witness_consistent(handle: GroupHandle, probe: int,
@@ -436,57 +448,97 @@ def _metadata_witness_consistent(handle: GroupHandle, probe: int,
     return True, notes
 
 
+_POWER_PROBES = 64
+
+
+def _type_i_witness(handle: GroupHandle, class_budget: int) -> tuple[Optional[dict], str]:
+    """The type_I witness `classify` cites and replay rebuilds, or None and why.
+
+    A finite group is its own witness: the trivial subgroup has index |G|.
+    Otherwise the witness is the abelian subgroup A the spec or its family
+    declares, once its generators commute and it passes the power test: were
+    A of index n, two of the cosets A, gA, ..., g^n A would coincide, so some
+    g^j, 1 <= j <= n, would lie in A and commute with each generator of A.
+    Each of the first _POWER_PROBES elements of the fair enumeration must have
+    such a power, sought up to j = min(n, class_budget).
+    """
+    if handle.is_finite:
+        return {"kind": "finite_group", "abelian_subgroup_generators": [], "index": handle.order,
+                "note": "every finite group is abelian-by-finite (trivial subgroup)"}, ""
+    w = handle.metadata.abelian_by_finite
+    if w is None:
+        return None, "no abelian subgroup of finite index is declared for this group"
+    fam, gens = handle._family, w.generator_forms
+    if fam.noncommuting_pair(gens, gens) is not None:
+        return None, "declared abelian witness generators do not commute"
+    max_power = min(w.index, class_budget)
+    for g in handle.iter_elements(_POWER_PROBES):
+        power = g.form
+        for _ in range(max_power):
+            if fam.noncommuting_pair((power,), gens) is None:
+                break
+            power = fam.mul(power, g.form)
+        else:
+            return None, (f"declared abelian subgroup cannot have index {w.index}: no power "
+                          f"g^j of g = {g.describe()}, 1 <= j <= {max_power}, commutes with "
+                          "its generators")
+    return {"kind": "family_metadata", "index": w.index, "note": w.note,
+            "abelian_subgroup_generators": [fam.form_to_json(f) for f in gens]}, ""
+
+
+def _witness_certificate(handle: GroupHandle, opts: ClassifyOptions, levels: list[WitnessLevel],
+                         growth: Optional[GrowthResult], notes: list[str]) -> DichotomyCertificate:
+    """The certificate `classify` emits for the witness levels it drew and their growth.
+
+    `notes` are the search's diagnostics.  A growth report that clears cites
+    the levels it read, and the certificate is not_type_I once those levels
+    pass `verify_witness_levels`; anything else is inconclusive.
+    """
+    found = growth is not None and growth.found
+    if found:
+        levels = levels[:growth.levels_required]
+    checks = verify_witness_levels(handle, levels) if levels else None
+    witness = CommutingWitness(handle, levels, growth.levels_required if found else opts.max_levels,
+                               found, checks, notes)
+    if found and checks.passed:
+        return DichotomyCertificate("not_type_I", handle.spec, opts, commuting_witness=witness,
+                                    growth=growth, diagnostics=list(notes))
+    reason = ("witness invariant verification failed: " + "; ".join(checks.failures) if found
+              else f"no growth witness within {opts.max_levels} levels; hypothesis may fail "
+                   "or budgets are too small")
+    return DichotomyCertificate("inconclusive", handle.spec, opts, commuting_witness=witness,
+                                diagnostics=[*notes, reason])
+
+
 def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertificate:
     """Assemble a dichotomy certificate for one group-spec document.
 
-    Finite groups and groups with a declared abelian-by-finite witness are
-    type_I.  Otherwise the commuting-subgroup recursion runs level by level,
-    attaching growth evidence as soon as the measure threshold is cleared; any
-    failure mode folds into an inconclusive verdict with diagnostics.
+    Finite groups and groups with a declared abelian-by-finite witness that
+    survives the FC probe and the power test are type_I.  Otherwise the
+    commuting-subgroup recursion runs level by level, attaching growth
+    evidence as soon as the measure threshold is cleared; any failure mode
+    folds into an inconclusive verdict with diagnostics.
     """
     opts = options or ClassifyOptions()
     handle = construct_group(spec)
     spec_doc = handle.spec
-    diagnostics: list[str] = []
-
-    if handle.is_finite:
-        witness = {
-            "kind": "finite_group",
-            "abelian_subgroup_generators": [],
-            "index": handle.order,
-            "note": "every finite group is abelian-by-finite (trivial subgroup)",
-        }
-        return DichotomyCertificate("type_I", spec_doc, opts, type_i_witness=witness,
-                                    diagnostics=["group is finite; G^fin = G"])
-
     meta = handle.metadata
-    if meta.abelian_by_finite is not None:
-        ok, notes = _metadata_witness_consistent(handle, probe=6,
-                                                 class_budget=opts.class_budget)
-        diagnostics.extend(notes)
-        if not ok:
-            diagnostics.append("family metadata contradicts FC evidence")
+    if handle.is_finite or meta.abelian_by_finite is not None:
+        if handle.is_finite:
+            ok, diagnostics = True, ["group is finite; G^fin = G"]
+        else:
+            ok, diagnostics = _metadata_witness_consistent(handle, 6, opts.class_budget)
+        witness, reason = (_type_i_witness(handle, opts.class_budget) if ok
+                           else (None, "family metadata contradicts FC evidence"))
+        if witness is None:
             return DichotomyCertificate("inconclusive", spec_doc, opts,
-                                        diagnostics=diagnostics)
-        w = meta.abelian_by_finite
-        if handle._family.noncommuting_pair(w.generator_forms, w.generator_forms) is not None:
-            diagnostics.append("declared abelian witness generators do not commute")
-            return DichotomyCertificate("inconclusive", spec_doc, opts, diagnostics=diagnostics)
-        gens = [handle.element(f) for f in w.generator_forms]
-        witness = {
-            "kind": "family_metadata",
-            "abelian_subgroup_generators": [g.to_json() for g in gens],
-            "index": w.index,
-            "note": w.note,
-        }
+                                        diagnostics=[*diagnostics, reason])
         return DichotomyCertificate("type_I", spec_doc, opts, type_i_witness=witness,
                                     diagnostics=diagnostics)
 
     if not meta.not_abelian_by_finite:
-        diagnostics.append(
-            "no abelian-by-finite witness and the non-abelian-by-finite hypothesis "
-            "is not declared for this family"
-        )
+        diagnostics = ["no abelian-by-finite witness and the non-abelian-by-finite "
+                       "hypothesis is not declared for this family"]
         if meta.icc:
             diagnostics.append(
                 "family metadata declares G^fin = {e} (icc); the infinite-index case "
@@ -501,37 +553,8 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
                                               stream_budget=opts.stream_budget,
                                               class_budget=opts.class_budget),
                               opts.max_levels)
-    growth: Optional[GrowthResult] = None
-    try:
-        growth = evaluate_growth(_growth_spectra(search, opts), opts.k, opts.epsilon,
-                                 opts.max_levels)
-    except (BudgetExceededError, RequiresFiniteError):
-        search_notes.append(f"growth evaluation stopped: {_growth_refusal(opts, len(levels))}")
-    except (ConsistencyError, PreconditionError) as e:
-        search_notes.append(f"growth evaluation stopped: {type(e).__name__}: {e}")
-    diagnostics.extend(search_notes)
-
-    if growth is None or not growth.found:
-        diagnostics.append(
-            f"no growth witness within {opts.max_levels} levels; hypothesis may fail "
-            f"or budgets are too small"
-        )
-        witness = CommutingWitness(handle, levels, opts.max_levels, False,
-                                   verify_witness_levels(handle, levels) if levels else None,
-                                   search_notes)
-        return DichotomyCertificate("inconclusive", spec_doc, opts,
-                                    commuting_witness=witness, diagnostics=diagnostics)
-
-    checks = verify_witness_levels(handle, levels)
-    witness = CommutingWitness(handle, levels, growth.levels_required, True,
-                               checks, search_notes)
-    if not checks.passed:
-        diagnostics.append("witness invariant verification failed: " + "; ".join(checks.failures))
-        return DichotomyCertificate("inconclusive", spec_doc, opts,
-                                    commuting_witness=witness, diagnostics=diagnostics)
-    return DichotomyCertificate("not_type_I", spec_doc, opts,
-                                commuting_witness=witness, growth=growth,
-                                diagnostics=diagnostics)
+    growth = _tower_growth(search, opts, search_notes)
+    return _witness_certificate(handle, opts, levels, growth, search_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +588,12 @@ def _field(doc, *keys, parse=None):
         for key in keys:
             value = value[key]
         return value if parse is None else parse(value)
-    except (KeyError, IndexError, TypeError, ZeroDivisionError, SpecError) as e:
-        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
-        raise _Malformed(f"{path}: {e}") from None
+    except (KeyError, IndexError, TypeError, SpecError) as e:
+        raise _Malformed(f"{_path(keys)}: {e}") from None
+
+
+def _path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
 
 
 def _json_text(value) -> str:
@@ -576,13 +602,29 @@ def _json_text(value) -> str:
     return json.dumps(value, sort_keys=True, default=repr)
 
 
-def replay_certificate(cert: dict) -> ReplayReport:
-    """Re-run every check a certificate claims, from its serialized form alone.
+def _first_difference(a, b) -> tuple:
+    """The keys of the first field, in sorted-key order, at which a and b differ."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        a, b = dict(enumerate(a)), dict(enumerate(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            if key not in a or key not in b:
+                return (key,)
+            if _json_text(a[key]) != _json_text(b[key]):
+                return (key,) + _first_difference(a[key], b[key])
+    return ()
 
-    Growth thresholds and size limits are taken from the certificate's
-    options, never read from its growth report; the growth report and the
-    witness's checks are recomputed and compared whole.  A field replay
-    cannot read fails the replay and is named in its failures.
+
+def replay_certificate(cert: dict) -> ReplayReport:
+    """Rebuild the certificate `classify` would emit and compare the two whole.
+
+    The rebuild reads the certificate's group spec, its options and, for
+    not_type_I, its witness levels; it recomputes each level's classes, the
+    growth report and every other field.  A type_I certificate's diagnostics,
+    the notes of an FC probe replay does not re-run, are taken as written.  A
+    mismatch names the first differing field; a field replay cannot read
+    fails the replay and is named too.  An inconclusive certificate makes no
+    claims.
     """
     if not isinstance(cert, dict) or cert.get("format") != "groupvna-certificate/1":
         raise ParameterError("not a recognized certificate document")
@@ -596,115 +638,60 @@ def replay_certificate(cert: dict) -> ReplayReport:
             failures.append(detail or name)
 
     try:
-        _replay_claims(cert, verdict, record)
+        rebuilt = _rebuild(cert, verdict, record)
     except _Malformed as e:
         record("certificate_readable", False, str(e))
+    else:
+        if rebuilt is not None:
+            doc = rebuilt.to_json()
+            ok = _json_text(doc) == _json_text(cert)
+            record("certificate_matches", ok, "" if ok else (
+                f"{_path(_first_difference(cert, doc)) or 'certificate'}: differs from the "
+                "certificate classify builds from the spec, options and witness levels"))
     return ReplayReport(verdict, all(ok for _, ok in checks), checks, failures)
 
 
-def _replay_claims(cert: dict, verdict, record) -> None:
+def _rebuild(cert: dict, verdict, record) -> Optional[DichotomyCertificate]:
+    """The certificate `classify` emits for what `cert` cites, or None if there is
+    nothing to compare (every failure already recorded)."""
+    if verdict == "inconclusive":
+        record("inconclusive_makes_no_claims", True)
+        return None
+    if verdict not in ("type_I", "not_type_I"):
+        raise _Malformed(f"verdict: unknown verdict {verdict!r}")
     handle = _field(cert, "group_spec", parse=construct_group)
-    fam = handle._family
-    record("spec_digest_matches", cert.get("spec_digest") == jsonutil.spec_digest(handle.spec),
-           "spec_digest does not match the embedded group spec")
+    try:
+        opts = ClassifyOptions.from_json(cert.get("options"))
+    except ParameterError as e:
+        record("options_valid", False, f"certificate options: {e}")
+        return None
+    record("options_valid", True)
 
     if verdict == "type_I":
-        at = ("type_i_witness", "abelian_subgroup_generators")
-        forms = [_field(cert, *at, i, parse=handle.element_from_json).form
-                 for i in range(_field(cert, *at, parse=len))]
-        record("witness_generators_commute", fam.noncommuting_pair(forms, forms) is None,
-               "witness generators do not commute")
-        index = _field(cert, "type_i_witness", "index", parse=_json_int)
-        kind = _field(cert, "type_i_witness", "kind")
-        want = "finite_group" if handle.is_finite else "family_metadata"
-        record("witness_kind_matches", kind == want,
-               f"type_i_witness.kind is {kind!r}, not {want!r} for this spec")
-        if kind == "finite_group":
-            record("index_matches_order", handle.is_finite and index == handle.order,
-                   "declared index does not equal the group order")
-        else:
-            m = handle.metadata.abelian_by_finite
-            ok = (m is not None and m.index == index
-                  and list(m.generator_forms) == forms)
-            record("matches_family_metadata", ok,
-                   "witness does not match the family's declared structure")
-    elif verdict == "not_type_I":
-        at = ("commuting_witness", "levels")
-        levels = []
-        for lv_idx in range(_field(cert, *at, parse=len)):
-            g = _field(cert, *at, lv_idx, "g", parse=handle.element_from_json)
-            h = _field(cert, *at, lv_idx, "h", parse=handle.element_from_json)
-            record(f"level{lv_idx}_noncommuting", not fam.commutes(g.form, h.form),
-                   f"level {lv_idx}: pair commutes")
-            classes = []
-            for name, rep_el in (("g", g), ("h", h)):
-                members = [_field(cert, *at, lv_idx, f"{name}_class", i,
-                                  parse=handle.element_from_json)
-                           for i in range(_field(cert, *at, lv_idx, f"{name}_class", parse=len))]
-                claimed = {e.form for e in members}
-                cls = conjugacy_class(rep_el, max(DEFAULT_CLASS_BUDGET, 2 * len(claimed)))
-                ok = (not cls.exceeded
-                      and {e.form for e in cls.elements} == claimed)
-                record(f"level{lv_idx}_{name}_class_exact", ok,
-                       f"level {lv_idx}: serialized class of {name} is not the computed class")
-                classes.append(ConjugacyClass(rep_el, tuple(members), DEFAULT_CLASS_BUDGET))
-            levels.append(WitnessLevel(lv_idx, g, h, *classes))
-        wchecks = verify_witness_levels(handle, levels)
-        record("witness_invariants", wchecks.passed, "; ".join(wchecks.failures))
-        claimed_checks = _field(cert, "commuting_witness", "checks")
-        record("witness_checks_match", _json_text(wchecks.to_json()) == _json_text(claimed_checks),
-               "commuting_witness.checks differ from the checks recomputed on its levels")
+        witness, reason = _type_i_witness(handle, opts.class_budget)
+        if witness is None:
+            record("certificate_matches", False, f"type_i_witness: {reason}")
+            return None
+        diagnostics = cert.get("diagnostics")
+        return DichotomyCertificate("type_I", handle.spec, opts, type_i_witness=witness,
+                                    diagnostics=diagnostics if isinstance(diagnostics, list) else [])
 
-        n_req = _field(cert, "growth", "levels_required", parse=_json_int)
-        in_range = 1 <= n_req <= len(levels)
-        record("levels_required_in_range", in_range,
-               f"levels_required {n_req} is not between 1 and {len(levels)}")
-        complete = _field(cert, "commuting_witness", "complete")
-        requested = _field(cert, "commuting_witness", "requested")
-        record("witness_complete", complete is True and _json_text(requested) == _json_text(n_req),
-               f"commuting_witness is not complete with requested = levels_required = {n_req}")
-        try:
-            o = cert["options"]
-            opts = ClassifyOptions(k=o["k"], epsilon=jsonutil.fraction_from_json(o["epsilon"]),
-                                   closure_budget=o.get("closure_budget"),
-                                   max_order=o.get("max_order"), max_levels=o["max_levels"])
-            record("options_valid", True)
-        except (ParameterError, TypeError, KeyError, ValueError, ZeroDivisionError,
-                AttributeError) as e:
-            opts = None
-            record("options_valid", False, f"certificate options: {e}")
-        spectra = None
-        if in_range and opts is not None:
-            try:
-                # every prefix up to n_req levels, even past a shorter one that clears
-                spectra = list(_growth_spectra(levels[:n_req], opts))
-                record("growth_closure_within_limits", True)
-            except (BudgetExceededError, RequiresFiniteError):
-                record("growth_closure_within_limits", False, _growth_refusal(opts, n_req))
-            except PreconditionError as e:
-                record("growth_levels_commute", False, str(e))
-        if spectra is not None:
-            growth = evaluate_growth(spectra[-1:], opts.k, opts.epsilon, n_req)
-            claims = (_field(cert, "growth", "k"), _field(cert, "growth", "dim_threshold"),
-                      _field(cert, "growth", "epsilon", parse=jsonutil.fraction_from_json),
-                      _field(cert, "growth", "measure_threshold",
-                             parse=jsonutil.fraction_from_json))
-            derived = (opts.k, growth.dim_threshold, opts.epsilon, growth.measure_threshold)
-            record("growth_thresholds_match_options", claims == derived,
-                   "growth report (k, dim, epsilon, measure) thresholds "
-                   f"({', '.join(map(str, claims))}) differ from "
-                   f"({', '.join(map(str, derived))}) derived from the options")
-            measure = growth.history[0][2]
-            claimed = _field(cert, "growth", "achieved_measure", parse=jsonutil.fraction_from_json)
-            record("growth_measure_matches", measure == claimed,
-                   f"recomputed measure {measure} != claimed {claimed}")
-            record("growth_measure_clears_threshold", growth.found,
-                   f"measure {measure} does not exceed {growth.measure_threshold}")
-            report = evaluate_growth(spectra, opts.k, opts.epsilon, opts.max_levels).to_json()
-            record("growth_report_matches",
-                   _json_text(report) == _json_text(_field(cert, "growth")),
-                   "growth report differs from the one classify derives from the witness levels")
-    elif verdict == "inconclusive":
-        record("inconclusive_makes_no_claims", True)
-    else:
-        raise _Malformed(f"verdict: unknown verdict {verdict!r}")
+    at = ("commuting_witness", "levels")
+    levels = []
+    for i in range(_field(cert, *at, parse=len)):
+        g = _field(cert, *at, i, "g", parse=handle.element_from_json)
+        h = _field(cert, *at, i, "h", parse=handle.element_from_json)
+        classes = []
+        for name, rep in (("g_class", g), ("h_class", h)):
+            budget = max(DEFAULT_CLASS_BUDGET, 2 * _field(cert, *at, i, name, parse=len))
+            cls = conjugacy_class(rep, budget)
+            if cls.exceeded:
+                record("certificate_matches", False,
+                       f"{_path(at + (i, name))}: the class has more than {budget} elements")
+                return None
+            classes.append(cls)
+        levels.append(WitnessLevel(i, g, h, *classes))
+    notes: list[str] = []
+    growth = _tower_growth(levels[:opts.max_levels], opts, notes)
+    record("growth_closure_within_limits", growth is not None, "; ".join(notes))
+    return None if growth is None else _witness_certificate(handle, opts, levels, growth, notes)

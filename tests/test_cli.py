@@ -486,6 +486,18 @@ def test_text_and_json_numeric_parity(specs, capsys):
     assert str(g["dim_threshold"]) in text
 
 
+def test_chartab_text_report_pinned(tmp_path, capsys):
+    # the text rendering of 14,400 [re, im] character values, byte for byte
+    path = tmp_path / "c10xc12.json"
+    path.write_text(json.dumps(spec_product({"family": "cyclic", "n": 10},
+                                            {"family": "cyclic", "n": 12})))
+    assert run(["chartab", "--spec", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.split("\n")
+             if not line.startswith("wall_time_ms:")]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d67bcbd63c8f909f292f4af02b80bce01c09295b2729b8e1f04a485c4e5cc8a7"
+
+
 def test_cross_process_certificate_determinism(specs):
     import os
     outs = []

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import SPEC_Q8SUM, SPEC_S3SUM, json_values, spec_symmetric
 from groupvna import dichotomy, groups
@@ -371,12 +371,31 @@ def test_classify_options_validate():
 def test_classify_honors_declared_witness():
     # user metadata is where undecidable hypotheses live; classify cites it
     cert = classify({
-        "family": "free", "rank": 2,
-        "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 5}},
+        "family": "dihedral_infinite",
+        "metadata": {"abelian_by_finite": {"generators": [[1, 0]], "index": 2}},
     })
     assert cert.verdict == "type_I"
     assert cert.type_i_witness["kind"] == "family_metadata"
-    assert cert.type_i_witness["index"] == 5
+    assert cert.type_i_witness["index"] == 2
+    assert cert.type_i_witness["note"] == "declared in spec metadata"
+    assert replay_certificate(json.loads(cert.to_bytes())).passed
+
+
+def test_power_test_refutes_a_declared_index():
+    # were <x> of index 2 in F2, y or y^2 would lie in it and commute with x
+    spec = {"family": "free", "rank": 2,
+            "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 2}}}
+    cert = classify(spec)
+    assert cert.verdict == "inconclusive"
+    assert "no power g^j of g = y, 1 <= j <= 2" in cert.diagnostics[-1]
+    doc = json.loads(cert.to_bytes())
+    doc["verdict"] = "type_I"
+    doc["type_i_witness"] = {"kind": "family_metadata", "abelian_subgroup_generators": [[1]],
+                             "index": 2, "note": "declared in spec metadata"}
+    report = replay_certificate(doc)
+    assert not report.passed
+    assert any("type_i_witness: declared abelian subgroup cannot have index 2" in f
+               for f in report.failures), report.failures
 
 
 def test_classify_deterministic_bytes():
@@ -405,8 +424,8 @@ def test_certificate_replay_from_json_alone():
     doc = json.loads(cert.to_bytes())
     report = replay_certificate(doc)
     assert report.passed
-    names = [n for n, _ in report.checks]
-    assert "witness_invariants" in names and "growth_measure_matches" in names
+    assert report.checks == [("options_valid", True), ("growth_closure_within_limits", True),
+                             ("certificate_matches", True)]
 
 
 def test_replay_detects_tampered_measure():
@@ -505,13 +524,13 @@ _LEVEL0 = ("commuting_witness", "levels", 0)
     pytest.param(_replace(("type_i_witness", "kind"), "finite_group", "type_i_witness.kind",
                           base=(_FREE1_INDEX1, 2)), id="kind-finite_group"),
     # the growth report and the witness checks are compared whole with their recomputation
-    pytest.param(_replace(("growth", "found"), False, "growth report"), id="found-false"),
-    pytest.param(_replace(("growth", "history"), [], "growth report"), id="history-empty"),
-    pytest.param(_replace(("growth", "cap"), 99, "growth report"), id="cap-99"),
+    pytest.param(_replace(("growth", "found"), False, "growth.found:"), id="found-false"),
+    pytest.param(_replace(("growth", "history"), [], "growth.history:"), id="history-empty"),
+    pytest.param(_replace(("growth", "cap"), 99, "growth.cap:"), id="cap-99"),
     pytest.param(_replace(("commuting_witness", "complete"), False,
-                          "commuting_witness is not complete"), id="complete-false"),
+                          "commuting_witness.complete:"), id="complete-false"),
     pytest.param(_replace(("commuting_witness", "requested"), 77,
-                          "commuting_witness is not complete"), id="requested-77"),
+                          "commuting_witness.requested:"), id="requested-77"),
     pytest.param(_replace(("commuting_witness", "checks", "pairwise_commuting"), False,
                           "commuting_witness.checks"), id="pairwise_commuting-false"),
     pytest.param(_replace(("commuting_witness", "checks", "commutation_matrix"), [[5]],
@@ -545,20 +564,29 @@ def _field_paths(value, prefix=()):
         yield from _field_paths(child, prefix + (key,))
 
 
-_S3SUM_CERT = classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes()
-_S3SUM_FIELDS = [p for p in _field_paths(json.loads(_S3SUM_CERT)) if p and p != ("format",)]
+_FORGED_CERTS = [classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes(),
+                 classify({"family": "dihedral_infinite"}).to_bytes()]
+_FORGED_FIELDS = [(cert, p) for cert in _FORGED_CERTS for p in _field_paths(json.loads(cert))
+                  if p and p != ("format",)]
 
 
 # ints stay small: a forged group spec is built before anything is checked,
 # and a symmetric family's constructor builds an n-tuple and n! for any n
 @settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(_S3SUM_FIELDS),
+@given(field=st.sampled_from(_FORGED_FIELDS),
        value=json_values(3, ints=st.integers(-1000, 1000)))
-def test_replay_of_a_randomly_forged_field_never_raises(path, value):
-    doc = json.loads(_S3SUM_CERT)
+def test_replay_of_a_randomly_forged_field_never_raises(field, value):
+    cert, path = field
+    doc = json.loads(cert)
     _replace(path, value, None)(doc)
+    assume(json.dumps(doc, sort_keys=True) != json.dumps(json.loads(cert), sort_keys=True))
+    assume((path, value) != (("verdict",), "inconclusive"))  # it makes no claims
     report = replay_certificate(doc)
-    assert report.passed in (True, False)
+    # a valid option value may leave the verdict standing, and the notes of
+    # the FC probe, which replay does not re-run, are taken as written
+    unbound = (path[0] == "options" and len(path) > 1
+               or path[0] == "diagnostics" and doc["verdict"] == "type_I")
+    assert report.passed is False or unbound, (path, value, report.checks)
 
 
 @pytest.mark.parametrize("limits,failed", [
@@ -571,6 +599,12 @@ def test_replay_of_a_randomly_forged_field_never_raises(path, value):
     ({"epsilon": "x"}, "options_valid"),
     ({"epsilon": {"num": 1, "den": 0}}, "options_valid"),
     ({"max_levels": 0}, "options_valid"),
+    ({"class_budget": 0}, "options_valid"),
+    ({"stream_budget": -5}, "options_valid"),
+    ({"seed": "x"}, "options_valid"),
+    # fields no option reads are bound by the whole comparison
+    ({"tolerance": 0.5}, "certificate_matches"),
+    ({"extra": 1}, "certificate_matches"),
 ])
 def test_replay_honours_certificate_size_limits(limits, failed):
     # the witness needs the 216-element closure of three levels
