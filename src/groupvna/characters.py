@@ -24,10 +24,14 @@ nonzero q(B) v is an eigenvector whatever B is.  The seed v is the block's row
 on the classes of Z, |Z| times the projection eps_lam e_0 of the identity
 class, which has a nonzero part along every w_chi of the block.  Only repeated
 roots, and a simple root whose q(B) v vanishes, cost a Gaussian elimination.
-Degrees come from the second orthogonality relation, character values from
+Degrees come from the second orthogonality relation, and every value is lifted
+to an exact element of Z[zeta_m], m the exponent.  A linear character is a
+homomorphism to the m-th roots of unity (Serre, Linear Representations of
+Finite Groups, 3.1), so each of its values is some zeta_m^s, and s is read off
+its image z^s mod p by a discrete log against the sorted powers of z, the
+primitive m-th root mod p.  The values of the other characters come from
 root-of-unity multiplicities (a mod-p discrete Fourier transform over the
-power map, one per Galois orbit of classes), and every value is lifted to an
-exact element of Z[zeta_m], m the exponent.  The row orthogonality relation is
+power map, one per Galois orbit of classes).  The row orthogonality relation is
 checked exactly, at the Galois conjugates of zeta_m, before any table is
 returned; the character table is square, so the row relation implies the
 column relation.
@@ -191,7 +195,9 @@ class CharacterTable:
         return [row.degree for row in self.rows]
 
     def to_json(self) -> dict:
+        r = len(self.rows)
         values = _evaluate(self.coords, self.class_data.exponent, 1)[self.index]
+        values = values.view(np.float64).reshape(r, r, 2).tolist()  # [re, im] per entry
         return {
             "order": self.class_data.order,
             "class_sizes": list(self.class_data.sizes),
@@ -199,7 +205,7 @@ class CharacterTable:
                 {
                     "label": row.label,
                     "degree": row.degree,
-                    "values": [[c.real, c.imag] for c in values[i].tolist()],
+                    "values": values[i],
                 }
                 for i, row in enumerate(self.rows)
             ],
@@ -395,14 +401,28 @@ def character_table(cd: ClassData) -> CharacterTable:
         if n % d:
             raise ConsistencyError(f"character degree {d} does not divide the group order {n}")
 
-    plan, phi = _lift_plan(cd, p), _reduction(m)[0]
-    block = max(1, 2**16 // (r * m))  # rows lifted at once: a block's transforms hold <= 2^16 entries
+    zexp, powers, plan = _lift_plan(cd, p)
     position: dict = {}  # coordinates -> row of coords; tables repeat few values many times
-    built = []
-    for start in range(0, r, block):
-        chi, degs = rows_mod_p[start:start + block], deg[start:start + block, None]
+    # a linear character is a homomorphism to the m-th roots of unity: each of its
+    # values mod p is z^s for one s < m, read off the sorted powers of z
+    chi = rows_mod_p[deg == 1]
+    by_value = np.argsort(zexp)
+    s = by_value[np.searchsorted(zexp, chi, sorter=by_value).clip(max=m - 1)]
+    if (zexp[s] != chi).any():
+        raise ConsistencyError("a linear character takes a value that is not an m-th root of unity")
+    used = np.unique(s)  # register only the roots the linear rows take
+    slot = np.zeros(m, dtype=np.intp)
+    slot[used] = [position.setdefault(c, len(position)) for c in map(tuple, powers[used].tolist())]
+    keys = np.zeros(m, dtype=np.complex128)
+    keys[used] = np.round(_evaluate(powers[used], m, 1), 10)
+    built = [(1, key, at) for key, at in zip(keys[s].view(np.float64).tolist(), slot[s])]
+
+    rest, rest_deg, phi = rows_mod_p[deg > 1], deg[deg > 1, None], powers.shape[1]
+    block = max(1, 2**16 // (r * m))  # rows lifted at once: a block's transforms hold <= 2^16 entries
+    for start in range(0, len(rest), block):
+        chi, degs = rest[start:start + block], rest_deg[start:start + block]
         coords = np.empty((len(chi), r, phi), dtype=np.int64)
-        for js, gather, dft, inv_o, column, perm, powers in plan:
+        for js, gather, dft, inv_o, column, perm, power_rows in plan:
             mults = (chi[:, gather] @ dft) % p * inv_o % p
             if (mults.sum(axis=2) != degs).any():
                 raise ConsistencyError("root-of-unity multiplicities do not sum to the degree")
@@ -410,7 +430,7 @@ def character_table(cd: ClassData) -> CharacterTable:
             mults = mults[:, column, perm]
             row, at, s = np.nonzero(mults)
             coords[:, js] = np.add.reduceat(
-                mults[row, at, s, None] * powers[s],
+                mults[row, at, s, None] * power_rows[s],
                 np.searchsorted(row * len(js) + at, np.arange(len(chi) * len(js)))
             ).reshape(len(chi), len(js), phi)
         for d, row_coords in zip(degs[:, 0].tolist(), coords):
@@ -420,10 +440,10 @@ def character_table(cd: ClassData) -> CharacterTable:
             built.append((d, key, at))
 
     built.sort(key=lambda item: item[:2])
-    values = [Cyclo(m, c) for c in position]  # one shared object per distinct value
-    rows = [CharacterRow(f"chi{i}", d, tuple(values[k] for k in at), cd)
-            for i, (d, _, at) in enumerate(built)]
+    values = np.array([Cyclo(m, c) for c in position], dtype=object)  # one object per distinct value
     index = np.array([at for *_, at in built], dtype=np.intp)
+    cells = values[index].tolist()
+    rows = [CharacterRow(f"chi{i}", d, tuple(cells[i]), cd) for i, (d, *_) in enumerate(built)]
     table = CharacterTable(cd, rows, p, index, np.array(list(position), dtype=np.int64))
     report = validate_orthogonality(table, cd)
     if not report.passed:
@@ -435,8 +455,11 @@ def character_table(cd: ClassData) -> CharacterTable:
     return table
 
 
-def _lift_plan(cd: ClassData, p: int) -> list[tuple]:
-    """What the multiplicity lift needs, one entry per element order o.
+def _lift_plan(cd: ClassData, p: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """What the lift needs: z^t for t < m, z the primitive m-th root mod p
+    whose sorted powers are the discrete-log table of the linear rows; the rows
+    x^s mod Phi_m for s < m, the coordinates of zeta_m^s; and the plan of the
+    multiplicity lift of the rows of degree > 1, one entry per element order o.
 
     The multiplicity mu_s of zeta_m^s among the eigenvalues of rep_j is the mod-p
     transform (1/m) sum_t chi(rep_j^t) z^(-ts) over the power map.  On a class of
@@ -475,7 +498,7 @@ def _lift_plan(cd: ClassData, p: int) -> list[tuple]:
                      np.array([[leaders.index(source[j][0])] for j in js]),
                      np.outer([pow(source[j][1], -1, o) for j in js], np.arange(o)) % o,
                      powers[::m // o]))
-    return plan
+    return zexp, powers, plan
 
 
 @dataclass

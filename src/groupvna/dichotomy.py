@@ -460,7 +460,9 @@ def _type_i_witness(handle: GroupHandle, class_budget: int) -> tuple[Optional[di
     A of index n, two of the cosets A, gA, ..., g^n A would coincide, so some
     g^j, 1 <= j <= n, would lie in A and commute with each generator of A.
     Each of the first _POWER_PROBES elements of the fair enumeration must have
-    such a power, sought up to j = min(n, class_budget).
+    such a power, sought up to j = min(n, class_budget).  An empty generator
+    list at index 1 declares A = G, so the probes must commute pairwise; at a
+    larger index it declares the trivial subgroup, so the power must be e.
     """
     if handle.is_finite:
         return {"kind": "finite_group", "abelian_subgroup_generators": [], "index": handle.order,
@@ -471,17 +473,25 @@ def _type_i_witness(handle: GroupHandle, class_budget: int) -> tuple[Optional[di
     fam, gens = handle._family, w.generator_forms
     if fam.noncommuting_pair(gens, gens) is not None:
         return None, "declared abelian witness generators do not commute"
-    max_power = min(w.index, class_budget)
-    for g in handle.iter_elements(_POWER_PROBES):
-        power = g.form
-        for _ in range(max_power):
-            if fam.noncommuting_pair((power,), gens) is None:
-                break
-            power = fam.mul(power, g.form)
-        else:
-            return None, (f"declared abelian subgroup cannot have index {w.index}: no power "
-                          f"g^j of g = {g.describe()}, 1 <= j <= {max_power}, commutes with "
-                          "its generators")
+    probes = [g.form for g in handle.iter_elements(_POWER_PROBES)]
+    if not gens and w.index == 1:
+        pair = fam.noncommuting_pair(probes, probes)
+        if pair is not None:
+            return None, (f"declared abelian group is not abelian: {fam.describe(pair[0])} and "
+                          f"{fam.describe(pair[1])} do not commute")
+    else:
+        max_power = min(w.index, class_budget)
+        for g in probes:
+            power = g
+            for _ in range(max_power):
+                if (fam.noncommuting_pair((power,), gens) is None if gens
+                        else power == fam.identity):
+                    break
+                power = fam.mul(power, g)
+            else:
+                return None, (f"declared abelian subgroup cannot have index {w.index}: no power "
+                              f"g^j of g = {fam.describe(g)}, 1 <= j <= {max_power}, "
+                              + ("commutes with its generators" if gens else "is the identity"))
     return {"kind": "family_metadata", "index": w.index, "note": w.note,
             "abelian_subgroup_generators": [fam.form_to_json(f) for f in gens]}, ""
 

@@ -740,15 +740,22 @@ def _product_metadata(factors: list[_Family], order: Optional[int]) -> FamilyMet
     metas = [f.metadata for f in factors]
     fc_all = True if all(m.fc_all for m in metas) else None
     not_abf = any(m.not_abelian_by_finite for m in metas)
+    ws = [m.abelian_by_finite for m in metas]
     witness = None
-    if not not_abf and all(m.abelian_by_finite is not None for m in metas):
-        gens = []
-        index = 1
-        for i, (f, m) in enumerate(zip(factors, metas)):
-            for g in m.abelian_by_finite.generator_forms:
-                gens.append(tuple(g if j == i else h.identity for j, h in enumerate(factors)))
-            index *= m.abelian_by_finite.index
-        witness = AbelianByFiniteWitness(tuple(gens), index, "product of factor witnesses")
+    if not not_abf and all(w is not None for w in ws):
+        # an empty list at index 1 declares A = G: on an infinite factor, a subgroup
+        # that no generator list names, so a product holding one lists A only if A = G
+        if not any(f.order is None and not w.generator_forms and w.index == 1
+                   for f, w in zip(factors, ws)):
+            gens = []
+            index = 1
+            for i, w in enumerate(ws):
+                for g in w.generator_forms:
+                    gens.append(tuple(g if j == i else h.identity for j, h in enumerate(factors)))
+                index *= w.index
+            witness = AbelianByFiniteWitness(tuple(gens), index, "product of factor witnesses")
+        elif all(w.index == 1 for w in ws):
+            witness = AbelianByFiniteWitness((), 1, "product of abelian factors")
     return FamilyMetadata(
         fc_center_note="all of G" if fc_all else None,
         fc_all=fc_all,
@@ -814,15 +821,19 @@ def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = No
     return out
 
 
-def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> tuple[list, IndexTable]:
+def _closure(family: _Family, gens: list,
+             budget: Optional[int] = None) -> tuple[list, dict, Callable[[], IndexTable]]:
     """The closure of the forms `gens` under multiplication and inversion: its
-    forms, in the order in which its one `_bfs` meets them, and its index table.
+    forms, in the order in which its one `_bfs` meets them, their index map,
+    and a function that builds its index table from the search's records.
 
     The search runs on indices, numbering each form the first time it meets
     it and recording where it met it, so each product is computed once and
     parent[y] < y; the right rows and the search tree of the table are those
-    records.  Raises BudgetExceededError past `budget` forms.
+    records, and only the table's inverse and conj rows cost more products.
+    Raises BudgetExceededError past `budget` forms.
     """
+    generators = tuple(g for g in gens if g != family.identity)
     letters = family.alphabet_block(gens)
     forms, index, flat, parent, letter = [family.identity], {family.identity: 0}, [], [0], [0]
     mul, record = family.mul, flat.append
@@ -839,37 +850,40 @@ def _closure(family: _Family, gens: list, budget: Optional[int] = None) -> tuple
         return y
 
     _bfs([0], range(len(letters)), step, budget)
-    # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
-    right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
-    letter_of = {t: a for a, t in enumerate(letters)}
-    inverse_letter = np.array([letter_of[family.inv(t)] for t in letters], dtype=np.intp)
-    inverse = np.array([index[family.inv(x)] for x in forms], dtype=np.intp)
-    # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
-    back = right[inverse_letter]
-    conj = inverse[np.take_along_axis(back, inverse[back], axis=1)]
-    return forms, IndexTable(tuple(g for g in gens if g != family.identity), letters,
-                             inverse_letter, right, conj, inverse, np.array(parent, dtype=np.intp),
-                             np.array(letter, dtype=np.intp), np.arange(len(forms)))
+
+    def table() -> IndexTable:
+        # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
+        right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
+        letter_of = {t: a for a, t in enumerate(letters)}
+        inverse_letter = np.array([letter_of[family.inv(t)] for t in letters], dtype=np.intp)
+        inverse = np.array([index[family.inv(x)] for x in forms], dtype=np.intp)
+        # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
+        back = right[inverse_letter]
+        conj = inverse[np.take_along_axis(back, inverse[back], axis=1)]
+        return IndexTable(generators, letters, inverse_letter, right, conj, inverse,
+                          np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp),
+                          np.arange(len(forms)))
+    return forms, index, table
 
 
 def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple[list, IndexTable]:
     """The closure (forms, table) of a deterministic generating set of `forms`:
     each form not yet generated is added, and the generators are closed again.
 
-    Each closure is a `_closure` under `budget`.  With `budget` = len(forms)
-    (no duplicates), a return means the last closure, the one returned, holds
-    every form and no more, so the forms are a subgroup; a set that is not
-    closed raises BudgetExceededError.  An element-list `Subgroup` renumbers
-    the returned table into the list's order, so the list is closed once,
-    when it is constructed.
+    Each closure is a `_closure` under `budget`, and only the last one builds
+    its table.  With `budget` = len(forms) (no duplicates), a return means the
+    last closure, the one returned, holds every form and no more, so the forms
+    are a subgroup; a set that is not closed raises BudgetExceededError.  An
+    element-list `Subgroup` renumbers the returned table into the list's
+    order, so the list is closed once, when it is constructed.
     """
-    closed, table = _closure(family, [], budget)
-    reached = {family.identity}
+    gens: list = []
+    closed, reached, table = _closure(family, gens, budget)
     for x in forms:
         if x not in reached:
-            closed, table = _closure(family, [*table.generators, x], budget)
-            reached = set(closed)
-    return closed, table
+            gens = [*gens, x]
+            closed, reached, table = _closure(family, gens, budget)
+    return closed, table()
 
 
 def _fair_stages(family: _Family, enum: list) -> Iterator:
@@ -1193,8 +1207,8 @@ def generate_closure(gens, budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
         raise ParameterError("need at least one generator (use the identity for the trivial subgroup)")
     handle = gens[0].group
     handle._check(*gens)
-    forms, table = _closure(handle._family, [g.form for g in gens], budget)
-    return Subgroup(handle, [GroupElement(handle, f) for f in forms], table)
+    forms, _, table = _closure(handle._family, [g.form for g in gens], budget)
+    return Subgroup(handle, [GroupElement(handle, f) for f in forms], table())
 
 
 def _require_finite_factor(factor: _Family, name: str):

@@ -193,18 +193,18 @@ def test_s3_table_values():
     assert [v.as_fraction() for v in deg2.values] == [2, 0, -1]
 
 
-def test_cyclic5_table_is_fourier_matrix():
-    t = _table({"family": "cyclic", "n": 5})
-    cd = t.class_data
-    reps = [c.representative.form for c in cd.classes]
-    value_sets = set()
+@pytest.mark.parametrize("n", [5, 12, 72])
+def test_cyclic_table_is_fourier_matrix(n):
+    # chi_a(g^b) = zeta_n^(ab) exactly, each a once: a row is fixed by its value at g
+    t = _table(spec_cyclic(n))
+    reps = [c.representative.form for c in t.class_data.classes]
+    roots = [Cyclo.root(n, s) for s in range(n)]
+    found = []
     for row in t.rows:
-        # each character is k -> zeta_5^(s k) for some s
-        for s in range(5):
-            if all(row.values[j] == Cyclo.root(5, s * reps[j]) for j in range(5)):
-                value_sets.add(s)
-                break
-    assert value_sets == {0, 1, 2, 3, 4}
+        a = next(a for a in range(n) if row.values[reps.index(1)] == roots[a])
+        assert all(v == roots[a * b % n] for v, b in zip(row.values, reps))
+        found.append(a)
+    assert sorted(found) == list(range(n))
 
 
 def test_known_degree_multisets():
@@ -430,6 +430,10 @@ PINNED_REPORTS = [
     ("C2^6", spec_product(*[spec_cyclic(2)] * 6),
      "0c6ea10ccb1e439d7171cf2488b31ac990729b08932c1597851ce7b7163e47ff",
      "14aa42abe57322644ba66cb8ab2ac77b0b5388cc22b335cbcc70e0d0b0110440"),
+    # 1000 classes, measured before linear rows were lifted by discrete log
+    ("C10^3", spec_product(*[spec_cyclic(10)] * 3),
+     "3b27d84fc2158cbf5727a8a837c8b53a01094819768ba524a0ce1ba7779df2f6",
+     "3ea72d6e370c5c99bb0f2b3163bb20b5d4a52432d4c0924165ecebb7a4c70c14"),
 ]
 
 
@@ -555,6 +559,25 @@ def test_a_dropped_central_block_raises(monkeypatch, spec):
     monkeypatch.setattr(characters, "_central_blocks", lambda cd, p: original(cd, p)[1:])
     with pytest.raises(ConsistencyError, match="central split lost dimensions"):
         _table(spec)
+
+
+def test_a_linear_value_off_the_roots_of_unity_raises(monkeypatch):
+    # one linear row of C12 scaled by c at a class and by 1/c at its inverse keeps
+    # the norm its degree is read from, but c, a generator of F_p^*, is no 12th
+    # root of unity mod p: the discrete log of the linear rows has to refuse it
+    original = characters._common_eigenvectors
+
+    def skewed(cd, p):
+        w = original(cd, p)
+        k = next(k for k, inv in enumerate(cd.inverse_class) if inv != k)
+        c = modp.primitive_root_mod(p)
+        w[-1] = w[-1].copy()
+        w[-1][k] = w[-1][k] * c % p
+        w[-1][cd.inverse_class[k]] = w[-1][cd.inverse_class[k]] * modp.inv_mod(c, p) % p
+        return w
+    monkeypatch.setattr(characters, "_common_eigenvectors", skewed)
+    with pytest.raises(ConsistencyError, match="not an m-th root of unity"):
+        _table(spec_cyclic(12))
 
 
 @pytest.mark.parametrize("spec", [

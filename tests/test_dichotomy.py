@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from corpus import SPEC_Q8SUM, SPEC_S3SUM, json_values, spec_symmetric
-from groupvna import dichotomy, groups
+from groupvna import cli, dichotomy, groups
 from groupvna.dichotomy import (
     AbelianEvidence,
     ClassifyOptions,
@@ -396,6 +397,50 @@ def test_power_test_refutes_a_declared_index():
     assert not report.passed
     assert any("type_i_witness: declared abelian subgroup cannot have index 2" in f
                for f in report.failures), report.failures
+
+
+def test_power_test_refutes_an_empty_generator_list(tmp_path):
+    # an empty list at index 5 declares the trivial subgroup of index 5 in F2:
+    # then x^j = e for some j <= 5, and no power of x is
+    spec = {"family": "free", "rank": 2,
+            "metadata": {"abelian_by_finite": {"generators": [], "index": 5}}}
+    cert = classify(spec)
+    assert cert.verdict == "inconclusive"
+    assert "no power g^j of g = x, 1 <= j <= 5, is the identity" in cert.diagnostics[-1]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.run(["classify", "--spec", str(path)]) == 3
+    doc = json.loads(cert.to_bytes())
+    doc["verdict"] = "type_I"
+    doc["type_i_witness"] = {"kind": "family_metadata", "abelian_subgroup_generators": [],
+                             "index": 5, "note": "declared in spec metadata"}
+    report = replay_certificate(doc)
+    assert not report.passed
+    assert any("type_i_witness: declared abelian subgroup cannot have index 5" in f
+               for f in report.failures), report.failures
+
+
+def test_an_empty_generator_list_at_index_1_needs_commuting_probes():
+    # it declares the group abelian: D_inf's probes t and s do not commute
+    handle = construct_group({"family": "dihedral_infinite"})
+    handle.metadata = replace(handle.metadata, abelian_by_finite=groups.AbelianByFiniteWitness(
+        (), 1, "group is abelian"))
+    witness, reason = dichotomy._type_i_witness(handle, 100)
+    assert witness is None
+    assert reason == "declared abelian group is not abelian: t^1 and s do not commute"
+
+
+@pytest.mark.parametrize("n,digest", [
+    (2, "aaf9787aabb179ac6b30e03e8173c34a6b006921871d00bebdfa43b600612bcb"),
+    (6, "bb95811fcd27f4a7456eb3eb82ec8dd4ff2309cf9f56dd62b1c6338a150da453"),
+])
+def test_abelian_restricted_sums_stay_type_i(n, digest):
+    # they declare the group abelian by an empty list at index 1; digests measured
+    # before an empty list at a larger index was read as the trivial subgroup
+    cert = classify({"family": "restricted_sum", "factor": {"family": "cyclic", "n": n}})
+    assert cert.verdict == "type_I"
+    assert hashlib.sha256(cert.to_bytes()).hexdigest() == digest
+    assert replay_certificate(json.loads(cert.to_bytes())).passed
 
 
 def test_classify_deterministic_bytes():

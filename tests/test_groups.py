@@ -265,6 +265,19 @@ def test_user_metadata_declares_hypotheses():
     assert declared.metadata.icc
 
 
+@pytest.mark.parametrize("factor,want", [
+    (spec_cyclic(3), None),
+    ({"family": "dihedral_infinite"}, None),
+    ({"family": "free", "rank": 1}, ((), 1)),
+], ids=["C3", "Dinf", "Z"])
+def test_product_with_an_abelian_restricted_sum(factor, want):
+    # the sum declares A = G with no generator list, so the product can list its
+    # A only when every factor is abelian, and then A is the whole product
+    rs = {"family": "restricted_sum", "factor": spec_cyclic(2)}
+    w = construct_group(spec_product(factor, rs)).metadata.abelian_by_finite
+    assert (w and (w.generator_forms, w.index)) == want
+
+
 def test_user_metadata_validation():
     with pytest.raises(SpecError, match="fc_center"):
         construct_group({"family": "free", "rank": 2,
