@@ -51,6 +51,7 @@ from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
 from .groups import GroupHandle, Subgroup, as_subgroup, order_text
+from .jsonutil import Fragment, canonical_dumps
 
 DEFAULT_MAX_ORDER = 5000
 SPLIT_ROUNDS = 8  # random combinations tried before the splitting gives up
@@ -195,9 +196,13 @@ class CharacterTable:
         return [row.degree for row in self.rows]
 
     def to_json(self) -> dict:
-        r = len(self.rows)
-        values = _evaluate(self.coords, self.class_data.exponent, 1)[self.index]
-        values = values.view(np.float64).reshape(r, r, 2).tolist()  # [re, im] per entry
+        """The report of the table.  Each distinct value's [re, im] text is
+        written once, by one `canonical_dumps` call over the distinct pairs,
+        and each row's values are those texts joined through `index`, as one
+        `Fragment` holding the bytes the row's list of pairs would encode to."""
+        pairs = _evaluate(self.coords, self.class_data.exponent, 1).view(np.float64)
+        text = canonical_dumps(pairs.reshape(-1, 2).tolist())  # [[re,im],[re,im],...]
+        cells = [f"[{cell}]" for cell in text[2:-2].split("],[")]
         return {
             "order": self.class_data.order,
             "class_sizes": list(self.class_data.sizes),
@@ -205,9 +210,9 @@ class CharacterTable:
                 {
                     "label": row.label,
                     "degree": row.degree,
-                    "values": values[i],
+                    "values": Fragment(f"[{','.join(map(cells.__getitem__, at))}]"),
                 }
-                for i, row in enumerate(self.rows)
+                for row, at in zip(self.rows, self.index.tolist())
             ],
         }
 
@@ -401,7 +406,10 @@ def character_table(cd: ClassData) -> CharacterTable:
         if n % d:
             raise ConsistencyError(f"character degree {d} does not divide the group order {n}")
 
-    zexp, powers, plan = _lift_plan(cd, p)
+    z = pow(modp.primitive_root_mod(p), (p - 1) // m, p)
+    zexp = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)  # z^t for t < m
+    # row s holds x^s mod Phi_m, the coordinates of zeta_m^s
+    powers = np.array(_reduction(m)[1][:m], dtype=np.int64)
     position: dict = {}  # coordinates -> row of coords; tables repeat few values many times
     # a linear character is a homomorphism to the m-th roots of unity: each of its
     # values mod p is z^s for one s < m, read off the sorted powers of z
@@ -418,6 +426,7 @@ def character_table(cd: ClassData) -> CharacterTable:
     built = [(1, key, at) for key, at in zip(keys[s].view(np.float64).tolist(), slot[s])]
 
     rest, rest_deg, phi = rows_mod_p[deg > 1], deg[deg > 1, None], powers.shape[1]
+    plan = _lift_plan(cd, p, zexp, powers) if len(rest) else []
     block = max(1, 2**16 // (r * m))  # rows lifted at once: a block's transforms hold <= 2^16 entries
     for start in range(0, len(rest), block):
         chi, degs = rest[start:start + block], rest_deg[start:start + block]
@@ -455,11 +464,10 @@ def character_table(cd: ClassData) -> CharacterTable:
     return table
 
 
-def _lift_plan(cd: ClassData, p: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """What the lift needs: z^t for t < m, z the primitive m-th root mod p
-    whose sorted powers are the discrete-log table of the linear rows; the rows
-    x^s mod Phi_m for s < m, the coordinates of zeta_m^s; and the plan of the
-    multiplicity lift of the rows of degree > 1, one entry per element order o.
+def _lift_plan(cd: ClassData, p: int, zexp: np.ndarray, powers: np.ndarray) -> list[tuple]:
+    """The plan of the multiplicity lift of the rows of degree > 1, one entry
+    per element order o, from zexp[t] = z^t mod p, z the primitive m-th root,
+    and powers[s] = x^s mod Phi_m, the coordinates of zeta_m^s.
 
     The multiplicity mu_s of zeta_m^s among the eigenvalues of rep_j is the mod-p
     transform (1/m) sum_t chi(rep_j^t) z^(-ts) over the power map.  On a class of
@@ -484,12 +492,8 @@ def _lift_plan(cd: ClassData, p: int) -> tuple[np.ndarray, np.ndarray, list[tupl
            for jk, (j, k) in source.items()):
         raise ConsistencyError("the power map is not constant on conjugacy classes")
 
-    z = pow(modp.primitive_root_mod(p), (p - 1) // m, p)
-    zexp = np.array([pow(z, t, p) for t in range(m)], dtype=np.int64)
     zneg = zexp[np.negative(np.outer(np.arange(m), np.arange(m))) % m]
-    # row s holds x^s mod Phi_m: sum_s mu_s zeta^s has coordinates mu @ powers
-    powers = np.array(_reduction(m)[1][:m], dtype=np.int64)
-    plan = []
+    plan = []  # sum_s mu_s zeta^s has coordinates mu @ powers
     for o in sorted({len(cycle) for cycle in cycles}):
         js = [j for j in range(r) if len(cycles[j]) == o]
         leaders = sorted({source[j][0] for j in js})
@@ -498,7 +502,7 @@ def _lift_plan(cd: ClassData, p: int) -> tuple[np.ndarray, np.ndarray, list[tupl
                      np.array([[leaders.index(source[j][0])] for j in js]),
                      np.outer([pow(source[j][1], -1, o) for j in js], np.arange(o)) % o,
                      powers[::m // o]))
-    return zexp, powers, plan
+    return plan
 
 
 @dataclass

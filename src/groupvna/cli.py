@@ -129,6 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render_value(v, indent: str, lines: list[str], key: str = ""):
     label = f"{key}: " if key else ""
+    if isinstance(v, jsonutil.Fragment):
+        v = json.loads(v.text)
     if isinstance(v, dict):
         if set(v.keys()) == {"num", "den"}:
             lines.append(f"{indent}{label}{v['num']}/{v['den']}")

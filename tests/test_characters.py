@@ -444,7 +444,10 @@ def test_character_engine_bytes_pinned(tmp_path, capsys, name, spec, chartab, sp
     path.write_text(json.dumps(spec))
     for command, digest in (("chartab", chartab), ("spectrum", spectrum)):
         assert cli.run([command, "--spec", str(path), "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        if command == "chartab":  # the spliced rows are the canonical bytes themselves
+            assert out == canonical_dumps(report) + "\n"
         del report["wall_time_ms"]
         assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == digest, command
 
@@ -548,6 +551,9 @@ def test_abelian_tables_need_no_class_combination(monkeypatch, spec):
                         lambda cd, c: calls.append("class_combination") or combination(cd, c))
     monkeypatch.setattr(modp, "charpoly_mod",
                         lambda a, p: calls.append("charpoly_mod") or charpoly(a, p))
+    plan = characters._lift_plan  # every row is linear: no multiplicity lift
+    monkeypatch.setattr(characters, "_lift_plan",
+                        lambda *args: calls.append("_lift_plan") or plan(*args))
     t = _table(spec)
     assert t.orthogonality.passed and len(t.rows) == t.class_data.order
     assert calls == []
@@ -559,6 +565,25 @@ def test_a_dropped_central_block_raises(monkeypatch, spec):
     monkeypatch.setattr(characters, "_central_blocks", lambda cd, p: original(cd, p)[1:])
     with pytest.raises(ConsistencyError, match="central split lost dimensions"):
         _table(spec)
+
+
+def test_a_power_map_off_its_classes_raises():
+    # the class of 4-cycles claims that its representative's cube is a 3-cycle,
+    # so the multiplicity lift would read the 3-cycles' values off the wrong powers
+    cd = class_data(construct_group(spec_symmetric(4)))
+    four = next(j for j, cycle in enumerate(cd.power_classes) if len(cycle) == 4)
+    three = next(j for j, cycle in enumerate(cd.power_classes) if len(cycle) == 3)
+    cd.power_classes[four][3] = three
+    with pytest.raises(ConsistencyError, match="power map"):
+        character_table(cd)
+
+
+def test_a_nan_value_is_refused_by_the_report():
+    t = _table(spec_symmetric(3))
+    t.coords = t.coords.astype(np.float64)
+    t.coords[t.index[-1, -1], 0] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_dumps(t.to_json())
 
 
 def test_a_linear_value_off_the_roots_of_unity_raises(monkeypatch):
