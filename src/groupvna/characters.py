@@ -198,8 +198,8 @@ class CharacterTable:
     def to_json(self) -> dict:
         """The report of the table.  Each distinct value's [re, im] text is
         written once, by one `canonical_dumps` call over the distinct pairs,
-        and each row's values are those texts joined through `index`, as one
-        `Fragment` holding the bytes the row's list of pairs would encode to."""
+        and each row's values are those texts taken through `index`, as one
+        list `Fragment` holding the bytes the row's list of pairs would encode to."""
         pairs = _evaluate(self.coords, self.class_data.exponent, 1).view(np.float64)
         text = canonical_dumps(pairs.reshape(-1, 2).tolist())  # [[re,im],[re,im],...]
         cells = [f"[{cell}]" for cell in text[2:-2].split("],[")]
@@ -210,7 +210,7 @@ class CharacterTable:
                 {
                     "label": row.label,
                     "degree": row.degree,
-                    "values": Fragment(f"[{','.join(map(cells.__getitem__, at))}]"),
+                    "values": Fragment.of_list(map(cells.__getitem__, at)),
                 }
                 for row, at in zip(self.rows, self.index.tolist())
             ],

@@ -127,9 +127,34 @@ def _build_parser() -> argparse.ArgumentParser:
 # rendering
 
 
+def _scalar_list(x) -> bool:
+    return type(x) is list and not any(isinstance(y, (dict, list)) for y in x)
+
+
+def _scalars(x: list) -> str:
+    return ', '.join(map(str, x)) if x else '[]'
+
+
+def _render_scalar_lists(items: tuple, indent: str, lines: list[str], key: str) -> bool:
+    """Render a list given by its element texts as one line per element, if every
+    element is a list of scalars (a character table's [re, im] values); each
+    distinct text is decoded and formatted once."""
+    distinct = list(dict.fromkeys(items))
+    decoded = json.loads(f"[{','.join(distinct)}]")
+    if not all(map(_scalar_list, decoded)):
+        return False
+    shown = dict(zip(distinct, map(_scalars, decoded)))
+    if key:
+        lines.append(f"{indent}{key}:")
+    lines.extend(f"{indent}  [{i}]: {shown[t]}" for i, t in enumerate(items))
+    return True
+
+
 def _render_value(v, indent: str, lines: list[str], key: str = ""):
     label = f"{key}: " if key else ""
     if isinstance(v, jsonutil.Fragment):
+        if v.items and _render_scalar_lists(v.items, indent, lines, key):
+            return
         v = json.loads(v.text)
     if isinstance(v, dict):
         if set(v.keys()) == {"num", "den"}:
@@ -148,11 +173,9 @@ def _render_value(v, indent: str, lines: list[str], key: str = ""):
             if key:
                 lines.append(f"{indent}{key}:")
             inner = indent + "  "
-            if all(type(x) is list for x in v) and not any(
-                    isinstance(y, (dict, list)) for x in v for y in x):
-                # a list of scalar lists (a character table's [re, im] values), one line each
-                lines.extend(f"{inner}[{i}]: {', '.join(map(str, x)) if x else '[]'}"
-                             for i, x in enumerate(v))
+            if all(map(_scalar_list, v)):
+                # a list of scalar lists, one line each
+                lines.extend(f"{inner}[{i}]: {_scalars(x)}" for i, x in enumerate(v))
                 return
             for i, x in enumerate(v):
                 _render_value(x, inner, lines, f"[{i}]")

@@ -20,9 +20,19 @@ def fraction_from_json(d: dict) -> Fraction:
 
 @dataclass(frozen=True)
 class Fragment:
-    """Canonical JSON text that `canonical_dumps` writes verbatim in place of an object."""
+    """Canonical JSON text that `canonical_dumps` writes verbatim in place of an object.
+
+    A list built by `of_list` also keeps `items`, the texts of its elements,
+    with text = "[" + ",".join(items) + "]": a reader can walk the elements
+    without parsing `text`."""
 
     text: str
+    items: tuple = ()
+
+    @classmethod
+    def of_list(cls, items) -> "Fragment":
+        items = tuple(items)
+        return cls(f"[{','.join(items)}]", items)
 
 
 def canonical_dumps(obj) -> str:

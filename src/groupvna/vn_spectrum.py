@@ -362,17 +362,22 @@ class RegularRep:
 @dataclass
 class MatrixUnitSystem:
     """Matrix units e_jk inside one block of the regular representation, held
-    in block coordinates: e_jk = V comp[j, k] V^dagger for the block's
-    orthonormal basis V.  `units` builds the full-space (size, size, N, N)
-    array on request.
+    in the block's eigenbasis V' of the compressed generic self-adjoint y:
+    e_jk = V' comp[j, k] V'^dagger.  In V' each minimal projection e_jj is the
+    coordinate projection onto the j-th run of `size` columns, so comp[j, k] is
+    non-zero only in its block (j, k), which holds core_j core_k^dagger.  `units`
+    builds the full-space (size, size, N, N) array on request.
 
-    Residuals are Frobenius norms computed on `comp`, which agree exactly
-    with the full-space Frobenius residuals because V is an isometry.
+    Residuals are Frobenius norms of the relations computed on the
+    size x size cores, and they equal the full-space residuals: V' is an
+    isometry, so |V' X V'^dagger| = |X| and V' X V'^dagger V' Y V'^dagger =
+    V' X Y V'^dagger, and the entries off the blocks are exact zeros, so each
+    relation lives in one block (and e_jk e_lm is exactly 0 for k != l).
     """
 
     size: int
-    basis: np.ndarray  # (N, size^2), orthonormal columns
-    comp: np.ndarray  # (size, size, size^2, size^2)
+    basis: np.ndarray  # (N, size^2), orthonormal columns V'
+    comp: np.ndarray  # (size, size, size^2, size^2), comp[j, k] zero off block (j, k)
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -389,8 +394,8 @@ class MatrixUnitSystem:
 @dataclass
 class NumericalBlock:
     """One block of the regular representation, held as an orthonormal basis
-    V of its range; `projection` builds the full-space central projection
-    V V^dagger on request."""
+    V of its range, the one its matrix units are held in; `projection` builds
+    the full-space central projection V V^dagger on request."""
 
     dimension: int
     multiplicity: int  # rank of the central projection = dimension^2
@@ -507,85 +512,96 @@ def _check_oracle_order(n: int):
 
 def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
                     dims: list[int], rng: np.random.Generator) -> list[NumericalBlock]:
-    """The blocks of one attempt.  A generic self-adjoint y and a generic a are
-    drawn once, and only when some block has d >= 2; each such block compresses
-    both.  The 1 x 1 unit e_11 = 1 of a d = 1 block is certified once."""
+    """The blocks of one attempt, in cluster order, built together for each
+    dimension d.  A generic self-adjoint y and a generic a are drawn once, and
+    only when some block has d >= 2; each such block compresses both.  The one
+    unit e_11 = 1 of a d = 1 block has the 1 x 1 identity core."""
     n = rep.dimension
     if max(dims) >= 2:
         y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
         a = rep._accumulate(rng.random(n) + 1j * rng.random(n))
-    one = np.ones((1, 1, 1, 1), dtype=complex)
-    one_residuals = _unit_residuals(one)
-    blocks = []
-    for sl, d in zip(clusters, dims):
-        v = eigvecs[:, sl]  # (n, d^2) orthonormal
+    blocks = [None] * len(dims)
+    for d in sorted(set(dims)):
+        at = [i for i, e in enumerate(dims) if e == d]
+        v = np.stack([eigvecs[:, clusters[i]] for i in at])  # (blocks, n, d^2) orthonormal
         if d == 1:
-            system = MatrixUnitSystem(1, v, one.copy(), dict(one_residuals))
+            systems = _unit_systems(v, np.ones((len(at), 1, 1, 1), dtype=complex))
         else:
-            system = _matrix_units_for_block(v, y, a, d)
-        blocks.append(NumericalBlock(
-            dimension=d,
-            multiplicity=d * d,
-            measure=Fraction(d * d, n),
-            basis=v,
-            units=system,
-        ))
+            systems = _matrix_units_for_blocks(v, y, a, d)
+        for i, system in zip(at, systems):
+            blocks[i] = NumericalBlock(dimension=d, multiplicity=d * d, measure=Fraction(d * d, n),
+                                       basis=system.basis, units=system)
     return blocks
 
 
-def _matrix_units_for_block(v: np.ndarray, y: np.ndarray, a: np.ndarray,
-                            d: int) -> MatrixUnitSystem:
-    """Extract a d x d system of matrix units inside the block with basis v.
+def _matrix_units_for_blocks(v: np.ndarray, y: np.ndarray, a: np.ndarray,
+                             d: int) -> list[MatrixUnitSystem]:
+    """Extract a d x d system of matrix units inside each dimension-d block,
+    v[b] the orthonormal basis of block b.
 
-    Compressed to the block, the generic self-adjoint y looks like y0 (x) I_d,
-    so its spectral projections are d minimal projections e_jj of the block
-    algebra; partial isometries e_j1 come from polar-normalizing E_j a E_1 for
-    the generic a (E_j a E_1 spans a line, so the normalization is a scalar).
-    A draw that is not generic on this block (a y spectrum without d clusters
+    Compressed to a block, the generic self-adjoint y looks like y0 (x) I_d:
+    its eigenvalues fall into d runs of d, and the eigenbasis u of the
+    compressed yc sorts them, so in the basis V' = v u each minimal projection
+    E_j of the block algebra is the coordinate projection onto the j-th run of
+    d columns.  Then E_j a E_1, for the generic a, is the (j, 1) block c_j of
+    V'^dagger a V', and its polar normalization is a scalar (E_j a E_1 spans a
+    line): core_j = c_j / s_j with s_j = |c_j| / sqrt(d), and core_1 = I_d.
+    A draw that is not generic on some block (a y spectrum without d clusters
     of size d, or a vanishing E_j a E_1) raises DegenerateSpectrumError, and
     `numerical_decomposition` reseeds the whole attempt.
     """
-    yc = v.conj().T @ y @ v
-    w, u = np.linalg.eigh((yc + yc.conj().T) / 2)
-    clusters = _cluster(w, ORACLE_GAP_TOLERANCE * max(1.0, float(np.abs(w).max())))
-    if len(clusters) != d or any(sl.stop - sl.start != d for sl in clusters):
+    yc = v.conj().swapaxes(-1, -2) @ y @ v
+    w, u = np.linalg.eigh((yc + yc.conj().swapaxes(-1, -2)) / 2)
+    # as `_cluster` splits: a gap above the tolerance after every d-th eigenvalue, and only there
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+    gaps = np.diff(w, axis=-1) > ORACLE_GAP_TOLERANCE * scale[:, None]
+    if not (gaps == (np.arange(1, d * d) % d == 0)).all():
         raise DegenerateSpectrumError(
             f"could not isolate {d} minimal projections in a dimension-{d} block")
-    minimal = [u[:, sl] @ u[:, sl].conj().T for sl in clusters]  # compressed E_j
-    ac = v.conj().T @ a @ v
-    isoms = [minimal[0]]
-    for j in range(1, d):
-        c = minimal[j] @ ac @ minimal[0]
-        s = float(np.sqrt(max(np.einsum("ij,ij->", c.conj(), c).real, 0.0) / d))
-        if s < 1e-10:
-            raise DegenerateSpectrumError(f"E_{j + 1} a E_1 vanishes in a dimension-{d} block")
-        isoms.append(c / s)
-    isoms = np.array(isoms)
-    comp = isoms[:, None] @ isoms.conj().swapaxes(-1, -2)[None]  # e_jk = e_j1 e_k1^dagger
-    return MatrixUnitSystem(d, v, comp, _unit_residuals(comp))
+    basis = v @ u
+    cores = (basis.conj().swapaxes(-1, -2) @ (a @ basis[..., :d])).reshape(-1, d, d, d)
+    s = np.sqrt(np.einsum("bjxy,bjxy->bj", cores.conj(), cores).real / d)
+    vanishing = np.argwhere(s[:, 1:] < 1e-10)
+    if len(vanishing):
+        raise DegenerateSpectrumError(
+            f"E_{vanishing[0, 1] + 2} a E_1 vanishes in a dimension-{d} block")
+    cores[:, 0] = np.eye(d)
+    cores[:, 1:] /= s[:, 1:, None, None]
+    return _unit_systems(basis, cores)
 
 
-def _unit_residuals(comp: np.ndarray) -> dict:
-    """Frobenius residuals of the matrix-unit relations, in compressed coordinates;
-    each step holds d^2 matrices, never all d^4 products at once."""
-    def fro(stack):  # the largest Frobenius norm in a stack of matrices
-        return float(np.linalg.norm(stack, axis=(-2, -1)).max())
+def _unit_systems(basis: np.ndarray, cores: np.ndarray) -> list[MatrixUnitSystem]:
+    """The matrix-unit systems of blocks of one dimension d, basis[b] the
+    eigenbasis V' of block b and cores[b, j] its core_j.
 
-    d = len(comp)
-    adj = comp.conj().swapaxes(-1, -2)  # adj[j, k] = comp[j, k]^dagger
-    diag = comp[np.arange(d), np.arange(d)]  # diag[j] = comp[j, j]
-    product = 0.0
+    e_jk = w[j, k] = core_j core_k^dagger, placed in block (j, k) of
+    comp[j, k], and the residuals are computed on the d x d w[j, k] alone (see
+    `MatrixUnitSystem`): since e_jk e_lm is exactly 0 for k != l, the product
+    relation reduces to w[j, k] w[k, m] = w[j, m], O(d^6) per block.
+    """
+    n_blocks, d = cores.shape[:2]
+    w = cores[:, :, None] @ cores.conj().swapaxes(-1, -2)[:, None]
+    comp = np.zeros((n_blocks, d, d, d * d, d * d), dtype=complex)
     for j in range(d):
         for k in range(d):
-            prod = comp[j, k] @ comp  # e_jk e_lm, which is e_jm when k == l, else 0
-            prod[k] -= comp[j]
-            product = max(product, fro(prod))
-    return {
-        "product": product,
-        "adjoint": fro(adj - comp.swapaxes(0, 1)),
-        "murray_von_neumann": max(fro(adj @ comp - diag[None]), fro(comp @ adj - diag[:, None])),
-        "sum_vs_projection": float(np.linalg.norm(diag.sum(axis=0) - np.eye(comp.shape[-1]))),
+            comp[:, j, k, j * d:(j + 1) * d, k * d:(k + 1) * d] = w[:, j, k]
+
+    def fro(stack):  # per block, the largest Frobenius norm in its stack of matrices
+        return np.linalg.norm(stack, axis=(-2, -1)).reshape(n_blocks, -1).max(axis=1)
+
+    adj = w.conj().swapaxes(-1, -2)  # adj[:, j, k] = w[:, j, k]^dagger, block (k, j) of e_jk^dagger
+    diag = w[:, np.arange(d), np.arange(d)]  # diag[:, j] = w[:, j, j], block (j, j) of e_jj
+    residuals = {
+        "product": fro(np.einsum("bjkxy,bkmyz->bjkmxz", w, w) - w[:, :, None]),
+        "adjoint": fro(adj - w.swapaxes(1, 2)),
+        "murray_von_neumann": np.maximum(fro(adj @ w - diag[:, None]),
+                                         fro(w @ adj - diag[:, :, None])),
+        # sum_j e_jj - I is block diagonal, with blocks w[j, j] - I_d
+        "sum_vs_projection": np.linalg.norm((diag - np.eye(d)).reshape(n_blocks, -1), axis=1),
     }
+    per_block = zip(*(r.tolist() for r in residuals.values()))
+    return [MatrixUnitSystem(d, basis[b], comp[b], dict(zip(residuals, values)))
+            for b, values in enumerate(per_block)]
 
 
 def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock]) -> float:
@@ -594,6 +610,8 @@ def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock]) -> float
     # iff M_t = W^dagger rho(t) W is block diagonal.  Residual: max(|W^dagger W - I|,
     # max_t |off-block M_t|) in Frobenius norm (inf unless W is square), at least
     # 1/sqrt(2) of any entry of [p_b, rho(t)] since |[p_b, rho(t)]| <= sqrt(2)|off M_t|.
+    # rho(t^-1) = rho(t)^dagger gives M_{t^-1} = M_t^dagger, and the off-block mask is
+    # symmetric, so one letter of each inverse pair is checked.
     n = rep.dimension
     w = np.concatenate([b.basis for b in blocks], axis=1)
     if w.shape[1] != n:
@@ -602,8 +620,10 @@ def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock]) -> float
     block_of = np.repeat(np.arange(len(blocks)), [b.basis.shape[1] for b in blocks])
     off = block_of[:, None] != block_of[None, :]
     residual = float(np.linalg.norm(wh @ w - np.eye(n)))
-    for row in rep.subgroup.table.right:  # rho(t_a) W = W[right[a]]
-        residual = max(residual, float(np.linalg.norm((wh @ w[row])[off])))
+    table = rep.subgroup.table
+    for a, row in enumerate(table.right):  # rho(t_a) W = W[right[a]]
+        if a <= table.inverse_letter[a]:
+            residual = max(residual, float(np.linalg.norm((wh @ w[row])[off])))
     return residual
 
 

@@ -20,7 +20,7 @@ from corpus import (
 )
 from groupvna import characters, cli, groups
 from groupvna.cli import run
-from groupvna.jsonutil import canonical_dumps
+from groupvna.jsonutil import Fragment, canonical_dumps
 
 
 @pytest.fixture()
@@ -486,16 +486,40 @@ def test_text_and_json_numeric_parity(specs, capsys):
     assert str(g["dim_threshold"]) in text
 
 
-def test_chartab_text_report_pinned(tmp_path, capsys):
+# sha256 of the `chartab` text report without its wall_time_ms line; D20 and
+# C72 measured while the text report still parsed each row back from its JSON
+@pytest.mark.parametrize("spec,digest", [
     # the text rendering of 14,400 [re, im] character values, byte for byte
-    path = tmp_path / "c10xc12.json"
-    path.write_text(json.dumps(spec_product({"family": "cyclic", "n": 10},
-                                            {"family": "cyclic", "n": 12})))
+    (spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12}),
+     "d67bcbd63c8f909f292f4af02b80bce01c09295b2729b8e1f04a485c4e5cc8a7"),
+    ({"family": "dihedral", "n": 20},
+     "e1503f633b588f6aa4148ef0eb3fce02d2b1d810ddd76afe959e1a1f4b8380ba"),
+    ({"family": "cyclic", "n": 72},  # float character values: exponent 72 > 64
+     "350906fc4944f840c2cbe2da969a30b828185ea61dca071aafb940dc81eea9b0"),
+], ids=["C10xC12", "D20", "C72"])
+def test_chartab_text_report_pinned(tmp_path, capsys, spec, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
     assert run(["chartab", "--spec", str(path)]) == 0
     lines = [line for line in capsys.readouterr().out.split("\n")
              if not line.startswith("wall_time_ms:")]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d67bcbd63c8f909f292f4af02b80bce01c09295b2729b8e1f04a485c4e5cc8a7"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", [
+    [[1.0, 0.0], [-0.5, 2.5], [1.0, 0.0]],
+    [[0.5], [], [0.5]],
+    [1, 2.5, None, 1],
+    [[1, [2]], [3]],
+    [{"num": 1, "den": 2}, [3.0, "x"]],
+], ids=["pairs", "ragged", "scalars", "nested", "mixed"])
+def test_a_list_fragment_renders_as_its_value(value):
+    # the text of each distinct element is decoded once; the lines must be
+    # those of the decoded list
+    got, want = [], []
+    cli._render_value(Fragment.of_list(canonical_dumps(x) for x in value), "  ", got, "values")
+    cli._render_value(value, "  ", want, "values")
+    assert got == want
 
 
 def test_cross_process_certificate_determinism(specs):

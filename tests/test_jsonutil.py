@@ -16,8 +16,10 @@ def test_fragments_in_dicts_and_lists_write_their_parsed_values():
     parts = {"a": [[1.0, -0.5], [0.0, 2.5]], "b": {"x": 1}, "c": "text", "d": []}
     doc = {"z": [Fragment(json.dumps(v, separators=(",", ":"))) for v in parts.values()],
            "y": {"k": Fragment(_stock(parts["b"])), "j": 3},
-           "x": [[Fragment("0.5")], Fragment("null")]}
-    want = {"z": list(parts.values()), "y": {"k": parts["b"], "j": 3}, "x": [[0.5], None]}
+           "x": [[Fragment("0.5")], Fragment("null")],
+           "w": Fragment.of_list(_stock(x) for x in parts["a"])}
+    want = {"z": list(parts.values()), "y": {"k": parts["b"], "j": 3}, "x": [[0.5], None],
+            "w": parts["a"]}
     assert canonical_dumps(doc) == _stock(want)
 
 

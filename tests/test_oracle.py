@@ -90,6 +90,72 @@ def test_oracle_matrix_unit_invariants(n):
         assert np.linalg.norm(total - block.projection) < 1e-8
 
 
+def _full_space_residuals(block):
+    # the four relations of `MatrixUnitSystem.residuals` on the (d, d, n, n) units
+    def fro(stack):
+        return float(np.linalg.norm(stack, axis=(-2, -1)).max())
+
+    units = block.units.units
+    d = len(units)
+    adj = units.conj().swapaxes(-1, -2)
+    diag = units[np.arange(d), np.arange(d)]
+    product = 0.0
+    for j in range(d):
+        for k in range(d):
+            prod = units[j, k] @ units  # e_jk e_lm, which is e_jm when k == l, else 0
+            prod[k] -= units[j]
+            product = max(product, fro(prod))
+    return {
+        "product": product,
+        "adjoint": fro(adj - units.swapaxes(0, 1)),
+        "murray_von_neumann": max(fro(adj @ units - diag[None]),
+                                  fro(units @ adj - diag[:, None])),
+        "sum_vs_projection": float(np.linalg.norm(diag.sum(axis=0) - block.projection)),
+    }
+
+
+def test_core_residuals_equal_the_full_space_relations():
+    # S5 has blocks of dimension 1, 4, 5 and 6
+    nd = numerical_decomposition(construct_group(spec_symmetric(5)), seed=0)
+    assert sorted({b.dimension for b in nd.blocks}) == [1, 4, 5, 6]
+    for block in nd.blocks:
+        stored, full = block.units.residuals, _full_space_residuals(block)
+        assert stored.keys() == full.keys()
+        for name in full:
+            assert abs(stored[name] - full[name]) <= 1e-12, (block.dimension, name)
+
+
+def _cores(system):
+    # core_j = e_j1, the (j, 1) block of comp[j, 0]
+    d = system.size
+    return np.array([system.comp[j, 0, j * d:(j + 1) * d, :d] for j in range(d)])
+
+
+@pytest.mark.parametrize("spec", [SPEC_Q8, spec_symmetric(4), spec_symmetric(5)],
+                         ids=["Q8", "S4", "S5"])
+def test_a_scaled_core_fails_certification(spec):
+    nd = numerical_decomposition(construct_group(spec), seed=0)
+    eps = 1e-3
+    for block in (b for b in nd.blocks if b.dimension >= 2):
+        system, d = block.units, block.dimension
+        cores = _cores(system)
+        [rebuilt] = vn_spectrum._unit_systems(system.basis[None], cores[None])
+        np.testing.assert_allclose(rebuilt.comp, system.comp, rtol=0, atol=1e-15)
+        for name, value in system.residuals.items():
+            assert abs(rebuilt.residuals[name] - value) <= 1e-15
+        assert rebuilt.certified()
+        for j in range(d):
+            scaled = cores.copy()
+            scaled[j] *= 1 + eps
+            [bad] = vn_spectrum._unit_systems(system.basis[None], scaled[None])
+            # e_ij e_ji = (1 + eps)^2 e_ii for i != j, and e_ji^dagger e_ji likewise;
+            # |e_ii| = sqrt(d)
+            floor = ((1 + eps) ** 2 - 1) * np.sqrt(d) * (1 - 1e-6)
+            assert bad.residuals["product"] >= floor, (d, j)
+            assert bad.residuals["murray_von_neumann"] >= floor, (d, j)
+            assert not bad.certified(), (d, j)
+
+
 def test_indexed_commutator_matches_dense_permutation_product():
     H = as_subgroup(construct_group(spec_symmetric(3)))
     rep = RegularRep(H)
