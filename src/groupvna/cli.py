@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -146,8 +147,15 @@ def _render_scalar_lists(items: tuple, indent: str, lines: list[str], key: str) 
     shown = dict(zip(distinct, map(_scalars, decoded)))
     if key:
         lines.append(f"{indent}{key}:")
-    lines.extend(f"{indent}  [{i}]: {shown[t]}" for i, t in enumerate(items))
+    prefixes = _item_prefixes(indent, len(items))
+    lines.extend(map(operator.add, prefixes, map(shown.__getitem__, items)))
     return True
+
+
+@functools.lru_cache(maxsize=8)
+def _item_prefixes(indent: str, n: int) -> tuple[str, ...]:
+    """The "[i]: " line prefixes of an n-element list, shared by every row of a table."""
+    return tuple(f"{indent}  [{i}]: " for i in range(n))
 
 
 def _render_value(v, indent: str, lines: list[str], key: str = ""):

@@ -66,9 +66,9 @@ def conjugacy_class(g: GroupElement, budget: int = DEFAULT_CLASS_BUDGET) -> Conj
     if budget < 1:
         raise ParameterError("class budget must be >= 1")
     fam = handle._family
-    pairs = [(t, fam.inv(t)) for t in fam.alphabet_block(fam.conjugating_forms(g.form))]
+    maps = [fam.conj_map(t) for t in fam.alphabet_block(fam.conjugating_forms(g.form))]
     try:
-        forms = _bfs([g.form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]), budget)
+        forms = _bfs([g.form], maps, budget)
     except BudgetExceededError as e:
         return ConjugacyClass(g, None, budget, partial_count=e.partial_count)
     return ConjugacyClass(g, tuple(GroupElement(handle, f) for f in forms), budget)

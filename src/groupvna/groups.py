@@ -17,6 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from numbers import Integral
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -120,6 +121,18 @@ class _Family:
     def inv(self, a):
         raise NotImplementedError
 
+    # The letter hooks compile a letter t into a map on canonical forms, so a
+    # search makes one call per edge; an override must agree with mul and inv.
+    def right_map(self, t) -> Callable:
+        """The map u -> u t on canonical forms."""
+        mul = self.mul
+        return lambda u: mul(u, t)
+
+    def conj_map(self, t) -> Callable:
+        """The map u -> t u t^-1 on canonical forms."""
+        mul, t_inv = self.mul, self.inv(t)
+        return lambda u: mul(mul(t, u), t_inv)
+
     def commutes(self, a, b) -> bool:
         """Whether a b = b a, for canonical forms a and b."""
         return self.mul(a, b) == self.mul(b, a)
@@ -211,7 +224,11 @@ class _Symmetric(_Family):
         self.metadata = _finite_metadata(order)
 
     def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.n))
+        return tuple(map(a.__getitem__, b))
+
+    def right_map(self, t):
+        # (u t)[i] = u[t[i]]; one index would give an int, not a 1-tuple
+        return itemgetter(*t) if self.n > 1 else super().right_map(t)
 
     def inv(self, a):
         out = [0] * self.n
@@ -335,6 +352,16 @@ class _DihedralInfinite(_Family):
     def inv(self, a):
         x, s = a
         return (-x, 0) if s == 0 else a
+
+    def right_map(self, t):
+        y, t_s = t
+        return lambda u: (u[0] - y if u[1] else u[0] + y, u[1] ^ t_s)
+
+    def conj_map(self, t):
+        y, t_s = t
+        if t_s:  # (y, 1) u (y, 1)
+            return lambda u: (2 * y - u[0], 1) if u[1] else (-u[0], 0)
+        return lambda u: (u[0] + 2 * y, 1) if u[1] else u  # t^y u t^-y
 
     def generator_forms(self):
         return [(1, 0), (0, 1)]
@@ -540,6 +567,27 @@ class _Product(_Family):
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
+    def _moved(self, t) -> Optional[int]:
+        """The one coordinate where t is not the identity, if there is exactly one."""
+        moved = [i for i, (f, x) in enumerate(zip(self.factors, t)) if x != f.identity]
+        return moved[0] if len(moved) == 1 else None
+
+    def _at(self, i: int, f: Callable) -> Callable:
+        """The map that applies f to coordinate i and keeps the others."""
+        return lambda u: u[:i] + (f(u[i]),) + u[i + 1:]
+
+    def right_map(self, t):
+        i = self._moved(t)
+        if i is None:
+            return super().right_map(t)
+        return self._at(i, self.factors[i].right_map(t[i]))
+
+    def conj_map(self, t):
+        i = self._moved(t)
+        if i is None:
+            return super().conj_map(t)
+        return self._at(i, self.factors[i].conj_map(t[i]))
+
     def generator_forms(self):
         gens = []
         for i, f in enumerate(self.factors):
@@ -624,6 +672,37 @@ class _RestrictedSum(_Family):
 
     def inv(self, a):
         return tuple((coord, self.factor.inv(x)) for coord, x in a)
+
+    def right_map(self, t):
+        if len(t) != 1:
+            return super().right_map(t)
+        ((coord, g),) = t
+        key, entry = (coord,), t[0]  # (c,) sorts just before every (c, x)
+        f, identity = self.factor.right_map(g), self.factor.identity
+
+        def right(u):
+            j = bisect_left(u, key)
+            if j < len(u) and u[j][0] == coord:
+                z = f(u[j][1])
+                if z == identity:
+                    return u[:j] + u[j + 1:]
+                return u[:j] + ((coord, z),) + u[j + 1:]
+            return u[:j] + (entry,) + u[j:]
+        return right
+
+    def conj_map(self, t):
+        if len(t) != 1:
+            return super().conj_map(t)
+        ((coord, g),) = t
+        key, f = (coord,), self.factor.conj_map(g)
+
+        def conj(u):
+            # only coordinate `coord` moves, and a conjugate of a non-identity is not one
+            j = bisect_left(u, key)
+            if j < len(u) and u[j][0] == coord:
+                return u[:j] + ((coord, f(u[j][1])),) + u[j + 1:]
+            return u
+        return conj
 
     def generator_forms(self):
         # representative finite set: the coordinate-0 block
@@ -765,8 +844,7 @@ def _product_metadata(factors: list[_Family], order: Optional[int]) -> FamilyMet
 
 
 def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
-    if factor.order is None:
-        return FamilyMetadata(fc_center_note=None, fc_all=None)
+    # a factor whose generators commute is abelian, finite or not, and so is the sum
     gens = factor.generator_forms()
     if factor.noncommuting_pair(gens, gens) is None:
         return FamilyMetadata(
@@ -775,6 +853,8 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
             fc_member=lambda form: True,
             abelian_by_finite=AbelianByFiniteWitness((), 1, "group is abelian"),
         )
+    if factor.order is None:
+        return FamilyMetadata(fc_center_note=None, fc_all=None)
     return FamilyMetadata(
         fc_center_note="all of G (every class is finite)",
         fc_all=True,
@@ -785,39 +865,53 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
 
 # ---------------------------------------------------------------------------
 # breadth-first search on canonical forms
+#
+# A search steps along maps, one call per edge: a family's letter hooks
+# (`right_map`, `conj_map`) or a table row's `__getitem__`.  Each map must be
+# pure and return canonical forms (or indices), since equal results are
+# deduplicated by hashing.
 
 
-def _expand(frontier: Iterable, alphabet: list, step: Callable, seen: set,
-            budget: Optional[int] = None) -> Iterator:
-    """One BFS layer, lazily: each unseen form step(u, a), u over the frontier, a over the alphabet.
+def _expand(frontier: Iterable, maps: list, seen: set) -> Iterator:
+    """One BFS layer, lazily: each unseen form f(u), u over the frontier, f over `maps`.
 
-    A form is added to `seen` as it is yielded.  Raises BudgetExceededError
-    with the partial count instead of letting `seen` grow past `budget`.
+    Each map is pure and returns canonical forms.  A form is added to `seen`
+    as it is yielded.
     """
     for u in frontier:
-        for a in alphabet:
-            w = step(u, a)
+        for f in maps:
+            w = f(u)
+            if w not in seen:
+                seen.add(w)
+                yield w
+
+
+def _bfs(seeds: list, maps: list, budget: Optional[int] = None) -> list:
+    """Every form reachable from `seeds` by repeated application of `maps`,
+    each map pure and returning canonical forms.
+
+    One FIFO pass over the growing output: each form meets every map in
+    order, and what it finds is appended.  Layer k+1 is found only from
+    layer k, and the queue reaches layer k+1 only after all of layer k, so
+    every form of layer k+1 is appended after the last of layer k: the
+    insertion order is the seeds, then each BFS layer in turn.  Raises
+    BudgetExceededError with the partial count instead of letting the forms
+    grow past `budget`.
+    """
+    out = list(seeds)
+    seen = set(out)
+    add, append = seen.add, out.append
+    for u in out:  # a list iterator also visits what is appended behind it
+        for f in maps:
+            w = f(u)
             if w not in seen:
                 if budget is not None and len(seen) >= budget:
                     raise BudgetExceededError(
                         f"subgroup closure exceeded budget {budget}",
                         budget=budget, partial_count=len(seen),
                     )
-                seen.add(w)
-                yield w
-
-
-def _bfs(seeds: list, alphabet: list, step: Callable, budget: Optional[int] = None) -> list:
-    """Every form reachable from `seeds` by repeated `step(form, letter)`.
-
-    Insertion order is the seeds, then each BFS layer in turn (see `_expand`).
-    """
-    out = list(seeds)
-    seen = set(out)
-    frontier = out
-    while frontier:
-        frontier = list(_expand(frontier, alphabet, step, seen, budget))
-        out.extend(frontier)
+                add(w)
+                append(w)
     return out
 
 
@@ -828,28 +922,31 @@ def _closure(family: _Family, gens: list,
     and a function that builds its index table from the search's records.
 
     The search runs on indices, numbering each form the first time it meets
-    it and recording where it met it, so each product is computed once and
-    parent[y] < y; the right rows and the search tree of the table are those
-    records, and only the table's inverse and conj rows cost more products.
-    Raises BudgetExceededError past `budget` forms.
+    it and recording where it met it, so each product is computed once (one
+    call of the letter's `right_map`) and parent[y] < y; the right rows and
+    the search tree of the table are those records, and only the table's
+    inverse and conj rows cost more products.  Raises BudgetExceededError
+    past `budget` forms.
     """
     generators = tuple(g for g in gens if g != family.identity)
     letters = family.alphabet_block(gens)
     forms, index, flat, parent, letter = [family.identity], {family.identity: 0}, [], [0], [0]
-    mul, record = family.mul, flat.append
+    record = flat.append
 
-    def step(x, a):
-        w = mul(forms[x], letters[a])
-        y = index.get(w)
-        if y is None:
-            y = index[w] = len(forms)
-            forms.append(w)
-            parent.append(x)
-            letter.append(a)
-        record(y)
-        return y
+    def recording(a: int, right: Callable) -> Callable:
+        def step(x):
+            w = right(forms[x])
+            y = index.get(w)
+            if y is None:
+                y = index[w] = len(forms)
+                forms.append(w)
+                parent.append(x)
+                letter.append(a)
+            record(y)
+            return y
+        return step
 
-    _bfs([0], range(len(letters)), step, budget)
+    _bfs([0], [recording(a, family.right_map(t)) for a, t in enumerate(letters)], budget)
 
     def table() -> IndexTable:
         # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
@@ -900,12 +997,12 @@ def _fair_stages(family: _Family, enum: list) -> Iterator:
     start = 0
     while True:
         block = next(blocks, None)  # None once the blocks have run out
-        letters = block or []
-        window += letters
+        maps = [family.right_map(t) for t in block or []]
+        window += maps
         snapshot = len(enum)
-        old = islice(enum, start) if letters else ()  # nothing new to meet otherwise
-        for part, alphabet in ((old, letters), (enum[start:snapshot], window)):
-            for w in _expand(part, alphabet, family.mul, seen):
+        old = islice(enum, start) if maps else ()  # nothing new to meet otherwise
+        for part, part_maps in ((old, maps), (enum[start:snapshot], window)):
+            for w in _expand(part, part_maps, seen):
                 enum.append(w)
                 yield w
         if block is None and len(enum) == snapshot:
@@ -1095,10 +1192,11 @@ class IndexTable:
     def conj_orbits(self) -> list[list[int]]:
         """The conjugacy classes as index lists, each seeded at the first index
         no earlier class holds and listed in `_bfs` order over the rows of conj."""
-        conj, orbits, seen = self.conj.tolist(), [], set()
+        maps = [row.__getitem__ for row in self.conj.tolist()]
+        orbits, seen = [], set()
         for i in range(len(self.inverse)):
             if i not in seen:
-                orbits.append(_bfs([i], range(len(conj)), lambda x, a: conj[a][x]))
+                orbits.append(_bfs([i], maps))
                 seen.update(orbits[-1])
         return orbits
 

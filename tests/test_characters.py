@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -49,9 +50,10 @@ def _class_of(cd, form):
 
 
 def _conjugacy_orbit(fam, form, letters):
-    """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first."""
-    pairs = [(t, fam.inv(t)) for t in letters]
-    return _bfs([form], pairs, lambda u, t: fam.mul(fam.mul(t[0], u), t[1]))
+    """Forms t u t^-1 reachable from `form` with t over `letters`, breadth first,
+    each conjugation computed by the group law."""
+    maps = [lambda u, t=t, t_inv=fam.inv(t): fam.mul(fam.mul(t, u), t_inv) for t in letters]
+    return _bfs([form], maps)
 
 
 @pytest.mark.parametrize("name", INDEX_TABLE_SUBGROUPS)
@@ -122,13 +124,13 @@ def test_the_table_tree_is_searched_once(monkeypatch, spec):
     # class_data's power walk, _central_blocks and class_combination all read
     searches = []
 
-    def recording(seeds, alphabet, step, budget=None):
-        searches.append(step.__qualname__.split(".<locals>")[0])
-        return _bfs(seeds, alphabet, step, budget)
+    def recording(seeds, maps, budget=None):
+        searches.append(sys._getframe(1).f_code.co_name)  # the caller
+        return _bfs(seeds, maps, budget)
     monkeypatch.setattr(groups, "_bfs", recording)
     cd = class_data(construct_group(spec))
     character_table(cd)
-    assert searches == ["_closure"] + ["IndexTable.conj_orbits"] * len(cd.classes)
+    assert searches == ["_closure"] + ["conj_orbits"] * len(cd.classes)
 
 
 def test_class_data_allocates_no_structure_constant_tensor():

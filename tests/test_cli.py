@@ -79,6 +79,22 @@ def test_classify_inconclusive_exit_code(specs):
     assert run(["classify", "--spec", specs["free2"]]) == 3
 
 
+def test_the_sum_of_copies_of_z_is_certified_abelian(tmp_path, capsys):
+    # Z's one generator commutes with itself, so the sum is abelian: type I at index 1
+    path = tmp_path / "zsum.json"
+    path.write_text(json.dumps({"family": "restricted_sum",
+                                "factor": {"family": "free", "rank": 1}}))
+    code, report = _run_json(capsys, ["classify", "--spec", str(path)])
+    assert code == 0
+    cert = report["results"]["certificate"]
+    assert cert["verdict"] == "type_I"
+    assert cert["type_i_witness"] == {"kind": "family_metadata", "index": 1,
+                                      "note": "group is abelian",
+                                      "abelian_subgroup_generators": []}
+    assert report["results"]["replay"]["passed"]
+    assert run(["growth", "--spec", str(path)]) == 2  # still no tower of an infinite factor
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--max-levels", "0", "max_levels"),
     ("--max-levels", "-1", "max_levels"),

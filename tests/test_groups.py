@@ -1,6 +1,7 @@
 """Group families: canonical forms, the group law, closures, fair enumeration."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -553,6 +554,100 @@ def test_the_whole_group_closure_lists_the_fair_enumeration(spec):
     assert [e.form for e in H.elements] == [e.form for e in construct_group(spec).all_elements()]
 
 
+Z = {"family": "free", "rank": 1}
+LETTER_MAP_SPECS = [
+    spec_symmetric(4), spec_cyclic(6), spec_dihedral(5), DINF, SPEC_Q8,
+    {"family": "heisenberg", "p": 3}, _shuffled_s3_table(), {"family": "free", "rank": 2},
+    spec_product(DINF, spec_cyclic(2), spec_symmetric(3)),
+    spec_product(SPEC_S3SUM, Z),
+    SPEC_S3SUM,
+    {"family": "restricted_sum", "factor": DINF},
+    {"family": "restricted_sum", "factor": spec_product(SPEC_Q8, spec_cyclic(2))},
+    spec_product({"family": "restricted_sum", "factor": SPEC_Q8}, DINF),
+]
+LETTER_MAP_FAMILIES = [construct_group(spec)._family for spec in LETTER_MAP_SPECS]
+
+
+def _assert_letter_maps_agree(fam, t, u):
+    assert fam.right_map(t)(u) == fam.mul(u, t)
+    assert fam.conj_map(t)(u) == fam.mul(fam.mul(t, u), fam.inv(t))
+
+
+@pytest.mark.parametrize("fam", LETTER_MAP_FAMILIES,
+                         ids=[_spec_label(s) for s in LETTER_MAP_SPECS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_letter_maps_agree_with_the_group_law(fam, data):
+    # the stream's first blocks, the conjugating letters of u, and whole
+    # words as letters (several coordinates at once: the fallback)
+    pool = [t for block in islice(fam.alphabet_blocks(), 4) for t in block]
+
+    def word():
+        u = fam.identity
+        for t in data.draw(st.lists(st.sampled_from(pool), max_size=8)):
+            u = fam.mul(u, t)
+        return u
+    u = word()
+    for t in fam.alphabet_block(fam.conjugating_forms(u)) + pool + [word(), fam.identity]:
+        _assert_letter_maps_agree(fam, t, u)
+
+
+def test_letter_maps_at_their_edges():
+    swap, cycle = (1, 0, 2), (1, 2, 0)
+    s3sum = construct_group(SPEC_S3SUM)._family
+    u = ((0, swap), (2, cycle))
+    # a restricted-sum letter at a coordinate u has no entry at
+    assert s3sum.right_map(((1, swap),))(u) == ((0, swap), (1, swap), (2, cycle))
+    assert s3sum.conj_map(((1, swap),))(u) is u
+    # a product that cancels to the factor identity drops the entry
+    assert s3sum.right_map(((0, swap),))(u) == ((2, cycle),)
+    assert s3sum.right_map(((2, s3sum.factor.inv(cycle)),))(u) == ((0, swap),)
+    dinf_c2 = construct_group(spec_product(DINF, spec_cyclic(2)))._family
+    for fam, t, v in [
+        (s3sum, ((1, swap),), u),
+        (s3sum, ((0, swap),), u),
+        (s3sum, ((0, cycle), (2, swap)), u),  # several coordinates: the fallback
+        (s3sum, (), u),
+        (dinf_c2, ((1, 0), 1), ((3, 1), 0)),  # a letter that moves both coordinates
+        (dinf_c2, ((2, 1), 0), ((3, 1), 1)),
+        (dinf_c2, ((0, 0), 0), ((3, 1), 1)),
+    ]:
+        _assert_letter_maps_agree(fam, t, v)
+
+
+@pytest.mark.parametrize("factor,abelian", [
+    (Z, True),
+    (spec_product(Z, spec_cyclic(3)), True),
+    (DINF, False),
+    ({"family": "free", "rank": 2}, False),
+], ids=["Z", "ZxC3", "Dinf", "F2"])
+def test_a_sum_of_an_infinite_factor_is_abelian_when_its_generators_commute(factor, abelian):
+    from groupvna.groups import AbelianByFiniteWitness
+    handle = construct_group({"family": "restricted_sum", "factor": factor})
+    m = handle.metadata
+    if abelian:
+        assert m.fc_all and all(m.fc_member(g.form) for g in handle.generators)
+        assert m.abelian_by_finite == AbelianByFiniteWitness((), 1, "group is abelian")
+    else:
+        assert (m.fc_all, m.abelian_by_finite, m.not_abelian_by_finite) == (None, None, False)
+
+
+def _count_products(fam) -> list:
+    """A list that grows by one per application of a right map `fam` compiles
+    from now on."""
+    calls, right_map = [], fam.right_map
+
+    def counting(t):
+        right = right_map(t)
+
+        def apply(u):
+            calls.append(None)
+            return right(u)
+        return apply
+    fam.right_map = counting
+    return calls
+
+
 @pytest.mark.parametrize("spec", [
     spec_product(spec_dihedral(6), SPEC_Q8, spec_symmetric(3)),
     spec_product(spec_symmetric(5), spec_cyclic(2)),
@@ -560,15 +655,10 @@ def test_the_whole_group_closure_lists_the_fair_enumeration(spec):
     spec_product(spec_cyclic(10), spec_cyclic(12)),
 ], ids=["D6xQ8xS3", "S5xC2", "Heis7", "C10xC12"])
 def test_class_data_computes_each_product_once(spec):
+    # each product x t is one application of the letter's right map
     from groupvna.characters import class_data
     handle = construct_group(spec)
-    fam, calls = handle._family, []
-    mul = fam.mul
-
-    def counting(a, b):
-        calls.append(None)
-        return mul(a, b)
-    fam.mul = counting
+    calls = _count_products(handle._family)
     cd = class_data(handle)
     assert len(calls) == cd.order * len(cd.subgroup.table.letters)
 
@@ -578,15 +668,10 @@ def test_an_element_list_is_closed_once_when_it_is_constructed():
     handle = construct_group(spec_symmetric(5))
     elements = handle.all_elements()
     random.Random(5).shuffle(elements)
-    fam, calls = handle._family, []
-    mul = fam.mul
-
-    def counting(a, b):
-        calls.append(None)
-        return mul(a, b)
-    fam.mul = counting
+    calls = _count_products(handle._family)
     H = as_subgroup(elements)
     built = len(calls)
+    assert built > 0
     table = H.table
     assert len(calls) == built  # the table comes from the closure that checked the list
     assert sorted(table.order) == list(range(120)) and H.table is table
