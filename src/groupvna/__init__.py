@@ -51,7 +51,7 @@ from .vn_spectrum import (
     AlgebraElement,
     FactorSpectrum,
     GrowthResult,
-    MatrixUnitSystem,
+    NumericalBlock,
     RegularRep,
     central_projection,
     factor_spectrum,

@@ -15,6 +15,7 @@ import operator
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable
 
 from . import jsonutil
 from .characters import character_table, class_data
@@ -145,11 +146,16 @@ def _render_scalar_lists(items: tuple, indent: str, lines: list[str], key: str) 
     if not all(map(_scalar_list, decoded)):
         return False
     shown = dict(zip(distinct, map(_scalars, decoded)))
+    _render_items(map(shown.__getitem__, items), len(items), indent, lines, key)
+    return True
+
+
+def _render_items(texts: Iterable[str], n: int, indent: str, lines: list[str], key: str):
+    """A list of n elements given by their one-line texts: its key line, then
+    one "[i]: text" line per element."""
     if key:
         lines.append(f"{indent}{key}:")
-    prefixes = _item_prefixes(indent, len(items))
-    lines.extend(map(operator.add, prefixes, map(shown.__getitem__, items)))
-    return True
+    lines.extend(map(operator.add, _item_prefixes(indent, n), texts))
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,16 +183,13 @@ def _render_value(v, indent: str, lines: list[str], key: str = ""):
             lines.append(f"{indent}{label}[]")
         elif all(not isinstance(x, (dict, list)) for x in v):
             lines.append(f"{indent}{label}{', '.join(map(str, v))}")
+        elif all(map(_scalar_list, v)):
+            _render_items(map(_scalars, v), len(v), indent, lines, key)
         else:
             if key:
                 lines.append(f"{indent}{key}:")
-            inner = indent + "  "
-            if all(map(_scalar_list, v)):
-                # a list of scalar lists, one line each
-                lines.extend(f"{inner}[{i}]: {_scalars(x)}" for i, x in enumerate(v))
-                return
             for i, x in enumerate(v):
-                _render_value(x, inner, lines, f"[{i}]")
+                _render_value(x, indent + "  ", lines, f"[{i}]")
     else:
         lines.append(f"{indent}{label}{v}")
 

@@ -258,7 +258,7 @@ def factor_spectrum(subject, max_order: int = DEFAULT_MAX_ORDER) -> FactorSpectr
     product: its spectrum is the `_fold` of its distinct factors' spectra, each
     from that factor's own validated table (or fold, for a nested product).
     Its order is refused above max_order all the same, before any factor is
-    built.
+    built: the spectrum lists one atom per irreducible, up to |G| of them.
     """
     check_handle_order(subject, max_order)
     if isinstance(subject, GroupHandle) and subject.is_finite and subject.family == "product":
@@ -360,52 +360,51 @@ class RegularRep:
 
 
 @dataclass
-class MatrixUnitSystem:
-    """Matrix units e_jk inside one block of the regular representation, held
-    in the block's eigenbasis V' of the compressed generic self-adjoint y:
-    e_jk = V' comp[j, k] V'^dagger.  In V' each minimal projection e_jj is the
-    coordinate projection onto the j-th run of `size` columns, so comp[j, k] is
-    non-zero only in its block (j, k), which holds core_j core_k^dagger.  `units`
-    builds the full-space (size, size, N, N) array on request.
+class NumericalBlock:
+    """One block of the regular representation, held as the oracle computed
+    it: the eigenbasis V' of its range and the d x d cores of its matrix units.
 
-    Residuals are Frobenius norms of the relations computed on the
-    size x size cores, and they equal the full-space residuals: V' is an
+    In V' each minimal projection e_jj is the coordinate projection onto the
+    j-th run V'_j of d columns, and e_jk = V'_j core_j core_k^dagger V'_k^dagger
+    with core_1 = I_d.  `units` builds the full-space (d, d, N, N) array and
+    `projection` the central projection V' V'^dagger on request.
+
+    Residuals are Frobenius norms of the relations computed on the cores (see
+    `_core_residuals`), and they equal the full-space residuals: V' is an
     isometry, so |V' X V'^dagger| = |X| and V' X V'^dagger V' Y V'^dagger =
-    V' X Y V'^dagger, and the entries off the blocks are exact zeros, so each
-    relation lives in one block (and e_jk e_lm is exactly 0 for k != l).
+    V' X Y V'^dagger, and in V' each e_jk is zero outside its block (j, k), so
+    each relation lives in one block (and e_jk e_lm is exactly 0 for k != l).
     """
 
-    size: int
-    basis: np.ndarray  # (N, size^2), orthonormal columns V'
-    comp: np.ndarray  # (size, size, size^2, size^2), comp[j, k] zero off block (j, k)
-    residuals: dict = field(default_factory=dict)
+    dimension: int
+    basis: np.ndarray  # (N, d^2), orthonormal columns V'
+    cores: np.ndarray  # (d, d, d), cores[j] = core_j and cores[0] = I_d
+    residuals: dict
+
+    @property
+    def multiplicity(self) -> int:  # rank of the central projection
+        return self.dimension**2
+
+    @property
+    def measure(self) -> Fraction:
+        return Fraction(self.multiplicity, len(self.basis))
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
     @property
     def units(self) -> np.ndarray:
-        return self.basis @ self.comp @ self.basis.conj().T
+        d = self.dimension
+        runs = self.basis.reshape(-1, d, d).swapaxes(0, 1)  # runs[j] = V'_j, (d, N, d)
+        left = runs @ self.cores  # left[j] = V'_j core_j
+        return left[:, None] @ left.conj().swapaxes(-1, -2)[None]
 
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
 
     def certified(self, tolerance: float = 1e-6) -> bool:
         return self.max_residual() <= tolerance
-
-
-@dataclass
-class NumericalBlock:
-    """One block of the regular representation, held as an orthonormal basis
-    V of its range, the one its matrix units are held in; `projection` builds
-    the full-space central projection V V^dagger on request."""
-
-    dimension: int
-    multiplicity: int  # rank of the central projection = dimension^2
-    measure: Fraction
-    basis: np.ndarray  # (N, multiplicity), orthonormal columns
-    units: MatrixUnitSystem
-
-    @property
-    def projection(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 @dataclass
@@ -421,19 +420,15 @@ class NumericalDecomposition:
         return sorted((b.dimension, b.measure) for b in self.blocks)
 
     def max_unit_residual(self) -> float:
-        return max((b.units.max_residual() for b in self.blocks), default=0.0)
+        return max((b.max_residual() for b in self.blocks), default=0.0)
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[slice]:
-    """Split sorted eigenvalues into runs separated by more than `gap`."""
-    slices = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            slices.append(slice(start, i))
-            start = i
-    slices.append(slice(start, len(values)))
-    return slices
+def _gaps(values: np.ndarray) -> np.ndarray:
+    """Where sorted eigenvalues split, along the last axis: gaps[..., i] is
+    whether values[..., i + 1] - values[..., i] exceeds ORACLE_GAP_TOLERANCE
+    times max(1, spectral radius)."""
+    scale = np.maximum(1.0, np.abs(values).max(axis=-1, keepdims=True))
+    return np.diff(values, axis=-1) > ORACLE_GAP_TOLERANCE * scale
 
 
 def _random_selfadjoint(rep: RegularRep, coeffs: np.ndarray) -> np.ndarray:
@@ -475,18 +470,17 @@ def numerical_decomposition(subject, seed: int = 0) -> NumericalDecomposition:
         alpha = rng.random(r) + 1j * rng.random(r)
         z = _random_selfadjoint(rep, alpha[label])
         eigvals, eigvecs = np.linalg.eigh(z)
-        scale = max(1.0, float(np.abs(eigvals).max()))
-        clusters = _cluster(eigvals, ORACLE_GAP_TOLERANCE * scale)
+        clusters = np.split(eigvecs, np.flatnonzero(_gaps(eigvals)) + 1, axis=1)
         if len(clusters) != r:
             last_error = f"{len(clusters)} eigenvalue clusters for a center of dimension {r}"
             continue
-        sizes = [sl.stop - sl.start for sl in clusters]
+        sizes = [c.shape[1] for c in clusters]
         dims = [isqrt(m) for m in sizes]
         if any(d * d != m for d, m in zip(dims, sizes)):
             last_error = f"cluster sizes {sizes} are not perfect squares"
             continue
         try:
-            blocks = _extract_blocks(rep, eigvecs, clusters, dims, rng)
+            blocks = _extract_blocks(rep, clusters, dims, rng)
         except DegenerateSpectrumError as e:
             last_error = str(e)
             continue
@@ -510,12 +504,13 @@ def _check_oracle_order(n: int):
             f"numerical oracle is limited to order <= {ORACLE_MAX_ORDER}, got {order_text(n)}")
 
 
-def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
-                    dims: list[int], rng: np.random.Generator) -> list[NumericalBlock]:
+def _extract_blocks(rep: RegularRep, clusters: list[np.ndarray], dims: list[int],
+                    rng: np.random.Generator) -> list[NumericalBlock]:
     """The blocks of one attempt, in cluster order, built together for each
-    dimension d.  A generic self-adjoint y and a generic a are drawn once, and
-    only when some block has d >= 2; each such block compresses both.  The one
-    unit e_11 = 1 of a d = 1 block has the 1 x 1 identity core."""
+    dimension d; clusters[i] is the orthonormal eigenbasis of block i.  A
+    generic self-adjoint y and a generic a are drawn once, and only when some
+    block has d >= 2; each such block compresses both.  The one unit e_11 = 1
+    of a d = 1 block has the 1 x 1 identity core."""
     n = rep.dimension
     if max(dims) >= 2:
         y = _random_selfadjoint(rep, rng.random(n) + 1j * rng.random(n))
@@ -523,21 +518,20 @@ def _extract_blocks(rep: RegularRep, eigvecs: np.ndarray, clusters: list[slice],
     blocks = [None] * len(dims)
     for d in sorted(set(dims)):
         at = [i for i, e in enumerate(dims) if e == d]
-        v = np.stack([eigvecs[:, clusters[i]] for i in at])  # (blocks, n, d^2) orthonormal
+        v = np.stack([clusters[i] for i in at])  # (blocks, n, d^2) orthonormal
         if d == 1:
-            systems = _unit_systems(v, np.ones((len(at), 1, 1, 1), dtype=complex))
+            basis, cores = v, np.ones((len(at), 1, 1, 1), dtype=complex)
         else:
-            systems = _matrix_units_for_blocks(v, y, a, d)
-        for i, system in zip(at, systems):
-            blocks[i] = NumericalBlock(dimension=d, multiplicity=d * d, measure=Fraction(d * d, n),
-                                       basis=system.basis, units=system)
+            basis, cores = _matrix_units_for_blocks(v, y, a, d)
+        for i, b, c, residuals in zip(at, basis, cores, _core_residuals(cores)):
+            blocks[i] = NumericalBlock(d, b, c, residuals)
     return blocks
 
 
 def _matrix_units_for_blocks(v: np.ndarray, y: np.ndarray, a: np.ndarray,
-                             d: int) -> list[MatrixUnitSystem]:
-    """Extract a d x d system of matrix units inside each dimension-d block,
-    v[b] the orthonormal basis of block b.
+                             d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, cores) of a d x d system of matrix units inside each
+    dimension-d block, v[b] the orthonormal basis of block b.
 
     Compressed to a block, the generic self-adjoint y looks like y0 (x) I_d:
     its eigenvalues fall into d runs of d, and the eigenbasis u of the
@@ -552,10 +546,8 @@ def _matrix_units_for_blocks(v: np.ndarray, y: np.ndarray, a: np.ndarray,
     """
     yc = v.conj().swapaxes(-1, -2) @ y @ v
     w, u = np.linalg.eigh((yc + yc.conj().swapaxes(-1, -2)) / 2)
-    # as `_cluster` splits: a gap above the tolerance after every d-th eigenvalue, and only there
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-    gaps = np.diff(w, axis=-1) > ORACLE_GAP_TOLERANCE * scale[:, None]
-    if not (gaps == (np.arange(1, d * d) % d == 0)).all():
+    # d clusters of d: a gap after every d-th eigenvalue, and only there
+    if not (_gaps(w) == (np.arange(1, d * d) % d == 0)).all():
         raise DegenerateSpectrumError(
             f"could not isolate {d} minimal projections in a dimension-{d} block")
     basis = v @ u
@@ -567,24 +559,20 @@ def _matrix_units_for_blocks(v: np.ndarray, y: np.ndarray, a: np.ndarray,
             f"E_{vanishing[0, 1] + 2} a E_1 vanishes in a dimension-{d} block")
     cores[:, 0] = np.eye(d)
     cores[:, 1:] /= s[:, 1:, None, None]
-    return _unit_systems(basis, cores)
+    return basis, cores
 
 
-def _unit_systems(basis: np.ndarray, cores: np.ndarray) -> list[MatrixUnitSystem]:
-    """The matrix-unit systems of blocks of one dimension d, basis[b] the
-    eigenbasis V' of block b and cores[b, j] its core_j.
+def _core_residuals(cores: np.ndarray) -> list[dict]:
+    """The matrix-unit residuals of each block of one dimension d, cores[b, j]
+    the core_j of block b.
 
-    e_jk = w[j, k] = core_j core_k^dagger, placed in block (j, k) of
-    comp[j, k], and the residuals are computed on the d x d w[j, k] alone (see
-    `MatrixUnitSystem`): since e_jk e_lm is exactly 0 for k != l, the product
-    relation reduces to w[j, k] w[k, m] = w[j, m], O(d^6) per block.
+    e_jk is w[j, k] = core_j core_k^dagger in its block (j, k), and the
+    residuals are computed on the d x d w[j, k] alone (see `NumericalBlock`):
+    since e_jk e_lm is exactly 0 for k != l, the product relation reduces to
+    w[j, k] w[k, m] = w[j, m], O(d^6) per block.
     """
     n_blocks, d = cores.shape[:2]
     w = cores[:, :, None] @ cores.conj().swapaxes(-1, -2)[:, None]
-    comp = np.zeros((n_blocks, d, d, d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            comp[:, j, k, j * d:(j + 1) * d, k * d:(k + 1) * d] = w[:, j, k]
 
     def fro(stack):  # per block, the largest Frobenius norm in its stack of matrices
         return np.linalg.norm(stack, axis=(-2, -1)).reshape(n_blocks, -1).max(axis=1)
@@ -600,8 +588,7 @@ def _unit_systems(basis: np.ndarray, cores: np.ndarray) -> list[MatrixUnitSystem
         "sum_vs_projection": np.linalg.norm((diag - np.eye(d)).reshape(n_blocks, -1), axis=1),
     }
     per_block = zip(*(r.tolist() for r in residuals.values()))
-    return [MatrixUnitSystem(d, basis[b], comp[b], dict(zip(residuals, values)))
-            for b, values in enumerate(per_block)]
+    return [dict(zip(residuals, values)) for values in per_block]
 
 
 def _projection_residual(rep: RegularRep, blocks: list[NumericalBlock]) -> float:
@@ -807,13 +794,14 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
 
     For pairwise-commuting finite levels the product H_1...H_{n-1} has centre
     Z_{n-1} = Z(H_1)...Z(H_{n-1}) and meets H_n in D_n = Z_{n-1} & Z(H_n), so
-    |H_1...H_n| = |H_1...H_{n-1}| |H_n| / |D_n| is known, and refused by
-    `closure_budget` (BudgetExceededError) before `max_order`
-    (RequiresFiniteError), without enumerating the product.  When D_n is
-    trivial the product is direct, and `_fold`, the direct-product fold that
-    `factor_spectrum` also uses, folds the level into the spectrum.
-    Otherwise the prefix closure, already known to be within the limits, is
-    decomposed.
+    |H_1...H_n| = |H_1...H_{n-1}| |H_n| / |D_n| is known without enumerating
+    the product.  When D_n is trivial the product is direct, and `_fold`, the
+    direct-product fold that `factor_spectrum` also uses, folds the level into
+    the spectrum: nothing larger than a level is built, and each level is
+    refused above `max_order` by its own `factor_spectrum`.  Otherwise the
+    prefix closure is enumerated and decomposed, so its computed order is
+    refused first by `closure_budget` (BudgetExceededError), then by
+    `max_order` (RequiresFiniteError).
     A level whose index table has the same right-multiplication rows as an
     earlier one generates the same permutation group of indices, so it is
     isomorphic to that level and reuses its spectrum.
@@ -854,12 +842,6 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
             centre = {fam.identity}
         meet = centre.intersection(level_centre)
         order = order * H.order // len(meet)
-        too_big = f"the closure of {n} levels has {order} elements, more than"
-        if order > closure_budget:
-            raise BudgetExceededError(f"{too_big} closure_budget = {closure_budget}",
-                                      budget=closure_budget, partial_count=0)
-        if order > max_order:
-            raise RequiresFiniteError(f"{too_big} max_order = {max_order}")
         if len(meet) == 1:
             right = H.table.right
             key = (right.shape, right.tobytes())
@@ -867,6 +849,12 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
                 level_spectra[key] = factor_spectrum(H, max_order).measure_by_dimension()
             spectrum = _fold(spectrum, level_spectra[key])
         else:
+            too_big = f"the closure of {n} levels has {order} elements, more than"
+            if order > closure_budget:
+                raise BudgetExceededError(f"{too_big} closure_budget = {closure_budget}",
+                                          budget=closure_budget, partial_count=0)
+            if order > max_order:
+                raise RequiresFiniteError(f"{too_big} max_order = {max_order}")
             closure = generate_closure([g for lv in subs[:n] for g in lv.generators],
                                        closure_budget)
             if closure.order != order:

@@ -214,8 +214,8 @@ def test_growth_builds_levels_only_up_to_the_witness(specs, capsys, monkeypatch)
 
 
 def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monkeypatch):
-    # Q8^5 has 32768 elements: its order is computed from the levels and
-    # refused by max_order without closing anything larger than one level
+    # Q8^5 has 32768 elements: the levels meet trivially, so their spectra are
+    # folded without closing anything larger than one level
     orders = []
     original = groups.generate_closure
 
@@ -224,12 +224,12 @@ def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monke
         orders.append(closure.order)
         return closure
     monkeypatch.setattr(groups, "generate_closure", recording)
-    assert run(["growth", "--spec", specs["q8sum"], "--k", "3", "--levels", "5"]) == 2
-    assert "32768 elements, more than max_order = 5000" in capsys.readouterr().err
+    assert run(["growth", "--spec", specs["q8sum"], "--k", "3", "--levels", "5"]) == 3
+    assert "order: 32768" in capsys.readouterr().out
     assert orders and max(orders) <= 16
-    # above the closure budget it is a verification failure, as before
-    assert run(["growth", "--spec", specs["s3sum"], "--k", "2", "--budget", "50"]) == 1
-    assert "216 elements, more than closure_budget = 50" in capsys.readouterr().err
+    # a level above the closure budget is a verification failure, as before
+    assert run(["growth", "--spec", specs["s3sum"], "--k", "2", "--budget", "5"]) == 1
+    assert "subgroup closure exceeded budget 5" in capsys.readouterr().err
     assert max(orders) <= 16
 
 

@@ -635,9 +635,9 @@ def test_replay_of_a_randomly_forged_field_never_raises(field, value):
 
 
 @pytest.mark.parametrize("limits,failed", [
-    ({"max_order": 100, "closure_budget": 100}, "growth_closure_within_limits"),
-    ({"max_order": 100}, "growth_closure_within_limits"),
-    ({"closure_budget": 100}, "growth_closure_within_limits"),
+    ({"max_order": 5, "closure_budget": 5}, "growth_closure_within_limits"),
+    ({"max_order": 5}, "growth_closure_within_limits"),
+    ({"closure_budget": 5}, "growth_closure_within_limits"),
     ({"max_order": 0}, "options_valid"),
     ({"closure_budget": "216"}, "options_valid"),
     ({"max_order": True}, "options_valid"),
@@ -652,12 +652,23 @@ def test_replay_of_a_randomly_forged_field_never_raises(field, value):
     ({"extra": 1}, "certificate_matches"),
 ])
 def test_replay_honours_certificate_size_limits(limits, failed):
-    # the witness needs the 216-element closure of three levels
+    # the witness needs three 6-element level closures
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
     doc["options"].update(limits)
     report = replay_certificate(doc)
     assert not report.passed
     assert (failed, False) in report.checks
+
+
+def test_a_max_order_below_the_folded_order_replays():
+    # the 216-element product of three levels is folded, never built, so
+    # max_order binds only the 6-element levels, and classify emits the same
+    # bytes under max_order = 100
+    doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2)).to_bytes())
+    doc["options"]["max_order"] = 100
+    assert replay_certificate(doc).passed
+    cert = classify(SPEC_S3SUM, ClassifyOptions(k=2, max_order=100))
+    assert json.loads(cert.to_bytes()) == doc
 
 
 def _record_closure_budgets(monkeypatch) -> list:
@@ -673,12 +684,30 @@ def _record_closure_budgets(monkeypatch) -> list:
 def test_classify_never_closes_past_max_order(monkeypatch):
     budgets = _record_closure_budgets(monkeypatch)
     cert = classify(SPEC_S3SUM, ClassifyOptions(k=3, max_order=300))
-    assert cert.verdict == "inconclusive"
-    assert any("max_order = 300" in d for d in cert.diagnostics)
+    assert cert.verdict == "not_type_I" and cert.growth.levels_required == 5
+    assert cert.growth.history[-1][1] == 6 ** 5
     assert budgets and max(budgets) <= 300
     doc = json.loads(classify(SPEC_S3SUM, ClassifyOptions(k=2, max_order=300)).to_bytes())
     assert replay_certificate(doc).passed
     assert max(budgets) <= 300
+
+
+@pytest.mark.parametrize("spec,k,levels,measure", [
+    (SPEC_S3SUM, 3, 5, Fraction(112, 243)),
+    (SPEC_Q8SUM, 3, 7, Fraction(1, 2)),
+    ({"family": "restricted_sum", "factor": {"family": "heisenberg", "p": 3}}, 2, 3,
+     Fraction(20, 27)),
+    ({"family": "restricted_sum", "factor": {"family": "heisenberg", "p": 3}}, 3, 4,
+     Fraction(16, 27)),
+], ids=["s3sum-k3", "q8sum-k3", "heis3sum-k2", "heis3sum-k3"])
+def test_towers_of_trivially_meeting_levels_certify_past_max_order(spec, k, levels, measure):
+    # each product order is far above the default max_order = 5000 (Q8^7 has
+    # 2^21 elements), yet only the levels are built
+    cert = classify(spec, ClassifyOptions(k=k))
+    assert cert.verdict == "not_type_I"
+    assert (cert.growth.levels_required, cert.growth.achieved_measure) == (levels, measure)
+    assert cert.growth.history[-1][1] > ClassifyOptions().max_order
+    assert replay_certificate(json.loads(cert.to_bytes())).passed
 
 
 def test_replay_closes_only_the_witness_levels(monkeypatch):

@@ -74,28 +74,28 @@ def test_oracle_matrix_unit_invariants(n):
     handle = construct_group(spec_symmetric(n))
     nd = numerical_decomposition(handle, seed=0)
     for block in nd.blocks:
-        units = block.units
-        assert units.certified(1e-6)
-        d = units.size
+        assert block.certified(1e-6)
+        units, d = block.units, block.dimension
         n = nd.subgroup_order
+        assert units.shape == (d, d, n, n)
         # spot-check the relations on the full-size matrices as well
         for j in range(d):
             for k in range(d):
-                u = units.units[j, k]
-                assert np.linalg.norm(u.conj().T - units.units[k, j]) < 1e-8
+                u = units[j, k]
+                assert np.linalg.norm(u.conj().T - units[k, j]) < 1e-8
                 for l in range(d):
-                    expect = units.units[j, 0] if k == l else np.zeros((n, n))
-                    assert np.linalg.norm(u @ units.units[l, 0] - expect) < 1e-8
-        total = sum(units.units[j, j] for j in range(d))
+                    expect = units[j, 0] if k == l else np.zeros((n, n))
+                    assert np.linalg.norm(u @ units[l, 0] - expect) < 1e-8
+        total = sum(units[j, j] for j in range(d))
         assert np.linalg.norm(total - block.projection) < 1e-8
 
 
 def _full_space_residuals(block):
-    # the four relations of `MatrixUnitSystem.residuals` on the (d, d, n, n) units
+    # the four relations of `NumericalBlock.residuals` on the (d, d, n, n) units
     def fro(stack):
         return float(np.linalg.norm(stack, axis=(-2, -1)).max())
 
-    units = block.units.units
+    units = block.units
     d = len(units)
     adj = units.conj().swapaxes(-1, -2)
     diag = units[np.arange(d), np.arange(d)]
@@ -119,16 +119,10 @@ def test_core_residuals_equal_the_full_space_relations():
     nd = numerical_decomposition(construct_group(spec_symmetric(5)), seed=0)
     assert sorted({b.dimension for b in nd.blocks}) == [1, 4, 5, 6]
     for block in nd.blocks:
-        stored, full = block.units.residuals, _full_space_residuals(block)
+        stored, full = block.residuals, _full_space_residuals(block)
         assert stored.keys() == full.keys()
         for name in full:
             assert abs(stored[name] - full[name]) <= 1e-12, (block.dimension, name)
-
-
-def _cores(system):
-    # core_j = e_j1, the (j, 1) block of comp[j, 0]
-    d = system.size
-    return np.array([system.comp[j, 0, j * d:(j + 1) * d, :d] for j in range(d)])
 
 
 @pytest.mark.parametrize("spec", [SPEC_Q8, spec_symmetric(4), spec_symmetric(5)],
@@ -137,23 +131,60 @@ def test_a_scaled_core_fails_certification(spec):
     nd = numerical_decomposition(construct_group(spec), seed=0)
     eps = 1e-3
     for block in (b for b in nd.blocks if b.dimension >= 2):
-        system, d = block.units, block.dimension
-        cores = _cores(system)
-        [rebuilt] = vn_spectrum._unit_systems(system.basis[None], cores[None])
-        np.testing.assert_allclose(rebuilt.comp, system.comp, rtol=0, atol=1e-15)
-        for name, value in system.residuals.items():
-            assert abs(rebuilt.residuals[name] - value) <= 1e-15
-        assert rebuilt.certified()
+        d = block.dimension
+        assert [block.residuals] == vn_spectrum._core_residuals(block.cores[None])
+        assert block.certified()
         for j in range(d):
-            scaled = cores.copy()
+            scaled = block.cores.copy()
             scaled[j] *= 1 + eps
-            [bad] = vn_spectrum._unit_systems(system.basis[None], scaled[None])
+            [residuals] = vn_spectrum._core_residuals(scaled[None])
+            bad = dataclasses.replace(block, cores=scaled, residuals=residuals)
             # e_ij e_ji = (1 + eps)^2 e_ii for i != j, and e_ji^dagger e_ji likewise;
             # |e_ii| = sqrt(d)
             floor = ((1 + eps) ** 2 - 1) * np.sqrt(d) * (1 - 1e-6)
             assert bad.residuals["product"] >= floor, (d, j)
             assert bad.residuals["murray_von_neumann"] >= floor, (d, j)
             assert not bad.certified(), (d, j)
+            assert _full_space_residuals(bad)["product"] >= floor, (d, j)
+
+
+def _cluster(values, gap):
+    # the loop that split the centre's sorted eigenvalues before `_gaps`
+    slices = []
+    start = 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > gap:
+            slices.append(slice(start, i))
+            start = i
+    slices.append(slice(start, len(values)))
+    return slices
+
+
+def _near_gaps(radius):
+    # sorted values whose steps are just above, just below and exactly at the
+    # tolerance, each between steps far above it
+    gap = vn_spectrum.ORACLE_GAP_TOLERANCE * max(1.0, radius)
+    values = np.array([-radius, -2e-6, -2e-6 + gap * (1 + 1e-9), -1e-6, -1e-6 + gap * (1 - 1e-9),
+                       0.0, gap, 1e-6])
+    steps = np.diff(values)
+    assert (steps > gap).tolist() == [True, True, True, False, True, False, True]
+    assert steps[5] == gap and steps[3] < gap
+    return values, gap
+
+
+@pytest.mark.parametrize("radius", [0.5, 3.0])
+def test_gaps_split_as_the_cluster_loop(radius):
+    values, gap = _near_gaps(radius)
+    parts = np.split(values, np.flatnonzero(vn_spectrum._gaps(values)) + 1)
+    want = [values[sl] for sl in _cluster(values, gap)]
+    assert [p.tolist() for p in parts] == [w.tolist() for w in want]
+    assert [len(p) for p in parts] == [1, 1, 1, 2, 2, 1]
+
+
+def test_gaps_scale_each_row_by_its_own_radius():
+    rows = np.stack([_near_gaps(0.5)[0], _near_gaps(3.0)[0]])
+    got = vn_spectrum._gaps(rows)
+    assert got.tolist() == [vn_spectrum._gaps(row).tolist() for row in rows]
 
 
 def test_indexed_commutator_matches_dense_permutation_product():
@@ -219,7 +250,7 @@ def test_projection_residual_sees_a_noncentral_projection():
     nd = numerical_decomposition(H, seed=0)
     rep = RegularRep(H)
     block = next(b for b in nd.blocks if b.dimension == 2)
-    e = block.units.units[0, 0]  # a minimal projection: idempotent, not central
+    e = block.units[0, 0]  # a minimal projection: idempotent, not central
     w, u = np.linalg.eigh(e)
     blocks = [dataclasses.replace(block, basis=u[:, w > 0.5]),
               dataclasses.replace(block, basis=u[:, w < 0.5])]  # the ranges of e and I - e
@@ -304,18 +335,17 @@ def test_accumulate_matches_the_sum_of_permutation_matrices(spec):
 
 
 def test_oracle_blocks_hold_no_full_space_arrays():
-    # each block keeps its n x d^2 basis and d^4 compressed units: n^2 + sum d^4
-    # <= 2 n^2 entries in all, where one n x n array per block would be 120 n^2
+    # each block keeps its n x d^2 basis and d^3 cores: n^2 + sum d^3 <= 2 n^2
+    # entries in all, where one n x n array per block would be 120 n^2
     nd = numerical_decomposition(construct_group(
         spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12})))
     n = nd.subgroup_order
     arrays = {}
     for block in nd.blocks:
-        for owner in (block, block.units):
-            for f in dataclasses.fields(owner):
-                value = getattr(owner, f.name)
-                if isinstance(value, np.ndarray):
-                    arrays[id(value)] = value
+        for f in dataclasses.fields(block):
+            value = getattr(block, f.name)
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value
     assert len(nd.blocks) == n
     assert sum(a.nbytes for a in arrays.values()) <= 2 * n * n * 16
 
@@ -334,7 +364,7 @@ def test_oracle_refuses_a_large_handle_before_enumerating_it(spec, monkeypatch):
 def test_oracle_murray_von_neumann_residual():
     nd = numerical_decomposition(construct_group(SPEC_Q8), seed=0)
     for block in nd.blocks:
-        assert block.units.residuals["murray_von_neumann"] <= 1e-6
+        assert block.residuals["murray_von_neumann"] <= 1e-6
 
 
 def test_oracle_result_is_seed_independent():
@@ -351,7 +381,7 @@ def test_oracle_deterministic_given_seed():
     assert a.dim_measure_multiset() == b.dim_measure_multiset()
     for ba, bb in zip(a.blocks, b.blocks):
         assert np.array_equal(ba.projection, bb.projection)
-        assert np.array_equal(ba.units.units, bb.units.units)
+        assert np.array_equal(ba.units, bb.units)
 
 
 def test_oracle_rank_data_gives_dimensions():
@@ -428,4 +458,4 @@ def test_an_abelian_group_draws_only_the_central_element(monkeypatch):
     nd = numerical_decomposition(construct_group(
         spec_product({"family": "cyclic", "n": 10}, {"family": "cyclic", "n": 12})))
     assert nd.attempts == 1 and len(calls) == 1
-    assert len({id(block.units.comp) for block in nd.blocks}) == len(nd.blocks)
+    assert len({id(block.cores) for block in nd.blocks}) == len(nd.blocks)

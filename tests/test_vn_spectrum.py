@@ -501,6 +501,12 @@ def test_tower_fold_matches_enumeration_on_product_factors():
 
 
 def test_tower_fold_over_levels_that_share_a_central_involution():
+    tower = _shared_involution_tower()
+    assert [H.order for H in tower] == [8, 16, 16]
+    assert _assert_fold_matches_enumeration(tower) == [8, 64, 512]
+
+
+def _shared_involution_tower():
     # level i >= 1 is <z_0 z_i, Q8_i> = Q8_i x <z_0>, order 16, with z_i the
     # central involution of coordinate i; each meets the earlier product in
     # {e, z_0}, so the orders are 8 * 16^(n-1) / 2^(n-1), not 8 * 16^(n-1)
@@ -509,21 +515,25 @@ def test_tower_fold_over_levels_that_share_a_central_involution():
     for i in (1, 2):
         z0_zi = handle.element(((0, (0, 1)), (i, (0, 1))))
         tower.append(generate_closure([z0_zi, *coordinate_subgroup(handle, i).generators]))
-    assert [H.order for H in tower] == [8, 16, 16]
-    assert _assert_fold_matches_enumeration(tower) == [8, 64, 512]
+    return tower
 
 
 def test_tower_fold_refuses_by_the_computed_order():
+    # levels that meet trivially are folded, and no limit binds their product
     handle = construct_group(SPEC_Q8SUM)
     tower = [coordinate_subgroup(handle, i) for i in range(5)]
-    spectra = tower_spectra(tower, closure_budget=10**6, max_order=5000)
-    assert [order for _, order, _ in itertools.islice(spectra, 4)] == [8, 64, 512, 4096]
-    with pytest.raises(RequiresFiniteError, match="32768 elements, more than max_order = 5000"):
-        next(spectra)
-    # a prefix above both limits is refused by the closure budget
+    spectra = tower_spectra(tower, closure_budget=60, max_order=50)
+    assert [order for _, order, _ in spectra] == [8 ** n for n in range(1, 6)]
+    # levels that share a centre are closed, so the computed order is refused
+    # before that closure, by the closure budget first
+    tower = _shared_involution_tower()
     with pytest.raises(BudgetExceededError,
                        match="2 levels has 64 elements, more than closure_budget = 60"):
         list(tower_spectra(tower, closure_budget=60, max_order=50))
+    spectra = tower_spectra(tower, closure_budget=10**6, max_order=500)
+    assert [order for _, order, _ in itertools.islice(spectra, 2)] == [8, 64]
+    with pytest.raises(RequiresFiniteError, match="512 elements, more than max_order = 500"):
+        next(spectra)
 
 
 # ---------------------------------------------------------------------------
