@@ -35,6 +35,12 @@ power map, one per Galois orbit of classes).  The row orthogonality relation is
 checked exactly, at the Galois conjugates of zeta_m, before any table is
 returned; the character table is square, so the row relation implies the
 column relation.
+
+The whole of a finite direct product skips the engine: its irreducibles are
+the products of its factors' (Serre 3.2), so its table is the Kronecker
+product of its distinct factors' tables, each found by the engine (or, for a
+nested product, the same way) and validated, multiplied exactly in Z[zeta_m]
+and sorted like the engine's rows.  The product table is validated again.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from . import modp
 from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError, RequiresFiniteError
 from .fc_center import ConjugacyClass
-from .groups import GroupHandle, Subgroup, as_subgroup, order_text
+from .groups import GroupHandle, Subgroup, as_subgroup, order_text, per_distinct_factor
 from .jsonutil import Fragment, canonical_dumps
 
 DEFAULT_MAX_ORDER = 5000
@@ -186,7 +192,7 @@ class CharacterTable:
 
     class_data: ClassData
     rows: list[CharacterRow]
-    dixon_prime: int
+    dixon_prime: Optional[int]  # None for a product's Kronecker table
     index: np.ndarray
     coords: np.ndarray
     orthogonality: Optional["OrthogonalityReport"] = None  # set once validated
@@ -372,11 +378,81 @@ def _common_eigenvectors(cd: ClassData, p: int) -> list[np.ndarray]:
 def character_table(cd: ClassData) -> CharacterTable:
     """All irreducible characters of the subgroup behind `cd`.
 
+    The whole of a finite `product` handle gets the Kronecker product of its
+    factors' tables (`_product_table`); every other subgroup gets the Dixon
+    engine (`_dixon_table`).  Either way the rows are sorted by (degree,
+    values at zeta_m = exp(2 pi i / m)), so both give the same table, and the
+    row orthogonality relation is validated on the table that is returned.
+
     Raises ConsistencyError (never returns silently) if any of the validation
     tripwires fail: degree recovery, sum of squared degrees, degree
-    divisibility, or the row orthogonality relation (which implies the column
-    relation, see `validate_orthogonality`).
+    divisibility, the factors' classes of a product, or the row orthogonality
+    relation (which implies the column relation, see `validate_orthogonality`).
     """
+    H = cd.subgroup
+    if H.handle.family == "product" and H.order == H.handle.order:
+        return _product_table(cd)
+    return _dixon_table(cd)
+
+
+def _product_table(cd: ClassData) -> CharacterTable:
+    """The table of a whole finite product G_1 x ... x G_k: its irreducibles
+    are the chi_1 (x) ... (x) chi_k (Serre, Linear Representations of Finite
+    Groups, 3.2), with chi(C) the product of the chi_i at the factor classes
+    of C.
+
+    Each distinct factor's table is built once, and validated.  A class's
+    factor classes are read off its representative's coordinates, and the
+    classes must be the r_1 ... r_k tuples of factor classes, each once, with
+    |C| = |C_1| ... |C_k|.  The values are multiplied exactly, one factor at a
+    time, over the pairs of distinct values: a value of Z[zeta_(m_i)] with
+    power-basis coordinates c_k is sum_k c_k x^(k m / m_i) in Z[zeta_m], the
+    product of two is their cyclic convolution (x^m = 1), and it is reduced
+    mod Phi_m by `_reduction(m)`; equal products are merged after each factor.
+    """
+    H, r, m = cd.subgroup, len(cd.classes), cd.exponent
+    tables = per_distinct_factor(H.handle._family.factors,
+                                 lambda f: character_table(class_data(GroupHandle(f), f.order)))
+    phi, reduce = _reduction(m)
+    reduce = np.array(reduce[:m], dtype=np.int64)  # row t: x^t mod Phi_m
+    values = np.eye(1, phi, dtype=np.int64)  # the distinct values so far: 1
+    index = np.zeros((1, 1), dtype=np.intp)  # (rows, tuples of factor classes) -> value
+    degrees = np.ones(1, dtype=np.int64)
+    code = np.zeros(r, dtype=np.intp)  # each class's tuple of factor classes, mixed radix
+    sizes = np.ones(r, dtype=np.int64)
+    forms = [H.elements[x].form for x in cd.reps]
+    for i, t in enumerate(tables):
+        fcd, mi = t.class_data, t.class_data.exponent
+        at = fcd.index_class[[fcd.subgroup._index[form[i]] for form in forms]]
+        code = code * len(fcd.classes) + at
+        sizes *= np.array(fcd.sizes, dtype=np.int64)[at]
+        if m % mi:
+            raise ConsistencyError(f"factor exponent {mi} does not divide the exponent {m}")
+        spread = np.zeros((len(values), m), dtype=np.int64)
+        spread[:, :phi] = values
+        conv = np.zeros((len(values), len(t.coords), m), dtype=np.int64)
+        for k, c in enumerate(t.coords.T):
+            if c.any():
+                conv += np.roll(spread, k * (m // mi), axis=1)[:, None, :] * c[None, :, None]
+        values, merged = np.unique(conv.reshape(-1, m) @ reduce, axis=0, return_inverse=True)
+        index = merged.reshape(-1)[
+            (index[:, None, :, None] * len(t.coords) + t.index[None, :, None, :])
+            .reshape(len(index) * len(t.rows), -1)]
+        degrees = np.outer(degrees, t.degrees).reshape(-1)
+    if (len(index) != r or not np.array_equal(np.sort(code), np.arange(r))
+            or not np.array_equal(sizes, cd.sizes)):
+        raise ConsistencyError("the classes of the product are not the tuples of its factors' "
+                               "classes")
+    index = index[:, code]
+    keys = np.round(_evaluate(values, m, 1), 10)
+    built = [(d, keys[at].view(np.float64).tolist(), at)
+             for d, at in zip(degrees.tolist(), index)]
+    return _sorted_table(cd, built, values, None)
+
+
+def _dixon_table(cd: ClassData) -> CharacterTable:
+    """The table of any finite subgroup, by the Dixon engine of the module
+    docstring, with `character_table`'s checks."""
     r = len(cd.classes)
     n = cd.order
     m = cd.exponent
@@ -448,12 +524,20 @@ def character_table(cd: ClassData) -> CharacterTable:
             at = [position.setdefault(c, len(position)) for c in map(tuple, row_coords.tolist())]
             built.append((d, key, at))
 
+    return _sorted_table(cd, built, np.array(list(position), dtype=np.int64), p)
+
+
+def _sorted_table(cd: ClassData, built: list, coords: np.ndarray,
+                  prime: Optional[int]) -> CharacterTable:
+    """The validated table of the rows `built`, one (degree, key, value
+    indices) per row, sorted by (degree, key), key the rounded values at
+    zeta_m = exp(2 pi i / m); row j of `coords` holds distinct value j."""
     built.sort(key=lambda item: item[:2])
-    values = np.array([Cyclo(m, c) for c in position], dtype=object)  # one object per distinct value
+    values = np.array([Cyclo(cd.exponent, c) for c in coords.tolist()], dtype=object)
     index = np.array([at for *_, at in built], dtype=np.intp)
     cells = values[index].tolist()
     rows = [CharacterRow(f"chi{i}", d, tuple(cells[i]), cd) for i, (d, *_) in enumerate(built)]
-    table = CharacterTable(cd, rows, p, index, np.array(list(position), dtype=np.int64))
+    table = CharacterTable(cd, rows, prime, index, coords)
     report = validate_orthogonality(table, cd)
     if not report.passed:
         raise ConsistencyError(

@@ -30,6 +30,7 @@ from .errors import (
     SpecError,
     UnsupportedFamilyError,
 )
+from .jsonutil import canonical_dumps
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 MAX_SPEC_DEPTH = 64  # products and restricted sums nested inside one another
@@ -951,16 +952,97 @@ def _closure(family: _Family, gens: list,
     def table() -> IndexTable:
         # `_bfs` steps from each index in turn over every letter: `flat` is row-major by index
         right = np.array(flat, dtype=np.intp).reshape(len(forms), len(letters)).T.copy()
-        letter_of = {t: a for a, t in enumerate(letters)}
-        inverse_letter = np.array([letter_of[family.inv(t)] for t in letters], dtype=np.intp)
         inverse = np.array([index[family.inv(x)] for x in forms], dtype=np.intp)
-        # t x t^-1 = ((x t^-1)^-1 t^-1)^-1
-        back = right[inverse_letter]
-        conj = inverse[np.take_along_axis(back, inverse[back], axis=1)]
-        return IndexTable(generators, letters, inverse_letter, right, conj, inverse,
-                          np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp),
-                          np.arange(len(forms)))
+        return _index_table(family, generators, letters, right, inverse,
+                            np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp))
     return forms, index, table
+
+
+def _index_table(family: _Family, generators: tuple, letters: list, right: np.ndarray,
+                 inverse: np.ndarray, parent: np.ndarray, letter: np.ndarray) -> IndexTable:
+    """The index table of a closure from its search's right rows, inverse row
+    and tree; the conj rows follow from t x t^-1 = ((x t^-1)^-1 t^-1)^-1."""
+    letter_of = {t: a for a, t in enumerate(letters)}
+    inverse_letter = np.array([letter_of[family.inv(t)] for t in letters], dtype=np.intp)
+    back = right[inverse_letter]
+    conj = inverse[np.take_along_axis(back, inverse[back], axis=1)]
+    return IndexTable(generators, letters, inverse_letter, right, conj, inverse, parent, letter,
+                      np.arange(len(inverse)))
+
+
+def _product_closure(family: _Product) -> tuple[list, IndexTable]:
+    """The closure of a finite product's generators, as `_closure` would list
+    it and with the table it would build, from its factors' whole groups.
+
+    An element is numbered by the mixed-radix code of its factor indices, the
+    first factor most significant.  Each letter moves one coordinate, so its
+    map on codes is that factor's permutation y -> y g at the coordinate's
+    stride.  The search runs one BFS layer at a time: the candidates are the
+    layer's codes under each letter, element by element, and the next layer
+    is the first occurrence of each code not met before, in candidate order,
+    which is the order in which `_bfs` appends them.  The right rows and the
+    inverse row are read through the same numbering, and no product of forms
+    is computed.
+    """
+    subs = per_distinct_factor(family.factors, lambda f: Subgroup.whole_group(GroupHandle(f)))
+    radix = [sub.order for sub in subs]
+    strides = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+    gens = family.generator_forms()
+    letters = family.alphabet_block(gens)
+    moves = []  # per letter: its coordinate and the code offset at each factor index
+    for t in letters:
+        i = family._moved(t)
+        sub = subs[i]
+        moves.append((i, (sub.table.times(sub._index[t[i]]) - np.arange(radix[i])) * strides[i]))
+
+    def digits(codes: np.ndarray, i: int) -> np.ndarray:
+        return codes // strides[i] % radix[i]
+
+    def images(codes: np.ndarray) -> np.ndarray:  # row a: the codes under letter a
+        out = np.empty((len(letters), len(codes)), dtype=np.intp)
+        for a, (i, offset) in enumerate(moves):
+            out[a] = codes + offset[digits(codes, i)]
+        return out
+
+    where = np.full(family.order, -1, dtype=np.intp)  # code -> index, -1 until met
+    where[0], count = 0, 1
+    root = np.zeros(1, dtype=np.intp)
+    layers, parents, steps = [root], [root], [root]
+    while len(layers[-1]):
+        frontier = layers[-1]
+        candidates = images(frontier).T.ravel()  # element by element, letters in order
+        fresh = np.flatnonzero(where[candidates] < 0)
+        first = fresh[np.sort(np.unique(candidates[fresh], return_index=True)[1])]
+        layer = candidates[first]
+        where[layer] = count + np.arange(len(layer))
+        count += len(layer)
+        layers.append(layer)
+        parents.append(where[frontier][first // len(letters)])
+        steps.append(first % len(letters))
+    codes = np.concatenate(layers)
+    inverse = np.zeros_like(codes)
+    columns = []
+    for i, sub in enumerate(subs):
+        at = digits(codes, i)
+        inverse += sub.table.inverse[at] * strides[i]
+        columns.append(map([e.form for e in sub.elements].__getitem__, at.tolist()))
+    table = _index_table(family, tuple(g for g in gens if g != family.identity), letters,
+                         where[images(codes)], where[inverse], np.concatenate(parents),
+                         np.concatenate(steps))
+    return list(zip(*columns)), table
+
+
+def per_distinct_factor(factors: list, build: Callable) -> list:
+    """[build(f) for f in factors], with build called once per distinct
+    canonical spec and its result shared by the factors that repeat it."""
+    built: dict = {}
+    out = []
+    for f in factors:
+        key = canonical_dumps(f.spec_doc)
+        if key not in built:
+            built[key] = build(f)
+        out.append(built[key])
+    return out
 
 
 def _greedy_generators(family: _Family, forms: Iterable, budget: int) -> tuple[list, IndexTable]:
@@ -1158,7 +1240,8 @@ class IndexTable:
     element once: the element of index y != 0 was first met as
     parent[y] t_letter[y], and order[k] is the index of the k-th element met,
     so `order` lists every parent before its children.  `_closure` builds the
-    table from the products its search computed, each once.
+    table from the products its search computed, each once; `_product_closure`
+    builds a whole product's from its factors' tables.
     """
 
     generators: tuple
@@ -1257,10 +1340,16 @@ class Subgroup:
         A finite family admits all of its letters at the first stage of its
         fair enumeration, so that enumeration is this closure and the elements
         come in `all_elements()` order; the handle's enumeration cache is not
-        advanced.
+        advanced.  A product is built from its distinct factors' whole groups
+        by `_product_closure`, with the elements and the index table that
+        `generate_closure` would give; any other family is that closure,
+        under a budget of the handle's order.
         """
         if not handle.is_finite:
             raise RequiresFiniteError(f"{handle.describe()} is not finite")
+        if isinstance(handle._family, _Product):
+            forms, table = _product_closure(handle._family)
+            return Subgroup(handle, [GroupElement(handle, f) for f in forms], table)
         return generate_closure(handle.generators or [handle.identity], handle.order)
 
     def describe(self) -> str:
@@ -1324,7 +1413,7 @@ def coordinate_subgroup(handle: GroupHandle, coord: int,
         raise ParameterError("coordinate subgroups exist only for restricted_sum handles")
     _require_finite_factor(fam.factor, "the factor")
     gens = [GroupElement(handle, ((coord, g),)) for g in fam.factor.generator_forms()]
-    return generate_closure(gens or [handle.identity], budget)
+    return _level_closure(handle, gens, budget, f"coordinate {coord} copy")
 
 
 def factor_subgroup(handle: GroupHandle, i: int,
@@ -1337,7 +1426,16 @@ def factor_subgroup(handle: GroupHandle, i: int,
         raise ParameterError(f"product has no factor {i}")
     _require_finite_factor(fam.factors[i], f"factor {i}")
     gens = [GroupElement(handle, fam._embed(i, g)) for g in fam.factors[i].generator_forms()]
-    return generate_closure(gens or [handle.identity], budget)
+    return _level_closure(handle, gens, budget, f"factor {i}")
+
+
+def _level_closure(handle: GroupHandle, gens: list, budget: int, name: str) -> Subgroup:
+    """The closure of a tower level's generators; a refusal names the level."""
+    try:
+        return generate_closure(gens or [handle.identity], budget)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(f"{name}: {e} ({e.partial_count} elements reached)",
+                                  budget=e.budget, partial_count=e.partial_count) from e
 
 
 # ---------------------------------------------------------------------------

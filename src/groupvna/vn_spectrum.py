@@ -47,8 +47,9 @@ from .groups import (
     as_subgroup,
     generate_closure,
     order_text,
+    per_distinct_factor,
 )
-from .jsonutil import canonical_dumps, fraction_json
+from .jsonutil import fraction_json
 
 ORACLE_MAX_ORDER = 200
 # eigenvalues closer than this (relative to the spectral radius) form one
@@ -262,12 +263,11 @@ def factor_spectrum(subject, max_order: int = DEFAULT_MAX_ORDER) -> FactorSpectr
     """
     check_handle_order(subject, max_order)
     if isinstance(subject, GroupHandle) and subject.is_finite and subject.family == "product":
-        n, spectrum, by_spec = subject.order, {1: Fraction(1)}, {}
-        for f in subject._family.factors:
-            key = canonical_dumps(f.spec_doc)
-            if key not in by_spec:
-                by_spec[key] = factor_spectrum(GroupHandle(f), max_order).measure_by_dimension()
-            spectrum = _fold(spectrum, by_spec[key])
+        n, spectrum = subject.order, {1: Fraction(1)}
+        for factor in per_distinct_factor(
+                subject._family.factors,
+                lambda f: factor_spectrum(GroupHandle(f), max_order).measure_by_dimension()):
+            spectrum = _fold(spectrum, factor)
         degrees = []
         for d in sorted(spectrum):
             count = spectrum[d] * n / (d * d)

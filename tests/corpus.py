@@ -30,6 +30,28 @@ SPEC_S3SUM = {"family": "restricted_sum", "factor": spec_symmetric(3)}
 SPEC_Q8SUM = {"family": "restricted_sum", "factor": SPEC_Q8}
 
 
+def _product_sweep() -> list[tuple[str, dict]]:
+    """Every product of two of fourteen small groups (a group with itself
+    included), seven products of three and one nested product."""
+    groups = {"C1": spec_cyclic(1), "C2": spec_cyclic(2), "C3": spec_cyclic(3),
+              "C4": spec_cyclic(4), "C5": spec_cyclic(5), "C6": spec_cyclic(6),
+              "C8": spec_cyclic(8), "C9": spec_cyclic(9), "S3": spec_symmetric(3),
+              "S4": spec_symmetric(4), "D4": spec_dihedral(4), "D5": spec_dihedral(5),
+              "Q8": SPEC_Q8, "Heis3": {"family": "heisenberg", "p": 3}}
+    names = list(groups)
+    triples = [("C2", "C2", "C2"), ("S3", "S3", "C2"), ("Q8", "C4", "C1"), ("D4", "C3", "S3"),
+               ("C1", "S3", "C1"), ("Heis3", "C2", "C3"), ("D5", "C4", "Q8")]
+    sweep = [(f"{a}x{b}", spec_product(groups[a], groups[b]))
+             for i, a in enumerate(names) for b in names[i:]]
+    sweep += [("x".join(t), spec_product(*map(groups.get, t))) for t in triples]
+    sweep.append(("S3x(Q8xC2)xC1", spec_product(groups["S3"], spec_product(SPEC_Q8, groups["C2"]),
+                                                 groups["C1"])))
+    return sweep
+
+
+PRODUCT_SWEEP = _product_sweep()
+
+
 def json_values(depth: int, ints=st.integers()):
     """JSON values nested at most `depth` lists deep: ints, floats, bools, short
     strings, None, lists."""

@@ -10,6 +10,7 @@ import pytest
 
 from corpus import (
     INDEX_TABLE_SUBGROUPS,
+    PRODUCT_SWEEP,
     SPEC_Q8,
     TRACE_FAMILY_SPECS,
     central_product_q8,
@@ -36,6 +37,11 @@ from groupvna.jsonutil import canonical_dumps
 
 def _table(spec) -> CharacterTable:
     return character_table(class_data(construct_group(spec)))
+
+
+def _dixon(spec) -> CharacterTable:
+    """The Dixon engine's table, also for the whole of a product."""
+    return characters._dixon_table(class_data(construct_group(spec)))
 
 
 def test_class_data_s3():
@@ -116,12 +122,14 @@ def test_class_combination_matches_the_group_law(name):
     assert np.array_equal(cd.class_combination(c), want)
 
 
-@pytest.mark.parametrize("spec", [spec_dihedral(20),
-                                  spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8)],
-                         ids=["D20", "Heis3xQ8"])
-def test_the_table_tree_is_searched_once(monkeypatch, spec):
-    # the closure that lists the group is the one search for its tree, which
-    # class_data's power walk, _central_blocks and class_combination all read
+@pytest.mark.parametrize("spec,closures", [
+    (spec_dihedral(20), 1),
+    (spec_product({"family": "heisenberg", "p": 3}, SPEC_Q8), 2),
+], ids=["D20", "Heis3xQ8"])
+def test_the_table_tree_is_searched_once(monkeypatch, spec, closures):
+    # the closure that lists the group (a product: its factors' closures) is
+    # the one search for its tree, which class_data's power walk,
+    # _central_blocks and class_combination all read
     searches = []
 
     def recording(seeds, maps, budget=None):
@@ -129,8 +137,8 @@ def test_the_table_tree_is_searched_once(monkeypatch, spec):
         return _bfs(seeds, maps, budget)
     monkeypatch.setattr(groups, "_bfs", recording)
     cd = class_data(construct_group(spec))
-    character_table(cd)
-    assert searches == ["_closure"] + ["conj_orbits"] * len(cd.classes)
+    characters._dixon_table(cd)
+    assert searches == ["_closure"] * closures + ["conj_orbits"] * len(cd.classes)
 
 
 def test_class_data_allocates_no_structure_constant_tensor():
@@ -478,7 +486,7 @@ def test_colliding_eigenvalues_give_the_same_table(monkeypatch, spec):
     # repeated roots go through the nullspace and later rounds split them.
     # Abelian groups never reach a combination, so each case has a nonabelian
     # factor and central blocks of more than one class.
-    want = _table(spec).to_json()
+    want = _table(spec).to_json()  # a product's is the Kronecker table
     original_prime, original_combination = characters.dixon_prime, ClassData.class_combination
     combinations, nullspaces = [], []
     monkeypatch.setattr(characters, "dixon_prime",
@@ -488,7 +496,7 @@ def test_colliding_eigenvalues_give_the_same_table(monkeypatch, spec):
     original_nullspace = modp.nullspace_mod
     monkeypatch.setattr(modp, "nullspace_mod",
                         lambda a, p: nullspaces.append(p) or original_nullspace(a, p))
-    t = _table(spec)
+    t = _dixon(spec)
     assert t.dixon_prime < len(t.rows) ** 2
     assert len(combinations) > 1 and nullspaces
     assert t.to_json() == want
@@ -529,7 +537,7 @@ CENTRAL_SPLIT_SPECS = [
 @pytest.mark.parametrize("name,spec", CENTRAL_SPLIT_SPECS, ids=[n for n, _ in CENTRAL_SPLIT_SPECS])
 def test_central_split_gives_the_whole_space_table(monkeypatch, name, spec):
     cd = class_data(construct_group(spec))
-    t = character_table(cd)
+    t = characters._dixon_table(cd)
     # one block per character of the centre, and the rows of each are pivoted
     blocks = characters._central_blocks(cd, t.dixon_prime)
     assert len(blocks) == cd.sizes.count(1)
@@ -538,7 +546,7 @@ def test_central_split_gives_the_whole_space_table(monkeypatch, name, spec):
         assert pivots[0] == 0
         assert np.array_equal(basis[:, pivots], np.eye(len(pivots), dtype=np.int64))
     monkeypatch.setattr(characters, "_central_blocks", _whole_space)
-    assert character_table(cd).to_json() == t.to_json()
+    assert characters._dixon_table(cd).to_json() == t.to_json()
 
 
 @pytest.mark.parametrize("spec", [
@@ -556,7 +564,7 @@ def test_abelian_tables_need_no_class_combination(monkeypatch, spec):
     plan = characters._lift_plan  # every row is linear: no multiplicity lift
     monkeypatch.setattr(characters, "_lift_plan",
                         lambda *args: calls.append("_lift_plan") or plan(*args))
-    t = _table(spec)
+    t = _dixon(spec)
     assert t.orthogonality.passed and len(t.rows) == t.class_data.order
     assert calls == []
 
@@ -618,6 +626,43 @@ def test_central_blocks_split_without_elimination(monkeypatch, spec):
     calls = []
     original = modp.nullspace_mod
     monkeypatch.setattr(modp, "nullspace_mod", lambda a, p: calls.append(p) or original(a, p))
-    t = _table(spec)
+    t = _dixon(spec)
     assert len(t.rows) == len(t.class_data.classes)
     assert calls == []
+
+
+PINNED_PRODUCTS = [(name, spec) for name, spec, *_ in PINNED_REPORTS
+                   if spec["family"] == "product"]
+
+
+@pytest.mark.parametrize("name,spec", PINNED_PRODUCTS + PRODUCT_SWEEP,
+                         ids=[name for name, _ in PINNED_PRODUCTS + PRODUCT_SWEEP])
+def test_a_product_table_is_the_dixon_table(name, spec):
+    # the Kronecker product of the factors' tables, sorted, is the table the
+    # Dixon engine finds on the whole product
+    t = _table(spec)
+    assert t.dixon_prime is None and t.orthogonality.passed
+    assert canonical_dumps(t.to_json()) == canonical_dumps(_dixon(spec).to_json())
+
+
+def test_a_corrupted_factor_value_fails_the_product_validation(monkeypatch):
+    # each factor table passes its own validation before one of its values is
+    # changed; only the validation of the product table can see the change
+    original_dixon, original_validate = characters._dixon_table, characters.validate_orthogonality
+    validated = []
+
+    def corrupted(cd):
+        t = original_dixon(cd)
+        t.coords = t.coords.copy()
+        t.coords[t.index[-1, -1], 0] += 1
+        return t
+
+    def recording(table, cd):
+        report = original_validate(table, cd)
+        validated.append((cd.order, report.passed))
+        return report
+    monkeypatch.setattr(characters, "_dixon_table", corrupted)
+    monkeypatch.setattr(characters, "validate_orthogonality", recording)
+    with pytest.raises(ConsistencyError, match="orthogonality validation failed"):
+        _table(spec_product(spec_symmetric(3), spec_cyclic(2)))
+    assert validated == [(6, True), (2, True), (12, False)]

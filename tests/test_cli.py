@@ -233,6 +233,18 @@ def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monke
     assert max(orders) <= 16
 
 
+@pytest.mark.parametrize("command,spec,level", [
+    ("growth", "s3sum", "coordinate 0 copy"),
+    ("growth", "s3xs3", "factor 0"),
+    ("lemma7", "s3xs3", "factor 0"),
+])
+def test_a_refused_level_is_named(specs, capsys, command, spec, level):
+    args = ["--k", "2"] if command == "growth" else []
+    assert run([command, "--spec", specs[spec], "--budget", "5", *args]) == 1
+    assert capsys.readouterr().err == (f"verification failure: {level}: subgroup closure "
+                                       "exceeded budget 5 (5 elements reached)\n")
+
+
 DINF = {"family": "dihedral_infinite"}
 C2SUM = {"family": "restricted_sum", "factor": {"family": "cyclic", "n": 2}}
 

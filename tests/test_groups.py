@@ -3,11 +3,13 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
     INDEX_TABLE_SUBGROUPS,
+    PRODUCT_SWEEP,
     SPEC_Q8,
     SPEC_S3SUM,
     TRACE_FAMILY_SPECS,
@@ -27,6 +29,8 @@ from groupvna.errors import (
     UnsupportedFamilyError,
 )
 from groupvna.groups import (
+    IndexTable,
+    Subgroup,
     _spec_label,
     commutator,
     conjugate,
@@ -655,12 +659,45 @@ def _count_products(fam) -> list:
     spec_product(spec_cyclic(10), spec_cyclic(12)),
 ], ids=["D6xQ8xS3", "S5xC2", "Heis7", "C10xC12"])
 def test_class_data_computes_each_product_once(spec):
-    # each product x t is one application of the letter's right map
+    # each product x t is one application of the letter's right map; a
+    # product's are its factors', each factor's computed once, and none of
+    # the product's own
     from groupvna.characters import class_data
     handle = construct_group(spec)
     calls = _count_products(handle._family)
-    cd = class_data(handle)
-    assert len(calls) == cd.order * len(cd.subgroup.table.letters)
+    if handle.family == "product":
+        factors = handle._family.factors
+        factor_calls = [_count_products(f) for f in factors]
+        class_data(handle)
+        assert calls == []
+        assert [len(c) for c in factor_calls] == [
+            f.order * len(f.alphabet_block(f.generator_forms())) for f in factors]
+    else:
+        cd = class_data(handle)
+        assert len(calls) == cd.order * len(cd.subgroup.table.letters)
+
+
+@pytest.mark.parametrize("name,spec", PRODUCT_SWEEP, ids=[name for name, _ in PRODUCT_SWEEP])
+def test_a_whole_product_is_its_generators_closure(name, spec):
+    # built from the factors' whole groups, a product lists the closure's
+    # forms in the closure's order, with the table the closure builds
+    handle = construct_group(spec)
+    whole = Subgroup.whole_group(handle)
+    closure = generate_closure(handle.generators or [handle.identity], handle.order)
+    assert [e.form for e in whole.elements] == [e.form for e in closure.elements]
+    for field in IndexTable.__slots__:
+        got, want = getattr(whole.table, field), getattr(closure.table, field)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        else:
+            assert got == want, field
+
+
+def test_a_repeated_factor_is_closed_once():
+    handle = construct_group(spec_product(SPEC_Q8, spec_symmetric(3), SPEC_Q8))
+    calls = [_count_products(f) for f in handle._family.factors]
+    Subgroup.whole_group(handle)
+    assert [len(c) for c in calls] == [8 * 4, 6 * 3, 0]
 
 
 def test_an_element_list_is_closed_once_when_it_is_constructed():
