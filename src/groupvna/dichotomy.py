@@ -427,14 +427,21 @@ def _tower_growth(levels: Iterable[WitnessLevel], opts: ClassifyOptions,
         return None
 
 
-def _metadata_witness_consistent(handle: GroupHandle, probe: int,
+FC_PROBES = 6  # enumerated elements whose classes the FC probe checks
+
+
+def _metadata_witness_consistent(handle: GroupHandle,
                                  class_budget: int) -> tuple[bool, list[str]]:
-    """Cross-check declared FC membership against budgeted class evidence."""
+    """Cross-check declared FC membership against the classes of the first
+    FC_PROBES elements: the notes of a type_I certificate, which `classify`
+    writes and replay rebuilds.  A finite group needs no probe: G^fin = G."""
+    if handle.is_finite:
+        return True, ["group is finite; G^fin = G"]
     meta = handle.metadata
     notes = []
     if meta.fc_member is None:
         return True, ["no exact FC-center predicate declared; skipping probe"]
-    for v in fc_filter(handle, probe, budget=class_budget):
+    for v in fc_filter(handle, FC_PROBES, budget=class_budget):
         declared = bool(meta.fc_member(v.element.form))
         if declared and not v.is_fc:
             return False, [f"{v.element.describe()} declared in G^fin but its class "
@@ -534,10 +541,7 @@ def classify(spec, options: Optional[ClassifyOptions] = None) -> DichotomyCertif
     spec_doc = handle.spec
     meta = handle.metadata
     if handle.is_finite or meta.abelian_by_finite is not None:
-        if handle.is_finite:
-            ok, diagnostics = True, ["group is finite; G^fin = G"]
-        else:
-            ok, diagnostics = _metadata_witness_consistent(handle, 6, opts.class_budget)
+        ok, diagnostics = _metadata_witness_consistent(handle, opts.class_budget)
         witness, reason = (_type_i_witness(handle, opts.class_budget) if ok
                            else (None, "family metadata contradicts FC evidence"))
         if witness is None:
@@ -630,8 +634,8 @@ def replay_certificate(cert: dict) -> ReplayReport:
 
     The rebuild reads the certificate's group spec, its options and, for
     not_type_I, its witness levels; it recomputes each level's classes, the
-    growth report and every other field.  A type_I certificate's diagnostics,
-    the notes of an FC probe replay does not re-run, are taken as written.  A
+    growth report and every other field.  For type_I it re-runs the FC probe,
+    whose notes are the certificate's diagnostics, and the power test.  A
     mismatch names the first differing field; a field replay cannot read
     fails the replay and is named too.  An inconclusive certificate makes no
     claims.
@@ -678,13 +682,16 @@ def _rebuild(cert: dict, verdict, record) -> Optional[DichotomyCertificate]:
     record("options_valid", True)
 
     if verdict == "type_I":
+        ok, diagnostics = _metadata_witness_consistent(handle, opts.class_budget)
+        if not ok:
+            record("certificate_matches", False, f"diagnostics: {diagnostics[0]}")
+            return None
         witness, reason = _type_i_witness(handle, opts.class_budget)
         if witness is None:
             record("certificate_matches", False, f"type_i_witness: {reason}")
             return None
-        diagnostics = cert.get("diagnostics")
         return DichotomyCertificate("type_I", handle.spec, opts, type_i_witness=witness,
-                                    diagnostics=diagnostics if isinstance(diagnostics, list) else [])
+                                    diagnostics=diagnostics)
 
     at = ("commuting_witness", "levels")
     levels = []

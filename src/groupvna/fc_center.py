@@ -2,8 +2,10 @@
 
 The FC-center is the set of elements whose conjugacy class is finite.  A
 finite orbit certified by stability under every conjugating generator is a
-proof of membership; running out of budget is reported as evidence only,
-never as a theorem.
+proof of membership.  An exceeded-budget marker comes either from a search
+that ran out of budget, reported as evidence only, never as a theorem, or
+from the family's own proof that the class is infinite
+(`_Family.infinite_class`), in which case no search runs.
 """
 
 from __future__ import annotations
@@ -59,13 +61,17 @@ def conjugacy_class(g: GroupElement, budget: int = DEFAULT_CLASS_BUDGET) -> Conj
     """Breadth-first orbit of g under conjugation by its group's generators.
 
     A returned finite orbit is the complete class: BFS terminates only once
-    the orbit is stable under every conjugating generator.
+    the orbit is stable under every conjugating generator.  A class the
+    family proves infinite is not searched: its marker is the one a search
+    would return, partial_count = budget.
     """
     handle = g.group
     handle._check(g)
     if budget < 1:
         raise ParameterError("class budget must be >= 1")
     fam = handle._family
+    if fam.infinite_class(g.form):
+        return ConjugacyClass(g, None, budget, partial_count=budget)
     maps = [fam.conj_map(t) for t in fam.alphabet_block(fam.conjugating_forms(g.form))]
     try:
         forms = _bfs([g.form], maps, budget)

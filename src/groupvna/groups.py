@@ -56,8 +56,12 @@ class FamilyMetadata:
 
     These carry the hypotheses the dichotomy cannot decide: membership in the
     FC-center when the family structure pins it down, an abelian-by-finite
-    witness where one exists, and the declared negation for restricted sums of
-    non-abelian finite groups.
+    witness where one exists, and two negations read off the structure.
+    `not_abelian_by_finite` is Lemma 10's hypothesis that G^fin is not
+    abelian-by-finite (restricted sums of non-abelian finite groups);
+    `not_virtually_abelian` says only that G is not, and refuses any declared
+    witness (F_r with r >= 2, restricted sums of non-abelian groups, products
+    with such a factor).  The first implies the second.
     """
 
     fc_center_note: Optional[str] = None
@@ -66,6 +70,7 @@ class FamilyMetadata:
     fc_member: Optional[Callable] = field(default=None, compare=False)
     abelian_by_finite: Optional[AbelianByFiniteWitness] = None
     not_abelian_by_finite: bool = False
+    not_virtually_abelian: bool = False
 
 
 class GroupElement:
@@ -170,6 +175,10 @@ class _Family:
     def conjugating_forms(self, form) -> list:
         """A finite set whose conjugations reach the full class of `form`."""
         return self.generator_forms()
+
+    def infinite_class(self, form) -> bool:
+        """True only where the family's structure proves the class of `form` infinite."""
+        return False
 
     def describe(self, form) -> str:
         return repr(form)
@@ -366,6 +375,10 @@ class _DihedralInfinite(_Family):
 
     def generator_forms(self):
         return [(1, 0), (0, 1)]
+
+    def infinite_class(self, form):
+        """t^y (x, 1) t^-y = (x + 2y, 1): every reflection has infinitely many conjugates."""
+        return form[1] == 1
 
     def describe(self, form):
         x, s = form
@@ -620,6 +633,10 @@ class _Product(_Family):
                 gens.append(self._embed(i, g))
         return gens
 
+    def infinite_class(self, form):
+        """class(g, h) = class(g) x class(h): infinite if one coordinate's class is."""
+        return any(f.infinite_class(x) for f, x in zip(self.factors, form))
+
     def _embed(self, i, g):
         return tuple(g if j == i else f.identity for j, f in enumerate(self.factors))
 
@@ -723,6 +740,10 @@ class _RestrictedSum(_Family):
                 gens.append(((coord, g),))
         return gens
 
+    def infinite_class(self, form):
+        """A class is the product of its entries' classes: infinite if one entry's is."""
+        return any(self.factor.infinite_class(x) for _, x in form)
+
     def describe(self, form):
         if not form:
             return "e"
@@ -761,7 +782,7 @@ class _Free(_Family):
             self.metadata = FamilyMetadata(
                 fc_center_note="trivial (icc)", fc_all=False, icc=True,
                 fc_member=lambda form: form == (),
-                not_abelian_by_finite=False,
+                not_virtually_abelian=True,
             )
         else:
             self.metadata = FamilyMetadata(
@@ -782,6 +803,11 @@ class _Free(_Family):
 
     def generator_forms(self):
         return [(k,) for k in range(1, self.rank + 1)]
+
+    def infinite_class(self, form):
+        """F_r, r >= 2, is icc: a centralizer is cyclic, so of infinite index
+        (Lyndon-Schupp, Combinatorial Group Theory, ch. I)."""
+        return self.rank >= 2 and form != ()
 
     def _letter(self, k: int) -> str:
         i = abs(k) - 1
@@ -819,10 +845,9 @@ def _product_metadata(factors: list[_Family], order: Optional[int]) -> FamilyMet
         return _finite_metadata(order)
     metas = [f.metadata for f in factors]
     fc_all = True if all(m.fc_all for m in metas) else None
-    not_abf = any(m.not_abelian_by_finite for m in metas)
     ws = [m.abelian_by_finite for m in metas]
     witness = None
-    if not not_abf and all(w is not None for w in ws):
+    if all(w is not None for w in ws):
         # an empty list at index 1 declares A = G: on an infinite factor, a subgroup
         # that no generator list names, so a product holding one lists A only if A = G
         if not any(f.order is None and not w.generator_forms and w.index == 1
@@ -840,7 +865,8 @@ def _product_metadata(factors: list[_Family], order: Optional[int]) -> FamilyMet
         fc_center_note="all of G" if fc_all else None,
         fc_all=fc_all,
         abelian_by_finite=witness,
-        not_abelian_by_finite=not_abf,
+        not_abelian_by_finite=any(m.not_abelian_by_finite for m in metas),
+        not_virtually_abelian=any(m.not_virtually_abelian for m in metas),
     )
 
 
@@ -854,13 +880,15 @@ def _restricted_sum_metadata(factor: _Family) -> FamilyMetadata:
             fc_member=lambda form: True,
             abelian_by_finite=AbelianByFiniteWitness((), 1, "group is abelian"),
         )
+    # a non-abelian sum contains F^k for every k
     if factor.order is None:
-        return FamilyMetadata(fc_center_note=None, fc_all=None)
+        return FamilyMetadata(fc_center_note=None, fc_all=None, not_virtually_abelian=True)
     return FamilyMetadata(
         fc_center_note="all of G (every class is finite)",
         fc_all=True,
         fc_member=lambda form: True,
         not_abelian_by_finite=True,
+        not_virtually_abelian=True,
     )
 
 
@@ -1528,14 +1556,15 @@ def _apply_user_metadata(family: _Family, meta_spec: dict):
     if abf is not None:
         if not isinstance(abf, dict):
             raise SpecError('field "metadata.abelian_by_finite": expected an object')
-        if m.not_abelian_by_finite:
-            raise SpecError('field "metadata.abelian_by_finite": the family is not abelian-by-finite')
         gens = abf.get("generators")
         index = abf.get("index")
         if not isinstance(gens, list):
             raise SpecError('field "metadata.abelian_by_finite.generators": expected a list')
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise SpecError('field "metadata.abelian_by_finite.index": expected a positive integer')
+        if m.not_virtually_abelian:
+            raise SpecError('field "metadata.abelian_by_finite": the group is not '
+                            'virtually abelian')
         group_gens = family.generator_forms()
         if index == 1 and family.noncommuting_pair(group_gens, group_gens) is not None:
             raise SpecError('field "metadata.abelian_by_finite.index": index 1 declares the '

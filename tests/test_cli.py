@@ -247,6 +247,8 @@ def test_a_refused_level_is_named(specs, capsys, command, spec, level):
 
 DINF = {"family": "dihedral_infinite"}
 C2SUM = {"family": "restricted_sum", "factor": {"family": "cyclic", "n": 2}}
+DINFSUM = {"family": "restricted_sum", "factor": DINF}
+F2 = {"family": "free", "rank": 2}
 
 
 def _witness(generators):
@@ -267,6 +269,14 @@ def _witness(generators):
     pytest.param(C2SUM, _witness([[[0, True]]]), id="c2sum-bool-entry"),
     pytest.param({"family": "free", "rank": 1}, {"index": True, "generators": [[1]]},
                  id="free1-bool-index"),
+    # groups that are not virtually abelian refuse any witness
+    pytest.param(spec_product(F2, {"family": "free", "rank": 1}), _witness([[[], [1]]]),
+                 id="F2xZ"),
+    pytest.param(DINFSUM, _witness([[[0, [1, 0]]]]), id="sumDinf"),
+    pytest.param(DINFSUM, {"generators": [[[c, [1, 0]]] for c in range(10)], "index": 1024},
+                 id="sumDinf-index-1024"),
+    # the power test would raise y to 10^4 powers as words
+    pytest.param(F2, {"generators": [[1]], "index": 10**12}, id="F2-index-1e12"),
 ])
 def test_malformed_or_refutable_abelian_witness_exits_2(tmp_path, capsys, spec, abf):
     # the spec is refused while it is parsed, whatever the command

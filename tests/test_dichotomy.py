@@ -383,15 +383,15 @@ def test_classify_honors_declared_witness():
 
 
 def test_power_test_refutes_a_declared_index():
-    # were <x> of index 2 in F2, y or y^2 would lie in it and commute with x
-    spec = {"family": "free", "rank": 2,
-            "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 2}}}
+    # were <s> of index 2 in D_inf, t or t^2 would lie in it and commute with s
+    spec = {"family": "dihedral_infinite",
+            "metadata": {"abelian_by_finite": {"generators": [[0, 1]], "index": 2}}}
     cert = classify(spec)
     assert cert.verdict == "inconclusive"
-    assert "no power g^j of g = y, 1 <= j <= 2" in cert.diagnostics[-1]
+    assert "no power g^j of g = t^1, 1 <= j <= 2" in cert.diagnostics[-1]
     doc = json.loads(cert.to_bytes())
     doc["verdict"] = "type_I"
-    doc["type_i_witness"] = {"kind": "family_metadata", "abelian_subgroup_generators": [[1]],
+    doc["type_i_witness"] = {"kind": "family_metadata", "abelian_subgroup_generators": [[0, 1]],
                              "index": 2, "note": "declared in spec metadata"}
     report = replay_certificate(doc)
     assert not report.passed
@@ -400,13 +400,13 @@ def test_power_test_refutes_a_declared_index():
 
 
 def test_power_test_refutes_an_empty_generator_list(tmp_path):
-    # an empty list at index 5 declares the trivial subgroup of index 5 in F2:
-    # then x^j = e for some j <= 5, and no power of x is
-    spec = {"family": "free", "rank": 2,
+    # an empty list at index 5 declares the trivial subgroup of index 5 in D_inf:
+    # then t^j = e for some j <= 5, and no power of t is
+    spec = {"family": "dihedral_infinite",
             "metadata": {"abelian_by_finite": {"generators": [], "index": 5}}}
     cert = classify(spec)
     assert cert.verdict == "inconclusive"
-    assert "no power g^j of g = x, 1 <= j <= 5, is the identity" in cert.diagnostics[-1]
+    assert "no power g^j of g = t^1, 1 <= j <= 5, is the identity" in cert.diagnostics[-1]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.run(["classify", "--spec", str(path)]) == 3
@@ -627,10 +627,8 @@ def test_replay_of_a_randomly_forged_field_never_raises(field, value):
     assume(json.dumps(doc, sort_keys=True) != json.dumps(json.loads(cert), sort_keys=True))
     assume((path, value) != (("verdict",), "inconclusive"))  # it makes no claims
     report = replay_certificate(doc)
-    # a valid option value may leave the verdict standing, and the notes of
-    # the FC probe, which replay does not re-run, are taken as written
-    unbound = (path[0] == "options" and len(path) > 1
-               or path[0] == "diagnostics" and doc["verdict"] == "type_I")
+    # a valid option value may leave the verdict standing
+    unbound = path[0] == "options" and len(path) > 1
     assert report.passed is False or unbound, (path, value, report.checks)
 
 
@@ -737,3 +735,31 @@ def test_replay_type_i_certificates():
     for spec in (spec_symmetric(5), {"family": "dihedral_infinite"}):
         report = replay_certificate(json.loads(classify(spec).to_bytes()))
         assert report.passed
+
+
+def test_replay_reruns_the_fc_probe():
+    # the probe's notes are the diagnostics of a type_I certificate
+    doc = json.loads(classify({"family": "dihedral_infinite"}).to_bytes())
+    assert doc["diagnostics"][3] == "fc probe s: not_fc_evidence [declared not fc]"
+    doc["diagnostics"][3] = "fc probe s: fc(2) [declared not fc]"
+    report = replay_certificate(doc)
+    assert not report.passed
+    assert report.failures[0].startswith("diagnostics[3]: differs"), report.failures
+
+
+def test_replay_refuses_a_type_i_claim_the_fc_probe_contradicts():
+    # the spec declares the reflection s in G^fin, and its class is infinite
+    spec = {"family": "dihedral_infinite", "metadata": {
+        "fc_center": "all", "abelian_by_finite": {"generators": [[1, 0]], "index": 2}}}
+    cert = classify(spec)
+    assert cert.verdict == "inconclusive"
+    assert cert.diagnostics[-1] == "family metadata contradicts FC evidence"
+    doc = json.loads(cert.to_bytes())
+    doc["verdict"] = "type_I"
+    doc["diagnostics"] = doc["diagnostics"][:-1]
+    doc["type_i_witness"] = {"kind": "family_metadata", "abelian_subgroup_generators": [[1, 0]],
+                             "index": 2, "note": "declared in spec metadata"}
+    report = replay_certificate(doc)
+    assert not report.passed
+    assert report.failures == ["diagnostics: s declared in G^fin but its class exceeded "
+                               "budget 10000"]

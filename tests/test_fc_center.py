@@ -2,10 +2,14 @@
 
 import pytest
 
-from corpus import TRACE_FAMILY_SPECS, SPEC_S3SUM
-from groupvna.errors import ParameterError
+from corpus import TRACE_FAMILY_SPECS, SPEC_S3SUM, spec_cyclic, spec_product
+from groupvna import fc_center
+from groupvna.errors import BudgetExceededError, ParameterError
 from groupvna.fc_center import conjugacy_class, fc_filter
-from groupvna.groups import conjugate, construct_group, enumerate_elements
+from groupvna.groups import _bfs, conjugate, construct_group, enumerate_elements
+
+DINF = {"family": "dihedral_infinite"}
+F2 = {"family": "free", "rank": 2}
 
 
 def test_identity_class_is_singleton():
@@ -97,3 +101,42 @@ def test_finite_classes_conjugation_invariant():
         members = {e.form for e in cls.elements}
         for h in s4.generators:
             assert {conjugate(c, h).form for c in cls.elements} == members
+
+
+INFINITE_CLASS_SPECS = [
+    ("Dinf", DINF),
+    ("F2", F2),
+    ("F3", {"family": "free", "rank": 3}),
+    ("sumDinf", {"family": "restricted_sum", "factor": DINF}),
+    ("DinfxC3", spec_product(DINF, spec_cyclic(3))),
+    ("F2xsumS3", spec_product(F2, SPEC_S3SUM)),
+]
+
+
+@pytest.mark.parametrize("name,spec", INFINITE_CLASS_SPECS + TRACE_FAMILY_SPECS)
+def test_a_class_the_family_proves_infinite_exceeds_the_search_budget(name, spec):
+    handle = construct_group(spec)
+    fam = handle._family
+    proved = 0
+    for g in handle.iter_elements(200):
+        if not fam.infinite_class(g.form):
+            continue
+        proved += 1
+        maps = [fam.conj_map(t) for t in fam.alphabet_block(fam.conjugating_forms(g.form))]
+        with pytest.raises(BudgetExceededError):
+            _bfs([g.form], maps, 300)
+    assert (proved > 0) is (handle.order is None)
+
+
+@pytest.mark.parametrize("spec,form", [
+    (DINF, (0, 1)),
+    (F2, (1, 2)),
+    (spec_product(DINF, spec_cyclic(3)), ((0, 1), 0)),
+], ids=["s", "xy", "(s,e)"])
+def test_a_class_the_family_proves_infinite_is_not_searched(monkeypatch, spec, form):
+    def no_search(*args):
+        raise AssertionError("the class was searched")
+    monkeypatch.setattr(fc_center, "_bfs", no_search)
+    cls = conjugacy_class(construct_group(spec).element(form), budget=500)
+    assert cls.exceeded
+    assert (cls.budget, cls.partial_count) == (500, 500)

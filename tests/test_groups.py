@@ -259,11 +259,11 @@ def test_spec_accepts_json_string():
 
 def test_user_metadata_declares_hypotheses():
     handle = construct_group({
-        "family": "free", "rank": 2,
-        "metadata": {"abelian_by_finite": {"generators": [[1]], "index": 5}},
+        "family": "dihedral_infinite",
+        "metadata": {"abelian_by_finite": {"generators": [[1, 0]], "index": 5}},
     })
     w = handle.metadata.abelian_by_finite
-    assert w.index == 5 and w.generator_forms == ((1,),)
+    assert w.index == 5 and w.generator_forms == ((1, 0),)
 
     declared = construct_group({"family": "free", "rank": 2,
                                 "metadata": {"fc_center": "trivial"}})
@@ -297,7 +297,8 @@ def test_user_metadata_validation():
     with pytest.raises(SpecError, match='"metadata.abelian_by_finite": expected an object'):
         construct_group({"family": "dihedral_infinite", "metadata": {"abelian_by_finite": 5}})
     # index 1 claims G itself is abelian, refuted by two non-commuting generators
-    for spec in ({"family": "dihedral_infinite"}, {"family": "free", "rank": 2}):
+    for spec in ({"family": "dihedral_infinite"},
+                 spec_product({"family": "dihedral_infinite"}, spec_cyclic(3))):
         with pytest.raises(SpecError, match="metadata.abelian_by_finite.index"):
             construct_group({**spec, "metadata": {"abelian_by_finite": {"generators": [],
                                                                         "index": 1}}})

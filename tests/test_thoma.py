@@ -12,6 +12,7 @@ import json
 
 from corpus import SPEC_Q8, SPEC_S3SUM, spec_cyclic, spec_symmetric
 from groupvna.dichotomy import classify, replay_certificate
+from groupvna.groups import construct_group
 
 
 def _sum(factor):
@@ -70,3 +71,9 @@ def test_no_verdict_contradicts_thomas_criterion():
     assert inconclusive == INCONCLUSIVE
     assert verdicts == {"type_I": 27, "not_type_I": 11, "inconclusive": 27}
     assert sum(SPECS[name][1] for name in INCONCLUSIVE) == 8
+
+
+def test_the_structure_flags_every_group_that_is_not_virtually_abelian():
+    # the flag refuses a declared abelian-by-finite witness on these groups
+    for name, (spec, virtually_abelian) in SPECS.items():
+        assert construct_group(spec).metadata.not_virtually_abelian is not virtually_abelian, name
