@@ -38,14 +38,10 @@ from .groups import (
     GroupHandle,
     Subgroup,
     as_subgroup,
-    commutator,
-    conjugate,
     construct_group,
     coordinate_subgroup,
-    enumerate_elements,
     factor_subgroup,
     generate_closure,
-    group_law,
 )
 from .vn_spectrum import (
     AlgebraElement,
@@ -58,7 +54,6 @@ from .vn_spectrum import (
     growth_search,
     icc_orthonormality_check,
     nonabelian_measure,
-    norm_squared,
     numerical_decomposition,
     product_projection_spectrum,
     tau_inner_product,

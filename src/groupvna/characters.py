@@ -54,9 +54,9 @@ import numpy as np
 
 from . import modp
 from .cyclotomic import Cyclo, _reduction
-from .errors import ConsistencyError, RequiresFiniteError
+from .errors import ConsistencyError
 from .fc_center import ConjugacyClass
-from .groups import GroupHandle, Subgroup, as_subgroup, order_text, per_distinct_factor
+from .groups import GroupHandle, Subgroup, as_subgroup, check_subgroup_order, per_distinct_factor
 from .jsonutil import Fragment, canonical_dumps
 
 DEFAULT_MAX_ORDER = 5000
@@ -121,7 +121,7 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
     check_handle_order(subject, max_order)  # before enumerating anything
     H = as_subgroup(subject)
     n = H.order
-    _check_order(H.describe(), n, max_order)
+    check_subgroup_order(H.handle, n, max_order)
     fam, index = H.handle._family, H._index
     classes: list[ConjugacyClass] = []
     index_class = np.empty(n, dtype=np.intp)
@@ -165,13 +165,7 @@ def class_data(subject, max_order: int = DEFAULT_MAX_ORDER) -> ClassData:
 def check_handle_order(subject, max_order: int):
     """Refuse a finite handle whose order exceeds max_order, before anything of it is built."""
     if isinstance(subject, GroupHandle) and subject.is_finite:
-        _check_order(f"subgroup of {subject.describe()}, order {order_text(subject.order)}",
-                     subject.order, max_order)
-
-
-def _check_order(what: str, order: int, max_order: int):
-    if order > max_order:
-        raise RequiresFiniteError(f"{what} exceeds the configured maximum {max_order}")
+        check_subgroup_order(subject, subject.order, max_order)
 
 
 @dataclass
@@ -538,7 +532,7 @@ def _sorted_table(cd: ClassData, built: list, coords: np.ndarray,
     cells = values[index].tolist()
     rows = [CharacterRow(f"chi{i}", d, tuple(cells[i]), cd) for i, (d, *_) in enumerate(built)]
     table = CharacterTable(cd, rows, prime, index, coords)
-    report = validate_orthogonality(table, cd)
+    report = validate_orthogonality(table)
     if not report.passed:
         raise ConsistencyError(
             f"orthogonality validation failed: {report.failed_relation} "
@@ -603,8 +597,9 @@ def _evaluate(coords: np.ndarray, m: int, k: int) -> np.ndarray:
     return coords @ np.exp(2j * np.pi * k * np.arange(coords.shape[1]) / m)
 
 
-def validate_orthogonality(table: CharacterTable, cd: ClassData) -> OrthogonalityReport:
-    """Exact check of the row orthogonality relation, which implies the column one.
+def validate_orthogonality(table: CharacterTable) -> OrthogonalityReport:
+    """Exact check of the row orthogonality relation, which implies the column one,
+    on the classes of `table.class_data`.
 
     With integer coordinates the row residual sum_j |C_j| chi_i(C_j)
     conj(chi_i2(C_j)) - |H| delta lies in Z[zeta_m].  Its Galois conjugates come
@@ -621,6 +616,7 @@ def validate_orthogonality(table: CharacterTable, cd: ClassData) -> Orthogonalit
     it.  The values are read from the table's lifted coordinates; an array of a
     non-integer dtype fails the check outright.
     """
+    cd = table.class_data
     r = len(cd.sizes)
     n = cd.order
     m = cd.exponent

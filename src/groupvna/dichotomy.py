@@ -297,22 +297,22 @@ def _witness_levels(handle: GroupHandle, levels: list[WitnessLevel], diagnostics
 
 def lemma10_sequence(handle: GroupHandle, count: int, *,
                      stream_budget: int = DEFAULT_STREAM_BUDGET,
-                     class_budget: int = DEFAULT_CLASS_BUDGET,
-                     assert_hypothesis: bool = False) -> CommutingWitness:
+                     class_budget: int = DEFAULT_CLASS_BUDGET) -> CommutingWitness:
     """Produce `count` non-commuting pairs in pairwise-commuting class subgroups.
 
-    Precondition (family metadata, or `assert_hypothesis=True` from the
-    caller): the streamed elements lie in G^fin and G^fin is not
-    abelian-by-finite.  Budget exhaustion yields a partial witness flagged
-    inconclusive; it never claims disproof.
+    Precondition, read from `handle.metadata.not_abelian_by_finite` (a caller
+    that knows more declares it there, with `dataclasses.replace`): the
+    streamed elements lie in G^fin and G^fin is not abelian-by-finite.
+    Budget exhaustion yields a partial witness flagged inconclusive; it never
+    claims disproof.
     """
     if count < 1:
         raise ParameterError("pair count must be >= 1")
     meta = handle.metadata
-    if not (meta.not_abelian_by_finite or assert_hypothesis):
+    if not meta.not_abelian_by_finite:
         raise PreconditionError(
-            "the construction requires G^fin not abelian-by-finite; the family does not "
-            "declare it and the caller did not assert it"
+            "the construction requires G^fin not abelian-by-finite; the handle's metadata "
+            "does not declare it"
         )
     levels: list[WitnessLevel] = []
     diagnostics: list[str] = []

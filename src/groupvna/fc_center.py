@@ -38,10 +38,6 @@ class ConjugacyClass:
             raise ParameterError("class size is undefined for an exceeded-budget orbit")
         return len(self.elements)
 
-    def __contains__(self, g) -> bool:
-        form = g.form if isinstance(g, GroupElement) else g
-        return self.elements is not None and any(e.form == form for e in self.elements)
-
 
 @dataclass(frozen=True)
 class FcVerdict:

@@ -341,7 +341,10 @@ class _Dihedral(_Family):
 
 
 class _DihedralInfinite(_Family):
-    """(n, s) with (n,1)(m,s) = (n-m, 1-s); translations form the FC-center."""
+    """(n, s) with (n,1)(m,s) = (n-m, 1-s); translations form the FC-center.
+
+    The default letter maps serve: `infinite_class` spares every reflection
+    class a walk, so no search here runs long."""
 
     def __init__(self):
         self.tag = "dihedral_infinite"
@@ -362,16 +365,6 @@ class _DihedralInfinite(_Family):
     def inv(self, a):
         x, s = a
         return (-x, 0) if s == 0 else a
-
-    def right_map(self, t):
-        y, t_s = t
-        return lambda u: (u[0] - y if u[1] else u[0] + y, u[1] ^ t_s)
-
-    def conj_map(self, t):
-        y, t_s = t
-        if t_s:  # (y, 1) u (y, 1)
-            return lambda u: (2 * y - u[0], 1) if u[1] else (-u[0], 0)
-        return lambda u: (u[0] + 2 * y, 1) if u[1] else u  # t^y u t^-y
 
     def generator_forms(self):
         return [(1, 0), (0, 1)]
@@ -1163,11 +1156,6 @@ class GroupHandle:
     def is_finite(self) -> bool:
         return self._family.order is not None
 
-    @property
-    def finiteness(self) -> str:
-        """Finiteness hint: "finite(<order>)" or "infinite"."""
-        return f"finite({order_text(self.order)})" if self.is_finite else "infinite"
-
     def describe(self) -> str:
         size = f"order {order_text(self.order)}" if self.is_finite else "infinite"
         return f"{_spec_label(self.spec)} ({size})"
@@ -1433,19 +1421,20 @@ def _require_finite_factor(factor: _Family, name: str):
                                   "its subgroup cannot be enumerated")
 
 
-def coordinate_subgroup(handle: GroupHandle, coord: int,
-                        budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
+def coordinate_subgroup(handle: GroupHandle, coord: int, budget: int = DEFAULT_CLOSURE_BUDGET,
+                        max_order: Optional[int] = None) -> Subgroup:
     """The coordinate-`coord` copy of the factor inside a restricted sum."""
     fam = handle._family
     if not isinstance(fam, _RestrictedSum):
         raise ParameterError("coordinate subgroups exist only for restricted_sum handles")
     _require_finite_factor(fam.factor, "the factor")
     gens = [GroupElement(handle, ((coord, g),)) for g in fam.factor.generator_forms()]
-    return _level_closure(handle, gens, budget, f"coordinate {coord} copy")
+    return _level_closure(handle, gens, fam.factor.order, budget, max_order,
+                          f"coordinate {coord} copy")
 
 
-def factor_subgroup(handle: GroupHandle, i: int,
-                    budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
+def factor_subgroup(handle: GroupHandle, i: int, budget: int = DEFAULT_CLOSURE_BUDGET,
+                    max_order: Optional[int] = None) -> Subgroup:
     """The i-th factor embedded in a direct product."""
     fam = handle._family
     if not isinstance(fam, _Product):
@@ -1454,16 +1443,43 @@ def factor_subgroup(handle: GroupHandle, i: int,
         raise ParameterError(f"product has no factor {i}")
     _require_finite_factor(fam.factors[i], f"factor {i}")
     gens = [GroupElement(handle, fam._embed(i, g)) for g in fam.factors[i].generator_forms()]
-    return _level_closure(handle, gens, budget, f"factor {i}")
+    return _level_closure(handle, gens, fam.factors[i].order, budget, max_order, f"factor {i}")
 
 
-def _level_closure(handle: GroupHandle, gens: list, budget: int, name: str) -> Subgroup:
-    """The closure of a tower level's generators; a refusal names the level."""
+def _level_closure(handle: GroupHandle, gens: list, order: int, budget: int,
+                   max_order: Optional[int], name: str) -> Subgroup:
+    """The closure of a tower level's generators, refused from the level's
+    known order before any of it is built: past `budget` as the closure would
+    stop, naming the level, then past `max_order` (if given) as `class_data`
+    would refuse it."""
+    if budget >= 1:  # a budget below 1 is generate_closure's to refuse
+        if order > budget:
+            raise BudgetExceededError(f"{name}: subgroup closure exceeded budget {budget} "
+                                      f"({budget} elements reached)", budget=budget,
+                                      partial_count=budget)
+        if max_order is not None:
+            check_subgroup_order(handle, order, max_order)
+    return generate_closure(gens or [handle.identity], budget)
+
+
+def check_subgroup_order(handle: GroupHandle, order: int, max_order: int):
+    """Refuse a subgroup of `handle` of this order if it exceeds max_order."""
+    if order > max_order:
+        raise RequiresFiniteError(f"subgroup of {handle.describe()}, order {order_text(order)} "
+                                  f"exceeds the configured maximum {max_order}")
+
+
+def closure_within(gens: list, budget: int, max_order: int) -> Subgroup:
+    """`generate_closure(gens, budget)` of a subgroup that is to be decomposed:
+    the search also stops past `max_order`, with RequiresFiniteError."""
     try:
-        return generate_closure(gens or [handle.identity], budget)
+        return generate_closure(gens, min(budget, max_order))
     except BudgetExceededError as e:
-        raise BudgetExceededError(f"{name}: {e} ({e.partial_count} elements reached)",
-                                  budget=e.budget, partial_count=e.partial_count) from e
+        if budget <= max_order:
+            raise
+        raise RequiresFiniteError(f"subgroup of {gens[0].group.describe()} generated by "
+                                  f"{len(gens)} elements exceeds the configured maximum "
+                                  f"{max_order}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -1593,35 +1609,3 @@ def construct_group(spec) -> GroupHandle:
         _apply_user_metadata(family, spec["metadata"])
         family.spec_doc = dict(family.spec_doc, metadata=spec["metadata"])
     return GroupHandle(family)
-
-
-def group_law(a: GroupElement, b: Optional[GroupElement] = None, op: str = "mul") -> GroupElement:
-    """Canonical form of a*b (op="mul") or a^-1 (op="inv")."""
-    if op == "mul":
-        if b is None:
-            raise ParameterError('group_law(op="mul") needs two elements')
-        return a.group.mul(a, b)
-    if op == "inv":
-        return a.group.inv(a)
-    raise ParameterError(f'unknown group_law op {op!r}; expected "mul" or "inv"')
-
-
-def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
-    """h g h^-1 in canonical form."""
-    handle = g.group
-    handle._check(g, h)
-    return handle.mul(handle.mul(h, g), handle.inv(h))
-
-
-def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g h g^-1 h^-1; the identity exactly when g and h commute."""
-    handle = g.group
-    handle._check(g, h)
-    return handle.mul(handle.mul(handle.mul(g, h), handle.inv(g)), handle.inv(h))
-
-
-def enumerate_elements(handle: GroupHandle, n: int) -> list[GroupElement]:
-    """First n elements of the fair enumeration (all of them for small finite groups)."""
-    if n < 0:
-        raise ParameterError("element count must be >= 0")
-    return list(handle.iter_elements(n))

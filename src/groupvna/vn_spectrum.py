@@ -45,6 +45,7 @@ from .groups import (
     GroupHandle,
     Subgroup,
     as_subgroup,
+    closure_within,
     generate_closure,
     order_text,
     per_distinct_factor,
@@ -202,10 +203,6 @@ def tau_inner_product(a: AlgebraElement, b: AlgebraElement) -> Cyclo:
     """<a, b> = tau(a b*): sesquilinear, positive definite."""
     a._check_peer(b)
     return trace_of_product(a, b.star())
-
-
-def norm_squared(a: AlgebraElement) -> Cyclo:
-    return tau_inner_product(a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +701,7 @@ def product_projection_spectrum(h0, h1, n0: int = 2, n1: int = 2, *, seed: int =
     projection_residual = 0.0 if is_projection else max(
         p_sq.max_coeff_deviation(p), p_star.max_coeff_deviation(p))
 
-    H = generate_closure([*H0.generators, *H1.generators], closure_budget)
+    H = closure_within([*H0.generators, *H1.generators], closure_budget, DEFAULT_MAX_ORDER)
     cd = class_data(H)
     table = character_table(cd)
     tr_frac = trace(p).as_fraction()
@@ -809,6 +806,12 @@ def tower_spectra(levels: Iterable[Subgroup], closure_budget: int = DEFAULT_CLOS
     Each level's generators must commute with every earlier level's
     (PreconditionError otherwise): a list or tuple is checked whole before the
     first prefix, a lazy iterable level by level as it arrives.
+
+    The running centre is held as the set of all products of the levels'
+    centres, |Z(H_1)|...|Z(H_n)| forms, and each level multiplies it out
+    again.  On the Q8 sum it doubles per level: level 10 took about 1 ms,
+    level 15 40-65 ms and level 18 0.5-0.7 s on a 2-CPU VM, so it binds only
+    past the 15 levels a k = 4 certificate of that sum needs.
     """
     subs: list[Subgroup] = []
 

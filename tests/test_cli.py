@@ -20,6 +20,7 @@ from corpus import (
 )
 from groupvna import characters, cli, groups
 from groupvna.cli import run
+from groupvna.errors import BudgetExceededError
 from groupvna.jsonutil import Fragment, canonical_dumps
 
 
@@ -201,9 +202,9 @@ def test_growth_builds_levels_only_up_to_the_witness(specs, capsys, monkeypatch)
     built = []
     original = cli.coordinate_subgroup
 
-    def counting(handle, coord, budget=groups.DEFAULT_CLOSURE_BUDGET):
+    def counting(handle, coord, *limits):
         built.append(coord)
-        return original(handle, coord, budget)
+        return original(handle, coord, *limits)
     monkeypatch.setattr(cli, "coordinate_subgroup", counting)
     code, report = _run_json(capsys, ["growth", "--spec", specs["s3sum"], "--k", "2",
                                       "--levels", "100000"])
@@ -231,6 +232,51 @@ def test_growth_refuses_a_large_tower_before_enumerating_it(specs, capsys, monke
     assert run(["growth", "--spec", specs["s3sum"], "--k", "2", "--budget", "5"]) == 1
     assert "subgroup closure exceeded budget 5" in capsys.readouterr().err
     assert max(orders) <= 16
+
+
+def _largest_search(monkeypatch) -> list:
+    """The forms each `groups._bfs` search held when it returned or stopped."""
+    sizes = []
+    original = groups._bfs
+
+    def spying(seeds, maps, budget=None):
+        try:
+            forms = original(seeds, maps, budget)
+        except BudgetExceededError as e:
+            sizes.append(e.partial_count)
+            raise
+        sizes.append(len(forms))
+        return forms
+    monkeypatch.setattr(groups, "_bfs", spying)
+    return sizes
+
+
+S8 = spec_symmetric(8)
+S8_GENERATORS = json.dumps([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]])
+
+
+@pytest.mark.parametrize("spec,argv,err", [
+    ({"family": "restricted_sum", "factor": spec_symmetric(9)}, ["growth", "--k", "2"],
+     "subgroup of restricted_sum(symmetric(9)) (infinite), order 362880"),
+    (spec_product(S8, {"family": "cyclic", "n": 2}), ["lemma7"],
+     "subgroup of product(symmetric(8), cyclic(2)) (order 80640), order 40320"),
+    (S8, ["lemma7", "--h0", S8_GENERATORS, "--h1", "[[0, 1, 2, 3, 4, 5, 6, 7]]"],
+     "subgroup of symmetric(8) (order 40320) generated by 2 elements"),
+], ids=["growth-s9sum", "lemma7-s8xc2", "lemma7-s8-h0"])
+def test_a_subgroup_past_max_order_is_refused_before_it_is_closed(tmp_path, capsys,
+                                                                   monkeypatch, spec, argv, err):
+    # a level's order is its factor's, known without closing it; a generated
+    # subgroup's search stops at max_order, which class_data would refuse
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    sizes = _largest_search(monkeypatch)
+    assert run([argv[0], "--spec", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {err} exceeds the configured maximum 5000\n"
+    assert max(sizes, default=0) <= 5000
+    # the closure budget is still checked first, with its own exit code
+    assert run([argv[0], "--spec", str(path), *argv[1:], "--budget", "4000"]) == 1
+    assert "subgroup closure exceeded budget 4000" in capsys.readouterr().err
+    assert max(sizes, default=0) <= 5000
 
 
 @pytest.mark.parametrize("command,spec,level", [

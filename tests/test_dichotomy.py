@@ -143,19 +143,24 @@ def test_lemma10_requires_declared_hypothesis():
         lemma10_sequence(free2, 2)
 
 
+def _declaring_lemma10_hypothesis(spec):
+    handle = construct_group(spec)
+    handle.metadata = replace(handle.metadata, not_abelian_by_finite=True)
+    return handle
+
+
 def test_lemma10_budget_exhaustion_is_inconclusive():
-    dinf = construct_group({"family": "dihedral_infinite"})
-    w = lemma10_sequence(dinf, 2, stream_budget=40, class_budget=50,
-                         assert_hypothesis=True)
+    dinf = _declaring_lemma10_hypothesis({"family": "dihedral_infinite"})
+    w = lemma10_sequence(dinf, 2, stream_budget=40, class_budget=50)
     assert not w.complete
     assert w.diagnostics
 
 
 def test_lemma10_finite_group_runs_out_of_noncentral_elements():
-    # with the hypothesis asserted by the caller, a finite group yields one
+    # with the hypothesis declared on the handle, a finite group yields one
     # pair and then an honest partial witness: the kernel is the center
-    s3 = construct_group(spec_symmetric(3))
-    w = lemma10_sequence(s3, 2, assert_hypothesis=True)
+    s3 = _declaring_lemma10_hypothesis(spec_symmetric(3))
+    w = lemma10_sequence(s3, 2)
     assert len(w.levels) == 1 and not w.complete
     assert w.checks.passed  # the single level still satisfies its invariants
     assert any("no non-commuting pair" in d for d in w.diagnostics)
@@ -167,8 +172,8 @@ def test_lemma10_tells_a_spent_stream_budget_from_an_exhausted_group():
     assert len(w.levels) == 1
     assert w.diagnostics == ["step 2: no non-commuting pair in the filtered stream "
                              "(budget 5, 5 elements scanned)"]
-    s3 = construct_group(spec_symmetric(3))
-    w = lemma10_sequence(s3, 2, assert_hypothesis=True)
+    s3 = _declaring_lemma10_hypothesis(spec_symmetric(3))
+    w = lemma10_sequence(s3, 2)
     assert w.diagnostics == ["step 2: no non-commuting pair in the filtered stream "
                              "(exhaustive scan, 6 elements scanned)"]
 
@@ -177,13 +182,12 @@ def test_lemma10_kernel_recursion_invariant():
     # accepted elements commute with everything in the earlier subgroups
     ss = construct_group(SPEC_S3SUM)
     w = lemma10_sequence(ss, 3)
-    from groupvna.groups import commutator
     for i, lv in enumerate(w.levels):
         for earlier in w.levels[:i]:
             closure = generate_closure(earlier.generator_set())
             for member in closure:
-                assert commutator(lv.g, member).is_identity
-                assert commutator(lv.h, member).is_identity
+                assert lv.g * member == member * lv.g
+                assert lv.h * member == member * lv.h
 
 
 def test_lemma10_scans_the_stream_once(monkeypatch):
