@@ -56,10 +56,16 @@ from . import modp
 from .cyclotomic import Cyclo, _reduction
 from .errors import ConsistencyError
 from .fc_center import ConjugacyClass
-from .groups import GroupHandle, Subgroup, as_subgroup, check_subgroup_order, per_distinct_factor
+from .groups import (
+    DEFAULT_MAX_ORDER,
+    GroupHandle,
+    Subgroup,
+    as_subgroup,
+    check_subgroup_order,
+    per_distinct_factor,
+)
 from .jsonutil import Fragment, canonical_dumps
 
-DEFAULT_MAX_ORDER = 5000
 SPLIT_ROUNDS = 8  # random combinations tried before the splitting gives up
 
 
@@ -598,8 +604,7 @@ def _evaluate(coords: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def validate_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """Exact check of the row orthogonality relation, which implies the column one,
-    on the classes of `table.class_data`.
+    """Exact check of row orthogonality on `table.class_data`, which implies column orthogonality.
 
     With integer coordinates the row residual sum_j |C_j| chi_i(C_j)
     conj(chi_i2(C_j)) - |H| delta lies in Z[zeta_m].  Its Galois conjugates come

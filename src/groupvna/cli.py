@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import jsonutil
-from .characters import DEFAULT_MAX_ORDER, character_table, class_data
+from .characters import character_table, class_data
 from .dichotomy import (
     DEFAULT_STREAM_BUDGET,
     ClassifyOptions,
@@ -258,7 +258,7 @@ def _subgroup_from_arg(handle: GroupHandle, raw: str, budget: int, flag: str) ->
         gens = [handle.element_from_json(f) for f in forms]
     except SpecError as e:
         raise SpecError(f"{flag} {e}") from e
-    return closure_within(gens, budget, DEFAULT_MAX_ORDER)
+    return closure_within(gens, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +323,8 @@ def _cmd_lemma7(args, handle: GroupHandle):
         h0 = _subgroup_from_arg(handle, args.h0, args.budget, "--h0")
         h1 = _subgroup_from_arg(handle, args.h1, args.budget, "--h1")
     elif handle.family == "product" and len(handle.spec["factors"]) == 2:
-        h0 = factor_subgroup(handle, 0, args.budget, DEFAULT_MAX_ORDER)
-        h1 = factor_subgroup(handle, 1, args.budget, DEFAULT_MAX_ORDER)
+        h0 = factor_subgroup(handle, 0, args.budget)
+        h1 = factor_subgroup(handle, 1, args.budget)
     else:
         raise SpecError("lemma7 needs --h0/--h1 generator lists unless the spec is a "
                         "two-factor product")
@@ -348,7 +348,7 @@ def _cmd_growth(args, handle: GroupHandle):
         raise SpecError("growth needs a commuting tower; supported specs: "
                         "restricted_sum (coordinate subgroups) or product (factors)")
     # one level at a time: the search stops building at the first prefix that clears
-    tower = (level(handle, i, args.budget, DEFAULT_MAX_ORDER) for i in range(cap))
+    tower = (level(handle, i, args.budget) for i in range(cap))
     result = growth_search(tower, k=args.k, epsilon=args.epsilon,
                            closure_budget=args.budget, cap=cap)
     results = {"growth": result.to_json()}

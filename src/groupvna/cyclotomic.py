@@ -87,10 +87,6 @@ class Cyclo:
         return Cyclo(1, (0,))
 
     @staticmethod
-    def one() -> Cyclo:
-        return Cyclo(1, (1,))
-
-    @staticmethod
     def root(m: int, s: int) -> Cyclo:
         """zeta_m^s."""
         d, rows = _reduction(m)

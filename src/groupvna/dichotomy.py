@@ -300,8 +300,7 @@ def lemma10_sequence(handle: GroupHandle, count: int, *,
                      class_budget: int = DEFAULT_CLASS_BUDGET) -> CommutingWitness:
     """Produce `count` non-commuting pairs in pairwise-commuting class subgroups.
 
-    Precondition, read from `handle.metadata.not_abelian_by_finite` (a caller
-    that knows more declares it there, with `dataclasses.replace`): the
+    Precondition, declared by `handle.metadata.not_abelian_by_finite`: the
     streamed elements lie in G^fin and G^fin is not abelian-by-finite.
     Budget exhaustion yields a partial witness flagged inconclusive; it never
     claims disproof.

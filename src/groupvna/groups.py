@@ -33,6 +33,7 @@ from .errors import (
 from .jsonutil import canonical_dumps
 
 DEFAULT_CLOSURE_BUDGET = 10**6
+DEFAULT_MAX_ORDER = 5000  # largest subgroup that is decomposed into classes
 MAX_SPEC_DEPTH = 64  # products and restricted sums nested inside one another
 # every order below 2^MAX_ORDER_BITS (about 10^3010) can be written in decimal;
 # 1000! is about 2^8530
@@ -343,8 +344,7 @@ class _Dihedral(_Family):
 class _DihedralInfinite(_Family):
     """(n, s) with (n,1)(m,s) = (n-m, 1-s); translations form the FC-center.
 
-    The default letter maps serve: `infinite_class` spares every reflection
-    class a walk, so no search here runs long."""
+    The default letter maps serve: `infinite_class` spares every reflection class a walk."""
 
     def __init__(self):
         self.tag = "dihedral_infinite"
@@ -928,13 +928,15 @@ def _bfs(seeds: list, maps: list, budget: Optional[int] = None) -> list:
             w = f(u)
             if w not in seen:
                 if budget is not None and len(seen) >= budget:
-                    raise BudgetExceededError(
-                        f"subgroup closure exceeded budget {budget}",
-                        budget=budget, partial_count=len(seen),
-                    )
+                    raise _budget_exceeded(budget, len(seen))
                 add(w)
                 append(w)
     return out
+
+
+def _budget_exceeded(budget: int, reached: int) -> BudgetExceededError:
+    return BudgetExceededError(f"subgroup closure exceeded budget {budget}",
+                               budget=budget, partial_count=reached)
 
 
 def _closure(family: _Family, gens: list,
@@ -1421,20 +1423,19 @@ def _require_finite_factor(factor: _Family, name: str):
                                   "its subgroup cannot be enumerated")
 
 
-def coordinate_subgroup(handle: GroupHandle, coord: int, budget: int = DEFAULT_CLOSURE_BUDGET,
-                        max_order: Optional[int] = None) -> Subgroup:
+def coordinate_subgroup(handle: GroupHandle, coord: int,
+                        budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     """The coordinate-`coord` copy of the factor inside a restricted sum."""
     fam = handle._family
     if not isinstance(fam, _RestrictedSum):
         raise ParameterError("coordinate subgroups exist only for restricted_sum handles")
     _require_finite_factor(fam.factor, "the factor")
     gens = [GroupElement(handle, ((coord, g),)) for g in fam.factor.generator_forms()]
-    return _level_closure(handle, gens, fam.factor.order, budget, max_order,
-                          f"coordinate {coord} copy")
+    return _level_closure(handle, gens, fam.factor.order, budget, f"coordinate {coord} copy")
 
 
-def factor_subgroup(handle: GroupHandle, i: int, budget: int = DEFAULT_CLOSURE_BUDGET,
-                    max_order: Optional[int] = None) -> Subgroup:
+def factor_subgroup(handle: GroupHandle, i: int,
+                    budget: int = DEFAULT_CLOSURE_BUDGET) -> Subgroup:
     """The i-th factor embedded in a direct product."""
     fam = handle._family
     if not isinstance(fam, _Product):
@@ -1443,43 +1444,42 @@ def factor_subgroup(handle: GroupHandle, i: int, budget: int = DEFAULT_CLOSURE_B
         raise ParameterError(f"product has no factor {i}")
     _require_finite_factor(fam.factors[i], f"factor {i}")
     gens = [GroupElement(handle, fam._embed(i, g)) for g in fam.factors[i].generator_forms()]
-    return _level_closure(handle, gens, fam.factors[i].order, budget, max_order, f"factor {i}")
+    return _level_closure(handle, gens, fam.factors[i].order, budget, f"factor {i}")
 
 
 def _level_closure(handle: GroupHandle, gens: list, order: int, budget: int,
-                   max_order: Optional[int], name: str) -> Subgroup:
-    """The closure of a tower level's generators, refused from the level's
-    known order before any of it is built: past `budget` as the closure would
-    stop, naming the level, then past `max_order` (if given) as `class_data`
-    would refuse it."""
-    if budget >= 1:  # a budget below 1 is generate_closure's to refuse
-        if order > budget:
-            raise BudgetExceededError(f"{name}: subgroup closure exceeded budget {budget} "
-                                      f"({budget} elements reached)", budget=budget,
-                                      partial_count=budget)
-        if max_order is not None:
-            check_subgroup_order(handle, order, max_order)
-    return generate_closure(gens or [handle.identity], budget)
+                   name: str) -> Subgroup:
+    """The closure of a tower level's generators; a refusal names the level.
+    Its order is known, so a level past `budget` or DEFAULT_MAX_ORDER is
+    refused before any of it is built."""
+    try:
+        if 1 <= budget < order:  # as the closure would stop
+            raise _budget_exceeded(budget, budget)
+        check_subgroup_order(handle, order)
+        return generate_closure(gens or [handle.identity], budget)
+    except BudgetExceededError as e:
+        raise BudgetExceededError(f"{name}: {e} ({e.partial_count} elements reached)",
+                                  budget=e.budget, partial_count=e.partial_count) from e
 
 
-def check_subgroup_order(handle: GroupHandle, order: int, max_order: int):
+def check_subgroup_order(handle: GroupHandle, order: int, max_order: int = DEFAULT_MAX_ORDER):
     """Refuse a subgroup of `handle` of this order if it exceeds max_order."""
     if order > max_order:
         raise RequiresFiniteError(f"subgroup of {handle.describe()}, order {order_text(order)} "
                                   f"exceeds the configured maximum {max_order}")
 
 
-def closure_within(gens: list, budget: int, max_order: int) -> Subgroup:
+def closure_within(gens: list, budget: int) -> Subgroup:
     """`generate_closure(gens, budget)` of a subgroup that is to be decomposed:
-    the search also stops past `max_order`, with RequiresFiniteError."""
+    the search also stops past DEFAULT_MAX_ORDER, with RequiresFiniteError."""
     try:
-        return generate_closure(gens, min(budget, max_order))
+        return generate_closure(gens, min(budget, DEFAULT_MAX_ORDER))
     except BudgetExceededError as e:
-        if budget <= max_order:
+        if budget <= DEFAULT_MAX_ORDER:
             raise
         raise RequiresFiniteError(f"subgroup of {gens[0].group.describe()} generated by "
                                   f"{len(gens)} elements exceeds the configured maximum "
-                                  f"{max_order}") from e
+                                  f"{DEFAULT_MAX_ORDER}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -202,9 +202,9 @@ def test_growth_builds_levels_only_up_to_the_witness(specs, capsys, monkeypatch)
     built = []
     original = cli.coordinate_subgroup
 
-    def counting(handle, coord, *limits):
+    def counting(handle, coord, budget=groups.DEFAULT_CLOSURE_BUDGET):
         built.append(coord)
-        return original(handle, coord, *limits)
+        return original(handle, coord, budget)
     monkeypatch.setattr(cli, "coordinate_subgroup", counting)
     code, report = _run_json(capsys, ["growth", "--spec", specs["s3sum"], "--k", "2",
                                       "--levels", "100000"])

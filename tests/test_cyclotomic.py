@@ -26,7 +26,7 @@ def test_roots_of_unity_sum_to_zero():
 
 def test_primitive_root_powers_cycle():
     z = Cyclo.root(5, 1)
-    acc = Cyclo.one()
+    acc = Cyclo.rational(1)
     for _ in range(5):
         acc = acc * z
     assert acc == Cyclo.root(5, 5) == 1
